@@ -2,6 +2,7 @@
 
 #include "partition/partition.h"
 #include "partition/random_partition.h"
+#include "util/contracts.h"
 
 namespace cpt {
 
@@ -18,6 +19,7 @@ MinorFreePartition minor_free_partition(congest::Simulator& sim, const Graph& g,
                                         congest::RoundLedger& ledger) {
   MinorFreePartition out;
   if (opt.randomized) {
+    CPT_EXPECTS(opt.stage1_record == nullptr && opt.stage1_replay == nullptr);
     RandomPartitionOptions rp;
     rp.epsilon = opt.epsilon;
     rp.delta = opt.delta;
@@ -33,6 +35,8 @@ MinorFreePartition minor_free_partition(congest::Simulator& sim, const Graph& g,
     s1.adaptive = opt.adaptive_phases;
     s1.pipelined_streams = opt.pipelined_streams;
     s1.scratch = opt.scratch;
+    s1.record = opt.stage1_record;
+    s1.replay = opt.stage1_replay;
     Stage1Result r = run_stage1(sim, g, s1, ledger);
     out.rejected = r.rejected;
     out.rejecting_nodes = std::move(r.rejecting_nodes);

@@ -15,6 +15,7 @@
 namespace cpt {
 
 struct Stage1Scratch;  // partition/partition.h
+struct Stage1Record;   // partition/partition.h
 
 struct MinorFreeOptions {
   double epsilon = 0.1;
@@ -34,6 +35,12 @@ struct MinorFreeOptions {
   // Stage I scratch. nullptr = fresh allocations; identical results.
   congest::SimMemory* sim_memory = nullptr;
   Stage1Scratch* scratch = nullptr;
+  // Replayable deterministic partition (Stage1Options::record / replay):
+  // capture this run's Stage I, or replay one captured on the same graph
+  // with the same epsilon, alpha, adaptive, pipelined_streams and
+  // max_rounds. Must stay null when `randomized`: Theorem 4 reads the seed.
+  Stage1Record* stage1_record = nullptr;
+  const Stage1Record* stage1_replay = nullptr;
   // Optional trace track: per-pass ledger spans + simulator events land
   // here (see util/trace.h). nullptr = no tracing.
   util::TraceBuffer* trace = nullptr;

@@ -210,6 +210,11 @@ class Simulator {
   // is charged against).
   std::uint64_t total_rounds() const { return total_rounds_; }
 
+  // Counts rounds simulated elsewhere as if they had run here: a replayed
+  // Stage I (partition/partition.h, Stage1Record) charges its rounds so
+  // the budget trips at the same round in the passes that follow.
+  void charge_rounds(std::uint64_t rounds) { total_rounds_ += rounds; }
+
  private:
   friend class Exec;
   friend class SimMemory;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/contracts.h"
 
@@ -32,8 +33,8 @@ void run_forest_decomposition(congest::Simulator& sim, const Graph& g,
           : static_cast<std::uint32_t>(
                 std::ceil(std::log(std::max<double>(n, 2)) / std::log(1.5))) + 1;
 
-  PeelScratch local_scratch;
-  PeelScratch& sc = scratch != nullptr ? *scratch : local_scratch;
+  std::optional<PeelScratch> local_scratch;  // built only when not pooled
+  PeelScratch& sc = scratch != nullptr ? *scratch : local_scratch.emplace();
 
   result.still_active_roots.clear();
   result.emulated_super_rounds = 0;

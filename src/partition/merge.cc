@@ -1,6 +1,7 @@
 #include "partition/merge.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/contracts.h"
 
@@ -941,9 +942,10 @@ MergeStats run_merge_step(congest::Simulator& sim, const Graph& g,
   }
   if (!any_selection) return stats;
 
-  MergeScratch local_scratch;
+  std::optional<MergeScratch> local_scratch;  // built only when not pooled
   MergeCtx ctx(sim, g, pf, neighbor_root, sel, ledger,
-               scratch != nullptr ? *scratch : local_scratch, pipelined);
+               scratch != nullptr ? *scratch : local_scratch.emplace(),
+               pipelined);
   find_designated_edges(ctx);
   stats.cv_iterations = color_pseudo_forest(ctx);
   mark_edges(ctx);

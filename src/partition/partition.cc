@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "partition/forest_decomposition.h"
 #include "partition/merge.h"
@@ -38,18 +39,9 @@ Selection heaviest_out_edge_selection(const Graph& g, const PartForest& pf,
   return sel;
 }
 
-}  // namespace
-
-std::uint32_t stage1_theory_phase_count(double epsilon, std::uint32_t alpha) {
-  CPT_EXPECTS(epsilon > 0 && epsilon < 1);
-  const double shrink = 1.0 - 1.0 / (12.0 * alpha);
-  return static_cast<std::uint32_t>(
-             std::ceil(std::log(epsilon / 2.0) / std::log(shrink))) +
-         1;
-}
-
-Stage1Result run_stage1(congest::Simulator& sim, const Graph& g,
-                        const Stage1Options& opt, congest::RoundLedger& ledger) {
+Stage1Result simulate_stage1(congest::Simulator& sim, const Graph& g,
+                             const Stage1Options& opt,
+                             congest::RoundLedger& ledger) {
   Stage1Result result;
   result.forest = PartForest::singletons(g.num_nodes());
   result.phases_total = opt.phase_override != 0
@@ -64,9 +56,10 @@ Stage1Result run_stage1(congest::Simulator& sim, const Graph& g,
   peel_opt.super_rounds = opt.peel_super_rounds;
   peel_opt.pipelined = opt.pipelined_streams;
   // Peeling/merge buffers amortized across phases -- and, when the caller
-  // supplies pooled scratch, across runs.
-  Stage1Scratch local_scratch;
-  Stage1Scratch& scr = opt.scratch != nullptr ? *opt.scratch : local_scratch;
+  // supplies pooled scratch, across runs (then no local is built).
+  std::optional<Stage1Scratch> local_scratch;
+  Stage1Scratch& scr =
+      opt.scratch != nullptr ? *opt.scratch : local_scratch.emplace();
   PeelingResult& peel = scr.peel;
   PeelScratch& peel_scratch = scr.peel_scratch;
   MergeScratch& merge_scratch = scr.merge_scratch;
@@ -121,6 +114,58 @@ Stage1Result run_stage1(congest::Simulator& sim, const Graph& g,
     if (opt.adaptive && stats.cut_after <= target_cut) break;
   }
   return result;
+}
+
+// Appends a recorded run's passes, charges its rounds and hands back its
+// result (or rethrows its budget violation): see Stage1Record.
+Stage1Result replay_stage1(congest::Simulator& sim, const Graph& g,
+                           const Stage1Record& rec,
+                           congest::RoundLedger& ledger) {
+  CPT_EXPECTS(rec.captured && "replaying a record no run captured");
+  CPT_EXPECTS(rec.budget_exceeded ||
+              rec.result.forest.root.size() == g.num_nodes());
+  for (const congest::PassStats& p : rec.passes) {
+    ledger.add_pass(p.name, p.rounds, p.messages);
+  }
+  sim.charge_rounds(rec.sim_rounds);
+  if (rec.budget_exceeded) throw *rec.budget_exceeded;
+  return rec.result;
+}
+
+}  // namespace
+
+std::uint32_t stage1_theory_phase_count(double epsilon, std::uint32_t alpha) {
+  CPT_EXPECTS(epsilon > 0 && epsilon < 1);
+  const double shrink = 1.0 - 1.0 / (12.0 * alpha);
+  return static_cast<std::uint32_t>(
+             std::ceil(std::log(epsilon / 2.0) / std::log(shrink))) +
+         1;
+}
+
+Stage1Result run_stage1(congest::Simulator& sim, const Graph& g,
+                        const Stage1Options& opt, congest::RoundLedger& ledger) {
+  CPT_EXPECTS(opt.record == nullptr || opt.replay == nullptr);
+  if (opt.replay != nullptr) return replay_stage1(sim, g, *opt.replay, ledger);
+  if (opt.record == nullptr) return simulate_stage1(sim, g, opt, ledger);
+  Stage1Record& rec = *opt.record;
+  rec = Stage1Record{};
+  const std::size_t first_pass = ledger.passes().size();
+  const std::uint64_t rounds_at_start = sim.total_rounds();
+  const auto capture = [&] {
+    rec.passes.assign(ledger.passes().begin() + first_pass,
+                      ledger.passes().end());
+    rec.sim_rounds = sim.total_rounds() - rounds_at_start;
+    rec.captured = true;
+  };
+  try {
+    rec.result = simulate_stage1(sim, g, opt, ledger);
+  } catch (const congest::RoundBudgetExceeded& e) {
+    capture();
+    rec.budget_exceeded = e;
+    throw;
+  }
+  capture();
+  return rec.result;
 }
 
 }  // namespace cpt

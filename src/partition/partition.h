@@ -5,6 +5,7 @@
 // evidence) and the partition aborts.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "congest/metrics.h"
@@ -27,6 +28,8 @@ struct Stage1Scratch {
   MergeScratch merge_scratch;
 };
 
+struct Stage1Record;  // below
+
 struct Stage1Options {
   double epsilon = 0.1;              // edge-cut parameter
   std::uint32_t alpha = 3;           // arboricity bound (3 for planar)
@@ -42,6 +45,12 @@ struct Stage1Options {
   // Optional pooled scratch reused across runs (see Stage1Scratch).
   // nullptr = per-run locals; results are identical either way.
   Stage1Scratch* scratch = nullptr;
+  // Replayable runs (see Stage1Record). `record` captures this run into
+  // the pointee; `replay` skips the simulation and replays a record that
+  // a run on the same graph, with the same options above and the same
+  // simulator round budget, captured. At most one of the two may be set.
+  Stage1Record* record = nullptr;
+  const Stage1Record* replay = nullptr;
 };
 
 struct PhaseStats {
@@ -61,6 +70,26 @@ struct Stage1Result {
   std::uint32_t phases_emulated = 0;    // phases actually simulated
   std::uint32_t phases_total = 0;       // including fast-forwarded ones
   std::vector<PhaseStats> phase_stats;
+};
+
+// One finished Stage I run, replayable into another simulator. Stage I
+// reads no random bits, so a run is a pure function of the graph, the
+// Stage1Options above and the simulator's round budget: every run with
+// those inputs returns the same result, appends the same ledger passes and
+// simulates the same number of rounds. Replaying hands back `result`,
+// appends `passes` to the ledger (so totals and per-pass trace spans match
+// a simulated run) and charges `sim_rounds` to the simulator (so a round
+// budget trips at the same round afterwards). The batch engine simulates
+// Stage I once per share key and replays it into the key's other jobs
+// (DESIGN.md section 6).
+struct Stage1Record {
+  bool captured = false;  // a run finished (or exhausted its budget) here
+  Stage1Result result;
+  std::vector<congest::PassStats> passes;  // in ledger order
+  std::uint64_t sim_rounds = 0;            // Simulator::total_rounds consumed
+  // Set when the run exhausted SimOptions::max_rounds: replay appends the
+  // passes finished before the throw, then rethrows.
+  std::optional<congest::RoundBudgetExceeded> budget_exceeded;
 };
 
 // Number of phases guaranteeing residual cut <= eps*m/2 when no reject

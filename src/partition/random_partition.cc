@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "congest/primitives.h"
 #include "partition/merge.h"
@@ -176,10 +177,10 @@ RandomPartitionResult run_random_partition(congest::Simulator& sim,
   std::vector<std::vector<NodeId>> neighbor_root(n);
   for (NodeId v = 0; v < n; ++v) neighbor_root[v].assign(g.degree(v), kNoNode);
   // Relay buffers amortized across phases (and across runs when pooled).
-  MergeScratch local_merge_scratch;
+  std::optional<MergeScratch> local_merge_scratch;  // only when not pooled
   MergeScratch& merge_scratch = opt.scratch != nullptr
                                     ? opt.scratch->merge_scratch
-                                    : local_merge_scratch;
+                                    : local_merge_scratch.emplace();
 
   for (std::uint32_t phase = 1; phase <= result.phases_total; ++phase) {
     PartForest& pf = result.forest;

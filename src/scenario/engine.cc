@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "scenario/faultinject.h"
 #include "scenario/registry.h"
 #include "scenario/result_cache.h"
+#include "util/contracts.h"
 #include "util/parallel.h"
 
 namespace cpt::scenario {
@@ -68,7 +70,8 @@ bool parse_sim_threads_policy(const std::string& name, SimThreadsPolicy* out) {
 }
 
 JobResult run_job(const Job& job, const Graph& g, RunState* state,
-                  util::TraceBuffer* trace) {
+                  util::TraceBuffer* trace, Stage1Record* stage1_record,
+                  const Stage1Record* stage1_replay) {
   JobResult r;
   r.n = g.num_nodes();
   r.m = g.num_edges();
@@ -92,6 +95,8 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         opt.stage1.adaptive = job.adaptive;
         opt.stage1.pipelined_streams = job.pipelined;
         opt.stage1.scratch = scratch;
+        opt.stage1.record = stage1_record;
+        opt.stage1.replay = stage1_replay;
         opt.trace = trace;
         const TesterResult tr = test_planarity(g, opt);
         r.verdict = tr.verdict;
@@ -119,6 +124,8 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         opt.max_rounds = job.max_rounds;
         opt.sim_memory = mem;
         opt.scratch = scratch;
+        opt.stage1_record = stage1_record;
+        opt.stage1_replay = stage1_replay;
         opt.trace = trace;
         const AppResult ar = job.tester == TesterKind::kCycleFree
                                  ? test_cycle_freeness(g, opt)
@@ -148,6 +155,8 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         opt.adaptive = job.adaptive;
         opt.pipelined_streams = job.pipelined;
         opt.scratch = scratch;
+        opt.record = stage1_record;
+        opt.replay = stage1_replay;
         const Stage1Result sr = run_stage1(sim, g, opt, ledger);
         r.verdict = sr.rejected ? Verdict::kReject : Verdict::kAccept;
         r.rounds = ledger.total_rounds();
@@ -163,6 +172,7 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         break;
       }
       case TesterKind::kRandomPartition: {
+        CPT_EXPECTS(stage1_record == nullptr && stage1_replay == nullptr);
         congest::Network net(g);
         congest::SimOptions sopt;
         sopt.num_threads = job.sim_threads;
@@ -241,8 +251,10 @@ namespace {
 // outcome.
 JobResult run_job_retrying(const Job& job, const Graph& g,
                            const BatchOptions& options, RunState* state,
-                           util::TraceBuffer* trace = nullptr) {
-  JobResult r = run_job(job, g, state, trace);
+                           util::TraceBuffer* trace,
+                           Stage1Record* stage1_record,
+                           const Stage1Record* stage1_replay) {
+  JobResult r = run_job(job, g, state, trace, stage1_record, stage1_replay);
   std::uint32_t attempts = 0;
   while (r.failed && is_transient_error(r.error) &&
          attempts < options.max_retries) {
@@ -259,11 +271,213 @@ JobResult run_job_retrying(const Job& job, const Graph& g,
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options.retry_backoff_ms * attempts));
     }
-    r = run_job(job, g, state, trace);
+    r = run_job(job, g, state, trace, stage1_record, stage1_replay);
     r.retries = attempts;
   }
   return r;
 }
+
+// Jobs whose Stage I is one computation (see Stage1Record): the graph
+// slot, every input of the Stage1Options run_job builds, and the round
+// budget. Planarity runs Stage I at the default (planar) alpha whatever
+// the job's alpha. Jobs whose partition reads the tester seed --
+// random_partition and the randomized testers -- have no key.
+struct ShareKey {
+  std::uint32_t slot = 0;
+  double epsilon = 0;
+  std::uint32_t alpha = 0;
+  bool adaptive = false;
+  bool pipelined = false;
+  std::uint64_t max_rounds = 0;
+  bool operator==(const ShareKey&) const = default;
+};
+
+std::optional<ShareKey> share_key(const Job& job, std::uint32_t slot) {
+  std::uint32_t alpha = job.alpha;
+  switch (job.tester) {
+    case TesterKind::kPlanarity:
+      alpha = Stage1Options{}.alpha;
+      break;
+    case TesterKind::kCycleFree:
+    case TesterKind::kBipartite:
+      if (job.randomized) return std::nullopt;
+      break;
+    case TesterKind::kStage1Partition:
+      break;
+    case TesterKind::kRandomPartition:
+      return std::nullopt;
+  }
+  return ShareKey{slot,          job.epsilon,  alpha,
+                  job.adaptive,  job.pipelined, job.max_rounds};
+}
+
+// Job claiming by unit, with Stage I sharing. A unit is a maximal run of
+// consecutive jobs with one share key (a job without a key is a unit of
+// its own). When a unit holds two or more jobs that neither the resume map
+// nor the result cache serves, the first of them is its leader: it
+// captures its Stage I and publishes the record once its result is in.
+// The unit's other unserved jobs, its followers, replay that record -- or
+// simulate Stage I themselves when the leader captured none (it failed
+// before Stage I finished). Which jobs replay is therefore a function of
+// the job list and the served set alone, never of the schedule.
+//
+// A worker claims a whole unit and runs its jobs in order, so it never
+// waits for its own leader. Once every unit is claimed, idle workers help:
+// they take the unclaimed jobs of units whose leader has published, and
+// wait for a publication while a leader with unclaimed followers runs.
+class ClaimUnits {
+ public:
+  ClaimUnits(const std::vector<Job>& jobs,
+             const std::vector<std::uint32_t>& job_slot,
+             const std::function<bool(std::uint32_t)>& served,
+             unsigned workers, const std::atomic<bool>* cancel)
+      : unit_of_(jobs.size()),
+        role_(jobs.size(), Role::kPlain),
+        owned_(workers),
+        cancel_(cancel) {
+    for (std::atomic<std::uint32_t>& o : owned_) o.store(kNone);
+    std::optional<ShareKey> prev;
+    for (std::uint32_t j = 0; j < jobs.size(); ++j) {
+      const std::optional<ShareKey> key = share_key(jobs[j], job_slot[j]);
+      if (units_.empty() || !key || key != prev) {
+        if (!units_.empty()) units_.back().end = j;
+        units_.emplace_back().next.store(j);
+      }
+      unit_of_[j] = static_cast<std::uint32_t>(units_.size() - 1);
+      prev = key;
+    }
+    if (!units_.empty()) {
+      units_.back().end = static_cast<std::uint32_t>(jobs.size());
+    }
+    for (Unit& u : units_) {
+      std::uint32_t leader = kNone;
+      std::uint32_t followers = 0;
+      for (std::uint32_t j = u.next.load(); j < u.end; ++j) {
+        if (served(j)) continue;
+        if (leader == kNone) {
+          leader = j;
+        } else {
+          role_[j] = Role::kFollower;
+          ++followers;
+        }
+      }
+      if (followers == 0) continue;
+      role_[leader] = Role::kLeader;
+      u.published.store(false);
+      u.followers_left.store(followers);
+    }
+  }
+
+  // The next job for worker w; false once nothing is left to claim (or the
+  // batch was cancelled while waiting for a leader).
+  bool claim(unsigned w, std::uint32_t* j) {
+    std::atomic<std::uint32_t>& own = owned_[w];
+    if (const std::uint32_t u = own.load(std::memory_order_relaxed);
+        u != kNone && take(units_[u], j)) {
+      return true;
+    }
+    for (;;) {
+      const std::uint32_t u = next_unit_.fetch_add(1, std::memory_order_relaxed);
+      if (u >= units_.size()) break;
+      own.store(u, std::memory_order_relaxed);
+      if (take(units_[u], j)) return true;
+    }
+    own.store(kNone, std::memory_order_relaxed);
+    for (;;) {
+      std::uint64_t seen = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        seen = publications_;
+      }
+      bool leader_running = false;
+      for (const std::atomic<std::uint32_t>& o : owned_) {
+        const std::uint32_t u = o.load(std::memory_order_relaxed);
+        if (u == kNone) continue;
+        Unit& unit = units_[u];
+        if (unit.next.load(std::memory_order_relaxed) >= unit.end) continue;
+        if (!unit.published.load(std::memory_order_acquire)) {
+          leader_running = true;
+        } else if (take(unit, j)) {
+          return true;
+        }
+      }
+      if (!leader_running ||
+          (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))) {
+        return false;
+      }
+      // Polls the cancel flag: signal handlers cannot notify.
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait_for(lock, std::chrono::milliseconds(20),
+                   [&] { return publications_ != seen; });
+    }
+  }
+
+  // Where job j captures its Stage I: its unit's record if it leads.
+  Stage1Record* capture_into(std::uint32_t j) {
+    return role_[j] == Role::kLeader ? &units_[unit_of_[j]].record : nullptr;
+  }
+
+  // What job j replays: its leader's published record if it follows one
+  // that captured Stage I.
+  const Stage1Record* replay_from(std::uint32_t j) const {
+    const Unit& u = units_[unit_of_[j]];
+    return role_[j] == Role::kFollower && u.record.captured ? &u.record
+                                                            : nullptr;
+  }
+
+  // Job j's result is in: a leader publishes its record; the unit's last
+  // follower frees it.
+  void finish(std::uint32_t j) {
+    Unit& u = units_[unit_of_[j]];
+    if (role_[j] == Role::kLeader) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        u.published.store(true, std::memory_order_release);
+        ++publications_;
+      }
+      cv_.notify_all();
+    } else if (role_[j] == Role::kFollower) {
+      if (u.record.captured) replayed_.fetch_add(1, std::memory_order_relaxed);
+      if (u.followers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        u.record = Stage1Record{};
+      }
+    }
+  }
+
+  // Followers that were handed a captured record.
+  std::uint32_t replayed() const { return replayed_.load(); }
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};  // no unit / job
+  enum class Role : std::uint8_t { kPlain, kLeader, kFollower };
+  struct Unit {
+    std::uint32_t end = 0;               // one past the unit's last job
+    std::atomic<std::uint32_t> next{0};  // next unclaimed job
+    std::atomic<bool> published{true};   // false while a leader is due
+    std::atomic<std::uint32_t> followers_left{0};
+    Stage1Record record;  // the leader's; read-only once published
+  };
+
+  static bool take(Unit& u, std::uint32_t* j) {
+    const std::uint32_t k = u.next.fetch_add(1, std::memory_order_relaxed);
+    if (k >= u.end) return false;
+    *j = k;
+    return true;
+  }
+
+  std::deque<Unit> units_;  // stable addresses: Unit holds atomics
+  std::vector<std::uint32_t> unit_of_;
+  std::vector<Role> role_;
+  std::atomic<std::uint32_t> next_unit_{0};
+  // Per worker: the unit it claimed last, kNone once it helps. A unit
+  // with unclaimed jobs is always some worker's.
+  std::vector<std::atomic<std::uint32_t>> owned_;
+  const std::atomic<bool>* cancel_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t publications_ = 0;  // guarded by mu_
+  std::atomic<std::uint32_t> replayed_{0};
+};
 
 // Materializes one instance into `*out`: corpus hit (mmap for v3), else a
 // streaming generator straight into the store (then a mapped load-back),
@@ -586,7 +800,12 @@ BatchResult run_batch_impl(const Manifest& manifest,
   out.total_retries += materialize_retries.load(std::memory_order_relaxed);
 
   // Phase 2: run the jobs. Claiming order is racy; result placement is by
-  // job slot, so the result array is schedule-independent.
+  // job slot, so the result array is schedule-independent. Jobs are claimed
+  // by unit so each unit simulates Stage I once (see ClaimUnits).
+  ClaimUnits claims(
+      out.jobs, job_slot,
+      [&](std::uint32_t j) { return resumed_job(j) || cache_hit_job(j); },
+      cores, options.cancel);
   const auto cached_result = [&](std::uint32_t j) -> const JobResult* {
     if (options.completed == nullptr) return nullptr;
     const auto it = options.completed->find(j);
@@ -630,13 +849,16 @@ BatchResult run_batch_impl(const Manifest& manifest,
       }
       return r;
     }
+    Stage1Record* const record = claims.capture_into(j);
+    const Stage1Record* const replay = claims.replay_from(j);
     if (sim_override != 0) {
       Job job = out.jobs[j];
       job.sim_threads = sim_override;
-      return run_job_retrying(job, slot.graph, options, state, job_track);
+      return run_job_retrying(job, slot.graph, options, state, job_track,
+                              record, replay);
     }
     return run_job_retrying(out.jobs[j], slot.graph, options, state,
-                            job_track);
+                            job_track, record, replay);
   };
   // One pooled RunState per batch worker, reused across every job that
   // worker claims (never shared concurrently: worker w touches states[w]
@@ -686,18 +908,16 @@ BatchResult run_batch_impl(const Manifest& manifest,
     std::vector<char> executed(out.jobs.size(), 0);
     std::vector<char> resumed_flags(out.jobs.size(), 0);
     std::vector<char> cache_flags(out.jobs.size(), 0);
-    std::atomic<std::uint32_t> cursor{0};
     auto execute = [&](unsigned w) {
       if (w >= batch_workers) return;  // narrow policies idle extra cores
-      while (!cancelled()) {
-        const std::uint32_t j =
-            cursor.fetch_add(1, std::memory_order_relaxed);
-        if (j >= out.jobs.size()) return;
+      std::uint32_t j = 0;
+      while (!cancelled() && claims.claim(w, &j)) {
         bool resumed = false;
         bool from_cache = false;
         const std::uint64_t b0 =
             trace != nullptr ? util::trace_now_ns() : 0;
         out.results[j] = produce(j, &resumed, &from_cache, &states[w]);
+        claims.finish(j);
         if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
         publish(j, out.results[j], resumed, from_cache);
         resumed_flags[j] = resumed ? 1 : 0;
@@ -733,7 +953,11 @@ BatchResult run_batch_impl(const Manifest& manifest,
     // simply stops there), in-flight jobs finish and retire if contiguous.
     // Every job below the final frontier went through the sink exactly
     // once -- the journal written from the sink resumes from there.
-    std::atomic<std::uint32_t> cursor{0};
+    //
+    // Unit claiming keeps the frontier moving: a unit's owner claims its
+    // jobs in order and helpers only take jobs of claimed units, so the
+    // frontier job is always claimed or next in some owner's unit, and its
+    // claimant never waits.
     std::mutex mu;
     std::condition_variable cv;
     struct Pending {
@@ -747,10 +971,8 @@ BatchResult run_batch_impl(const Manifest& manifest,
     const std::uint32_t window = 4 * batch_workers + 4;
     auto execute = [&](unsigned w) {
       if (w >= batch_workers) return;  // narrow policies idle extra cores
-      while (!cancelled()) {
-        const std::uint32_t j =
-            cursor.fetch_add(1, std::memory_order_relaxed);
-        if (j >= out.jobs.size()) return;
+      std::uint32_t j = 0;
+      while (!cancelled() && claims.claim(w, &j)) {
         {
           // The worker owning the retirement frontier (j == next_retire)
           // never waits, so the frontier always advances. The wait polls
@@ -767,6 +989,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
         const std::uint64_t b0 =
             trace != nullptr ? util::trace_now_ns() : 0;
         JobResult r = produce(j, &resumed, &from_cache, &states[w]);
+        claims.finish(j);
         if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
         // Cache publish happens outside the retirement lock (it is file
         // I/O) and before the result is surfaced, so a crash after the
@@ -801,6 +1024,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
     }
   }
 
+  out.stage1_replayed_jobs = claims.replayed();
   out.wall_seconds = now_seconds() - t0;
   if (trace != nullptr) {
     // Deterministic batch counters: pure functions of the manifest, the
@@ -814,6 +1038,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
     m.add_counter("batch/retried_jobs", out.retried_jobs);
     m.add_counter("batch/total_retries", out.total_retries);
     m.add_counter("batch/cache_hit_jobs", out.cache_hit_jobs);
+    m.add_counter("batch/stage1_replayed_jobs", out.stage1_replayed_jobs);
     m.add_counter("corpus/unique_instances", out.corpus.unique_instances);
     m.add_counter("corpus/disk_hits", out.corpus.disk_hits);
     m.add_counter("corpus/generated", out.corpus.generated);

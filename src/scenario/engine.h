@@ -1,12 +1,21 @@
 // Batch engine: expands a manifest into jobs and executes the independent
 // simulations concurrently on a util/parallel.h WorkerPool -- cross-
 // simulation parallelism (each job runs its own Network/Simulator, by
-// default single-worker). Jobs are claimed from an atomic cursor, so the
-// schedule is work-stealing and nondeterministic, but every result lands
-// in its job's slot and each job is self-contained (own graph reference,
-// own seeds): the result array -- and everything aggregated from it -- is
-// bit-identical at every --threads value. Wall-clock fields are the only
+// default single-worker). Workers claim jobs dynamically, so the schedule
+// is work-stealing and nondeterministic, but every result lands in its
+// job's slot and each job's result is a function of its own inputs (graph,
+// options, seeds): the result array -- and everything aggregated from it --
+// is bit-identical at every --threads value. Wall-clock fields are the only
 // nondeterministic outputs and are kept out of the aggregate schema.
+//
+// Stage I sharing: Stage I reads no random bits, so the trials of one
+// instance repeat it exactly. Jobs are claimed in *units* -- maximal runs
+// of consecutive jobs with one share key (graph, epsilon, alpha, adaptive,
+// pipelined, round budget). A unit's first job the resume map and the
+// result cache do not serve simulates Stage I and publishes a
+// Stage1Record; the unit's later jobs replay it (partition/partition.h).
+// Replay is exact -- same results, ledgers and pass spans -- and which
+// jobs replay depends only on the job list and the served set.
 //
 // Graph materialization happens before job execution: unique instances
 // (deduplicated by instance hash) are generated -- or loaded from the
@@ -39,7 +48,7 @@
 
 #include "congest/simulator.h"  // SimMemory
 #include "core/stage2.h"  // Verdict
-#include "partition/partition.h"  // PhaseStats, Stage1Scratch
+#include "partition/partition.h"  // PhaseStats, Stage1Scratch, Stage1Record
 #include "scenario/corpus.h"
 #include "scenario/manifest.h"
 #include "util/trace.h"
@@ -212,6 +221,9 @@ struct BatchResult {
   // Like resumed_jobs, reported via the timing doc / CLI summary only:
   // the aggregate document is byte-identical either way.
   std::uint32_t cache_hit_jobs = 0;
+  // Jobs that replayed another job's Stage I instead of simulating it
+  // (see "Stage I sharing" above). Never part of the aggregate document.
+  std::uint32_t stage1_replayed_jobs = 0;
   // Cancellation (BatchOptions::cancel): true when the run stopped early.
   // completed_jobs is the retirement frontier -- every job below it went
   // through the sink exactly once; in a full run it equals jobs.size().
@@ -245,8 +257,14 @@ struct RunState {
 // donates pooled buffers for the run and receives them back afterwards.
 // `trace` (optional) receives a "job" span wrapping per-pass ledger spans
 // and simulator events; it must be a track no other thread writes.
+// `stage1_record` / `stage1_replay` (optional, at most one) capture the
+// job's Stage I or replay one captured by a job with the same share key;
+// only jobs whose partition ignores the tester seed accept them (not
+// random_partition, not randomized testers).
 JobResult run_job(const Job& job, const Graph& g, RunState* state = nullptr,
-                  util::TraceBuffer* trace = nullptr);
+                  util::TraceBuffer* trace = nullptr,
+                  Stage1Record* stage1_record = nullptr,
+                  const Stage1Record* stage1_replay = nullptr);
 
 BatchResult run_batch(const Manifest& manifest, const BatchOptions& options);
 

@@ -9,7 +9,10 @@
 // the E4/E6 stage1_partition / random_partition workloads).
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <unistd.h>
@@ -20,6 +23,7 @@
 #include "congest/network.h"
 #include "congest/simulator.h"
 #include "core/tester.h"
+#include "graph/generators.h"
 #include "partition/partition.h"
 #include "partition/random_partition.h"
 #include "scenario/aggregate.h"
@@ -28,6 +32,8 @@
 #include "scenario/json.h"
 #include "scenario/manifest.h"
 #include "scenario/registry.h"
+#include "scenario/result_cache.h"
+#include "util/trace.h"
 
 namespace cpt::scenario {
 namespace {
@@ -671,6 +677,262 @@ TEST(Engine, MatchesDirectPartitionCalls) {
     const PartitionStats stats = measure_partition(g, direct.forest);
     EXPECT_EQ(via_engine.num_parts, stats.num_parts);
     EXPECT_EQ(via_engine.cut_edges, stats.cut_edges);
+  }
+}
+
+// ---- Stage I sharing --------------------------------------------------------
+//
+// The engine simulates Stage I once per claim unit and replays it into the
+// unit's other jobs. These tests pin that replay changes nothing: every
+// JobResult field, every pass span, and round budgets that trip on either
+// side of Stage I all match run_job calls that share nothing.
+
+// Every tester kind, with trials > 1. Cells 0-5 reuse one graph, and each
+// of cells 1-4 differs from the cell before it in exactly one share-key
+// field (adaptive, pipelined, alpha, round budget; cell 0 spans two
+// epsilons), so a key missing a field would merge two units and replay the
+// wrong Stage I. Cell 0's four testers share one Stage I per epsilon;
+// random_partition and the randomized testers share none. Cell 4's budget
+// trips inside Stage I.
+constexpr const char* kSharingManifest = R"({
+  "name": "sharing",
+  "base_seed": 5,
+  "defaults": {"trials": 3, "epsilon": 0.3},
+  "cells": [
+    {"scenario": "grid", "params": {"rows": 8, "cols": 8},
+     "epsilon": [0.2, 0.3],
+     "tester": ["planarity", "cycle_free", "bipartite", "stage1_partition"]},
+    {"scenario": "grid", "params": {"rows": 8, "cols": 8},
+     "adaptive": true},
+    {"scenario": "grid", "params": {"rows": 8, "cols": 8},
+     "adaptive": true, "pipelined": false},
+    {"scenario": "grid", "params": {"rows": 8, "cols": 8},
+     "adaptive": true, "pipelined": false, "tester": "cycle_free",
+     "alpha": 2},
+    {"scenario": "grid", "params": {"rows": 8, "cols": 8},
+     "adaptive": true, "pipelined": false, "tester": "cycle_free",
+     "alpha": 2, "max_rounds": 300},
+    {"scenario": "grid", "params": {"rows": 8, "cols": 8},
+     "tester": ["random_partition", "cycle_free", "bipartite"],
+     "randomized": true},
+    {"scenario": "random_planar", "params": {"n": 80, "m": 150},
+     "pipelined": false},
+    {"scenario": "k5_blobs", "params": {"backbone_n": 60, "blobs": 6},
+     "instances": 2, "sim_threads": 2}
+  ]
+})";
+// Followers per cell above: 2 * 11 + 2 + 2 + 2 + 2 + 0 + 2 + 2 * 2.
+constexpr std::uint32_t kSharingFollowers = 36;
+
+void expect_same_result(const JobResult& got, const JobResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.verdict, want.verdict) << where;
+  EXPECT_EQ(got.rounds, want.rounds) << where;
+  EXPECT_EQ(got.messages, want.messages) << where;
+  EXPECT_EQ(got.n, want.n) << where;
+  EXPECT_EQ(got.m, want.m) << where;
+  EXPECT_EQ(got.num_parts, want.num_parts) << where;
+  EXPECT_EQ(got.cut_edges, want.cut_edges) << where;
+  EXPECT_EQ(got.max_part_ecc, want.max_part_ecc) << where;
+  EXPECT_EQ(got.max_tree_depth, want.max_tree_depth) << where;
+  EXPECT_EQ(got.stage1_phases, want.stage1_phases) << where;
+  EXPECT_EQ(got.stage1_phases_total, want.stage1_phases_total) << where;
+  EXPECT_EQ(got.trials_per_phase, want.trials_per_phase) << where;
+  EXPECT_EQ(got.failed, want.failed) << where;
+  EXPECT_EQ(got.error, want.error) << where;
+  EXPECT_EQ(got.timed_out, want.timed_out) << where;
+  EXPECT_EQ(got.retries, want.retries) << where;
+  ASSERT_EQ(got.phase_stats.size(), want.phase_stats.size()) << where;
+  for (std::size_t i = 0; i < want.phase_stats.size(); ++i) {
+    const PhaseStats& a = got.phase_stats[i];
+    const PhaseStats& b = want.phase_stats[i];
+    EXPECT_EQ(a.cut_before, b.cut_before) << where << " phase " << i;
+    EXPECT_EQ(a.cut_after, b.cut_after) << where << " phase " << i;
+    EXPECT_EQ(a.parts_before, b.parts_before) << where << " phase " << i;
+    EXPECT_EQ(a.parts_after, b.parts_after) << where << " phase " << i;
+    EXPECT_EQ(a.cv_iterations, b.cv_iterations) << where << " phase " << i;
+    EXPECT_EQ(a.marked_tree_height, b.marked_tree_height)
+        << where << " phase " << i;
+    EXPECT_EQ(a.rounds, b.rounds) << where << " phase " << i;
+  }
+}
+
+Manifest parse_or_die(const std::string& text) {
+  Manifest m;
+  std::string err;
+  EXPECT_TRUE(parse_manifest(text, &m, &err)) << err;
+  return m;
+}
+
+// What each job returns from a run_job call that shares nothing.
+std::vector<JobResult> direct_results(const std::vector<Job>& jobs) {
+  std::unordered_map<std::uint64_t, Graph> graphs;
+  std::vector<JobResult> out;
+  for (const Job& job : jobs) {
+    auto it = graphs.find(job.instance.hash());
+    if (it == graphs.end()) {
+      it = graphs.emplace(job.instance.hash(), build_instance(job.instance))
+               .first;
+    }
+    out.push_back(run_job(job, it->second));
+  }
+  return out;
+}
+
+// Runs the manifest retained and streamed at --threads 1 and 4 and checks
+// every result against `want`; returns the replay count, which must not
+// depend on the mode or the thread count. `prepare` (optional) adjusts the
+// options before every run.
+std::uint32_t expect_batches_match(
+    const Manifest& m, const std::vector<JobResult>& want,
+    BatchOptions opt = {},
+    const std::function<void(BatchOptions*)>& prepare = {}) {
+  std::uint32_t replayed = 0;
+  for (const unsigned threads : {1u, 4u}) {
+    opt.threads = threads;
+    const std::string at = " at --threads=" + std::to_string(threads);
+    if (prepare) prepare(&opt);
+    const BatchResult retained = run_batch(m, opt);
+    EXPECT_EQ(retained.results.size(), want.size());
+    for (std::size_t j = 0; j < retained.results.size() && j < want.size();
+         ++j) {
+      expect_same_result(retained.results[j], want[j],
+                         "retained job " + std::to_string(j) + at);
+    }
+    std::vector<JobResult> streamed;
+    if (prepare) prepare(&opt);
+    const BatchResult batch = run_batch(
+        m, opt, [&](const Job&, const JobResult& r) { streamed.push_back(r); });
+    EXPECT_EQ(streamed.size(), want.size());
+    for (std::size_t j = 0; j < streamed.size() && j < want.size(); ++j) {
+      expect_same_result(streamed[j], want[j],
+                         "streamed job " + std::to_string(j) + at);
+    }
+    EXPECT_EQ(batch.stage1_replayed_jobs, retained.stage1_replayed_jobs);
+    if (threads == 1) replayed = retained.stage1_replayed_jobs;
+    EXPECT_EQ(retained.stage1_replayed_jobs, replayed) << at;
+  }
+  return replayed;
+}
+
+TEST(StageISharing, ReplayedJobsMatchDirectRunJob) {
+  const Manifest m = parse_or_die(kSharingManifest);
+  const std::vector<Job> jobs = expand_manifest(m);
+  const std::vector<JobResult> want = direct_results(jobs);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    EXPECT_EQ(want[j].timed_out, jobs[j].max_rounds != 0) << "job " << j;
+    EXPECT_FALSE(want[j].failed) << "job " << j << ": " << want[j].error;
+  }
+  EXPECT_EQ(expect_batches_match(m, want), kSharingFollowers);
+}
+
+// Budgets just past and well inside Stage I's simulated rounds: the first
+// trips in Stage II (after a replayed Stage I charged its rounds), the
+// second inside Stage I (whose replay rethrows the recorded violation).
+TEST(StageISharing, RoundBudgetsTripAtTheSameRound) {
+  const Graph g = gen::grid(8, 8);
+  congest::Network net(g);
+  congest::Simulator sim(net);
+  congest::RoundLedger ledger;
+  Stage1Options s1;
+  s1.epsilon = 0.2;
+  ASSERT_FALSE(run_stage1(sim, g, s1, ledger).rejected);
+  const std::uint64_t stage1_rounds = sim.total_rounds();
+  ASSERT_GT(stage1_rounds, 2u);
+  for (const std::uint64_t budget : {stage1_rounds + 1, stage1_rounds / 2}) {
+    const Manifest m = parse_or_die(
+        R"({"name": "budget", "base_seed": 3,
+            "defaults": {"trials": 3, "epsilon": 0.2, "max_rounds": )" +
+        std::to_string(budget) + R"(},
+            "cells": [{"scenario": "grid", "params": {"rows": 8, "cols": 8},
+                       "tester": ["planarity", "cycle_free",
+                                  "stage1_partition"]}]})");
+    const std::vector<Job> jobs = expand_manifest(m);
+    const std::vector<JobResult> want = direct_results(jobs);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      // stage1_partition ends with Stage I: only the inner budget trips it.
+      const bool trips = budget < stage1_rounds ||
+                         jobs[j].tester != TesterKind::kStage1Partition;
+      EXPECT_EQ(want[j].timed_out, trips) << "budget " << budget << " job " << j;
+    }
+    EXPECT_EQ(expect_batches_match(m, want), jobs.size() - 1)
+        << "budget " << budget;
+  }
+}
+
+// A trial the resume map or the result cache serves neither simulates nor
+// leads: the unit's first unserved trial computes Stage I and the rest
+// replay it.
+TEST(StageISharing, ServedTrialsHandTheLeadToTheNextTrial) {
+  const Manifest m = parse_or_die(
+      R"({"name": "served", "base_seed": 9,
+          "defaults": {"trials": 3, "epsilon": 0.2},
+          "cells": [{"scenario": "apollonian", "params": {"n": 90}}]})");
+  const std::vector<Job> jobs = expand_manifest(m);
+  const std::vector<JobResult> want = direct_results(jobs);
+
+  // Resumed first or middle trial: one of the two others replays.
+  for (const std::uint32_t served : {0u, 1u}) {
+    const std::unordered_map<std::uint32_t, JobResult> completed = {
+        {served, want[served]}};
+    BatchOptions opt;
+    opt.completed = &completed;
+    EXPECT_EQ(expect_batches_match(m, want, opt), 1u) << "resumed " << served;
+  }
+  // Two served trials leave one job: nothing to share.
+  const std::unordered_map<std::uint32_t, JobResult> two = {{0, want[0]},
+                                                            {2, want[2]}};
+  BatchOptions opt;
+  opt.completed = &two;
+  EXPECT_EQ(expect_batches_match(m, want, opt), 0u);
+
+  // A result-cache hit on the first trial: the second computes. Every run
+  // gets a fresh cache, since each run stores what it executes.
+  std::vector<std::unique_ptr<ResultCache>> caches;
+  const auto first_trial_cached = [&](BatchOptions* o) {
+    std::string dir = testing::TempDir() + "cpt_share_XXXXXX";
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    caches.push_back(std::make_unique<ResultCache>(dir));
+    ASSERT_TRUE(caches.back()->store(jobs[0], want[0]));
+    o->result_cache = caches.back().get();
+  };
+  EXPECT_EQ(expect_batches_match(m, want, {}, first_trial_cached), 1u);
+}
+
+// Replay appends the recorded passes through the job's ledger, so a
+// replayed job's trace carries the same pass spans -- names, rounds,
+// messages, in order -- as a job that simulated Stage I.
+TEST(StageISharing, ReplayedJobsEmitTheSamePassSpans) {
+  if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
+  const Manifest m = parse_or_die(kSharingManifest);
+  util::TraceSession session;
+  BatchOptions opt;
+  opt.threads = 4;
+  opt.trace = &session;
+  const BatchResult batch = run_batch(m, opt);
+  ASSERT_EQ(batch.stage1_replayed_jobs, kSharingFollowers);
+  const auto spans = [](const util::TraceBuffer& track) {
+    std::vector<std::string> out;
+    for (const util::TraceEvent& e : track.events()) {
+      if (e.kind != util::TraceEvent::kSpan) continue;
+      std::string line = std::to_string(e.depth) + " " + e.name;
+      for (const auto& [key, value] : e.args.entries()) {
+        line += " " + key + "=" + value;
+      }
+      out.push_back(std::move(line));
+    }
+    return out;
+  };
+  for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
+    const Job& job = batch.jobs[j];
+    const std::vector<std::string> got = spans(*session.make_track(
+        1 + batch.corpus.unique_instances + j, ""));
+    util::TraceSession direct;
+    util::TraceBuffer* track = direct.make_track(0, "direct");
+    run_job(job, build_instance(job.instance), nullptr, track);
+    const std::vector<std::string> want = spans(*track);
+    EXPECT_GT(want.size(), 1u) << "job " << j;
+    EXPECT_EQ(got, want) << "job " << j;
   }
 }
 

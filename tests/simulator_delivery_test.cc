@@ -46,8 +46,13 @@ class Tracer : public Program {
 
   void on_wake(Exec& sim, NodeId v,
                std::span<const Inbound> inbox) override {
-    std::string e = "r" + std::to_string(sim.current_round()) + " n" +
-                    std::to_string(v) + " [";
+    // Appends only: GCC 12 flags `"literal" + std::string&&` with a false
+    // -Wrestrict positive.
+    std::string e = "r";
+    e += std::to_string(sim.current_round());
+    e += " n";
+    e += std::to_string(v);
+    e += " [";
     for (std::size_t i = 0; i < inbox.size(); ++i) {
       if (i > 0) e += ' ';
       e += std::to_string(inbox[i].port) + ':' +

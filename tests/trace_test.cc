@@ -32,6 +32,8 @@
 
 // Global allocation counter backing the disabled-path test: the
 // tracing-off fast path (null buffer pointer) must not touch the heap.
+// The deletes stay out of line: inlined, GCC would see free() applied to
+// an operator new result and warn (-Wmismatched-new-delete).
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
@@ -42,10 +44,14 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cpt {
 namespace {
