@@ -3,8 +3,10 @@
 // and EXPERIMENTS.md for recorded results.
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace cpt::bench {
@@ -14,6 +16,30 @@ inline void header(const char* experiment, const char* claim) {
   std::printf("%s\n", experiment);
   std::printf("  paper claim: %s\n", claim);
   std::printf("==============================================================\n");
+}
+
+// Bounds for the grid benches' flags: a triangulated side x side grid has
+// about 6 * side^2 arcs, which must fit 32-bit arc ids; reps is an int.
+inline constexpr unsigned long kMaxGridSide = 16384;
+inline constexpr unsigned long kMaxReps = 1000000;
+
+// Strict decimal flag value: digits only (no sign, space or trailing
+// bytes), within [lo, hi]. Otherwise prints an error naming the flag and
+// returns false, and the bench exits 2.
+inline bool parse_count_flag(const char* flag, const char* text,
+                             unsigned long lo, unsigned long hi,
+                             unsigned long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long v = std::strtoul(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+      v < lo || v > hi) {
+    std::fprintf(stderr, "error: %s expects an integer in [%lu, %lu], got "
+                 "\"%s\"\n", flag, lo, hi, text);
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 class Timer {

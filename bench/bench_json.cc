@@ -1,6 +1,6 @@
 #include "bench/bench_json.h"
 
-#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -8,6 +8,8 @@
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
+
+#include "scenario/json.h"
 
 namespace cpt::bench {
 
@@ -24,37 +26,6 @@ std::uint64_t peak_rss_bytes() {
   return 0;
 #endif
 }
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string render_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 void add_provenance(BenchJson& out) {
 #if defined(CPT_GIT_SHA)
@@ -86,14 +57,12 @@ void add_provenance(BenchJson& out) {
 
 void BenchJson::meta(const std::string& key, const std::string& value) {
   std::string rendered;
-  append_escaped(rendered, value);
+  scenario::json_append_escaped(rendered, value);
   meta_.push_back({key, std::move(rendered)});
 }
 
 void BenchJson::meta(const std::string& key, std::int64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64, value);
-  meta_.push_back({key, buf});
+  meta_.push_back({key, scenario::json_render_int(value)});
 }
 
 void BenchJson::metric(const std::string& name, double value,
@@ -103,10 +72,10 @@ void BenchJson::metric(const std::string& name, double value,
 
 std::string BenchJson::to_string() const {
   std::string out = "{\n  \"name\": ";
-  append_escaped(out, name_);
+  scenario::json_append_escaped(out, name_);
   for (const Meta& m : meta_) {
     out += ",\n  ";
-    append_escaped(out, m.key);
+    scenario::json_append_escaped(out, m.key);
     out += ": ";
     out += m.value;
   }
@@ -114,11 +83,11 @@ std::string BenchJson::to_string() const {
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": ";
-    append_escaped(out, metrics_[i].name);
+    scenario::json_append_escaped(out, metrics_[i].name);
     out += ", \"value\": ";
-    out += render_double(metrics_[i].value);
+    out += scenario::json_render_double(metrics_[i].value);
     out += ", \"unit\": ";
-    append_escaped(out, metrics_[i].unit);
+    scenario::json_append_escaped(out, metrics_[i].unit);
     out += "}";
   }
   out += "\n  ]\n}\n";
@@ -126,6 +95,15 @@ std::string BenchJson::to_string() const {
 }
 
 bool BenchJson::write(const std::string& path) const {
+  // JSON has no spelling for inf or nan: refuse rather than emit a file
+  // no reader accepts.
+  for (const Metric& m : metrics_) {
+    if (!std::isfinite(m.value)) {
+      std::fprintf(stderr, "error: metric %s is not finite\n",
+                   m.name.c_str());
+      return false;
+    }
+  }
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const std::string body = to_string();

@@ -3,8 +3,8 @@
 // Every experiment that tracks a perf trajectory across PRs writes one
 // BENCH_<name>.json: a flat object of run-level metadata plus a "metrics"
 // array of named measurements. See bench/README.md for the schema and the
-// recorded baselines. No third-party JSON dependency: the writer escapes
-// strings itself and prints doubles with enough digits to round-trip.
+// recorded baselines. Strings and numbers render through the scenario
+// layer's JSON writing helpers (doubles with enough digits to round-trip).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,9 @@ class BenchJson {
   // 1.2e7, "1/s"). Metrics appear in insertion order.
   void metric(const std::string& name, double value, const std::string& unit);
 
-  // Serializes and writes the file; returns false on I/O failure.
+  // Serializes and writes the file; returns false on I/O failure or when
+  // a metric is not finite (JSON cannot represent inf or nan), in which
+  // case no file is written.
   bool write(const std::string& path) const;
 
   std::string to_string() const;

@@ -141,10 +141,19 @@ int main(int argc, char** argv) {
   unsigned threads = 0;
   std::string out_path = "BENCH_congest_sim.json";
   for (int i = 1; i < argc; ++i) {
+    unsigned long parsed = 0;
     if (std::strncmp(argv[i], "--grid=", 7) == 0) {
-      side = static_cast<NodeId>(std::atoi(argv[i] + 7));
+      if (!bench::parse_count_flag("--grid", argv[i] + 7, 1,
+                                   bench::kMaxGridSide, &parsed)) {
+        return 2;
+      }
+      side = static_cast<NodeId>(parsed);
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
+      if (!bench::parse_count_flag("--reps", argv[i] + 7, 1, bench::kMaxReps,
+                                   &parsed)) {
+        return 2;
+      }
+      reps = static_cast<int>(parsed);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {

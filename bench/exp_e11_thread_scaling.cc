@@ -1,17 +1,14 @@
 // E11 -- multicore scaling of the CONGEST simulator and the batch engine.
 // Two axes, both swept over a thread list (default 1,2,4,8):
 //   * intra-sim -- one simulation, N workers inside Simulator::run, for the
-//     E0 stage1 and saturate workloads under both delivery strategies
-//     (word-level flight union vs the K-way cursor merge). Message/round
-//     counts are verified bit-identical across every (threads, mode) cell
-//     before any metric is written.
+//     E0 stage1 and saturate workloads. Message/round counts are verified
+//     bit-identical across every thread count.
 //   * cross-sim -- the scenario engine running bench/manifests/e11.json with
-//     N concurrent single-threaded simulations, plus one run per
-//     --sim-threads-policy at the widest thread count. Aggregate JSON is
-//     verified byte-identical across every cell.
+//     N concurrent single-threaded simulations. Aggregate JSON is verified
+//     byte-identical across every cell.
 // Results go to BENCH_thread_scaling.json (bench_json schema; metric names
-// are intra/<workload>/t<N>/<mode>/... and cross/t<N>/... --
-// see bench/README.md).
+// are intra/<workload>/t<N>/... and cross/t<N>/... -- see
+// bench/README.md).
 //
 // Usage: exp_e11_thread_scaling [--grid=96] [--reps=3] [--threads=1,2,4,8]
 //                               [--manifest=PATH]
@@ -120,10 +117,19 @@ int main(int argc, char** argv) {
   std::string manifest_path = CPT_MANIFEST_DIR "/e11.json";
   std::string out_path = "BENCH_thread_scaling.json";
   for (int i = 1; i < argc; ++i) {
+    unsigned long parsed = 0;
     if (std::strncmp(argv[i], "--grid=", 7) == 0) {
-      side = static_cast<NodeId>(std::atoi(argv[i] + 7));
+      if (!bench::parse_count_flag("--grid", argv[i] + 7, 1,
+                                   bench::kMaxGridSide, &parsed)) {
+        return 2;
+      }
+      side = static_cast<NodeId>(parsed);
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
+      if (!bench::parse_count_flag("--reps", argv[i] + 7, 1, bench::kMaxReps,
+                                   &parsed)) {
+        return 2;
+      }
+      reps = static_cast<int>(parsed);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       if (!parse_thread_list(argv[i] + 10, &thread_list)) {
         std::fprintf(stderr, "bad --threads list: %s\n", argv[i] + 10);
@@ -162,58 +168,46 @@ int main(int argc, char** argv) {
     out.meta("threads_list", list);
   }
 
-  // ---- Intra-sim axis: one simulation, t workers, both delivery modes.
-  // The t=1 serial single-bitset path is the result baseline; every other
-  // cell must reproduce its ledgers exactly.
+  // ---- Intra-sim axis: one simulation, t workers. The first thread
+  // count's cell is the result baseline; every other cell must reproduce
+  // its ledgers exactly.
   std::printf("\nintra-sim (one simulation, N workers):\n");
   Throughput base_stage1, base_saturate;
   bool have_base = false;
   for (const unsigned t : thread_list) {
-    // Both modes collapse to the same serial path at t == 1; measure once.
-    const int num_modes = t == 1 ? 1 : 2;
-    for (int mode = 0; mode < num_modes; ++mode) {
-      const bool union_delivery = mode == 0;
-      congest::SimOptions sopt;
-      sopt.num_threads = t;
-      sopt.union_delivery = union_delivery;
-      congest::Simulator sim(net, sopt);
-      const std::string cell = "intra/stage1/t" + std::to_string(t) +
-                               (t == 1 ? "" : union_delivery ? "/union"
-                                                             : "/merge");
-      const Throughput stage1 = best_of(reps, [&] {
-        congest::RoundLedger ledger;
-        Stage1Options opt;
-        bench::Timer timer;
-        const Stage1Result r = run_stage1(sim, g, opt, ledger);
-        if (r.rejected) std::fprintf(stderr, "unexpected stage1 reject\n");
-        return Throughput{ledger.total_messages(), ledger.total_rounds(),
-                          timer.seconds()};
-      });
-      report(out, cell, stage1);
-      const Throughput saturate = best_of(reps, [&] {
-        Saturate sat(64);
-        bench::Timer timer;
-        const congest::PassResult r = sim.run(sat);
-        return Throughput{r.messages, r.rounds, timer.seconds()};
-      });
-      report(out,
-             "intra/saturate/t" + std::to_string(t) +
-                 (t == 1 ? "" : union_delivery ? "/union" : "/merge"),
-             saturate);
-      if (!have_base) {
-        base_stage1 = stage1;
-        base_saturate = saturate;
-        have_base = true;
-      } else if (stage1.messages != base_stage1.messages ||
-                 stage1.rounds != base_stage1.rounds ||
-                 saturate.messages != base_saturate.messages ||
-                 saturate.rounds != base_saturate.rounds) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION at t=%u %s: counts differ from "
-                     "the serial baseline\n",
-                     t, union_delivery ? "union" : "merge");
-        return 1;
-      }
+    congest::SimOptions sopt;
+    sopt.num_threads = t;
+    congest::Simulator sim(net, sopt);
+    const Throughput stage1 = best_of(reps, [&] {
+      congest::RoundLedger ledger;
+      Stage1Options opt;
+      bench::Timer timer;
+      const Stage1Result r = run_stage1(sim, g, opt, ledger);
+      if (r.rejected) std::fprintf(stderr, "unexpected stage1 reject\n");
+      return Throughput{ledger.total_messages(), ledger.total_rounds(),
+                        timer.seconds()};
+    });
+    report(out, "intra/stage1/t" + std::to_string(t), stage1);
+    const Throughput saturate = best_of(reps, [&] {
+      Saturate sat(64);
+      bench::Timer timer;
+      const congest::PassResult r = sim.run(sat);
+      return Throughput{r.messages, r.rounds, timer.seconds()};
+    });
+    report(out, "intra/saturate/t" + std::to_string(t), saturate);
+    if (!have_base) {
+      base_stage1 = stage1;
+      base_saturate = saturate;
+      have_base = true;
+    } else if (stage1.messages != base_stage1.messages ||
+               stage1.rounds != base_stage1.rounds ||
+               saturate.messages != base_saturate.messages ||
+               saturate.rounds != base_saturate.rounds) {
+      std::fprintf(stderr,
+                   "DETERMINISM VIOLATION at t=%u: counts differ from the "
+                   "t=%u baseline\n",
+                   t, thread_list.front());
+      return 1;
     }
   }
 
@@ -263,20 +257,6 @@ int main(int argc, char** argv) {
     BatchOptions options;
     options.threads = t;
     if (!run_cross(options, "cross/t" + std::to_string(t))) return 1;
-  }
-  // Policy sweep at the widest thread count: same aggregate bytes under
-  // every core split.
-  const unsigned widest = thread_list.back();
-  for (const SimThreadsPolicy policy :
-       {SimThreadsPolicy::kManifest, SimThreadsPolicy::kSerialJobsWide,
-        SimThreadsPolicy::kThreadedJobsNarrow, SimThreadsPolicy::kAuto}) {
-    BatchOptions options;
-    options.threads = widest;
-    options.sim_threads_policy = policy;
-    if (!run_cross(options, std::string("cross/policy/") +
-                                sim_threads_policy_name(policy))) {
-      return 1;
-    }
   }
 
   out.meta("peak_rss_bytes",

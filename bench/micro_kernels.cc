@@ -1,8 +1,7 @@
 // Google-benchmark microbenchmarks of the computational kernels: LR
 // planarity test, LR embedding extraction, the simulator's BFS and
-// saturated-delivery passes (serial, and multi-worker under both the
-// flight-union and K-way-merge delivery strategies), bitset drain/union,
-// and the violation sweep. Besides the normal google-benchmark output,
+// saturated-delivery passes (serial, and multi-worker through the K-way
+// merge), bitset drain, and the violation sweep. Besides the normal google-benchmark output,
 // results are mirrored into BENCH_micro_kernels.json (shared bench_json
 // schema, see bench/README.md) so the kernel trajectory is tracked
 // alongside BENCH_congest_sim.json and BENCH_thread_scaling.json.
@@ -101,20 +100,17 @@ void BM_SimulatorSaturatedDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSaturatedDelivery)->Arg(64)->Arg(128)->Arg(256);
 
-// Multi-worker delivery strategies head to head on the same saturated
-// load: per-shard word-level flight unions (default) vs the K-way
-// next_at_least cursor merge. parallel_grain=1 keeps every round on the
-// sharded path so the delivery strategy is the only difference. Counts are
-// identical (pinned by simulator_test); only wall time may differ.
-void saturated_delivery_threaded(benchmark::State& state,
-                                 bool union_delivery) {
+// Multi-worker delivery (the K-way next_at_least cursor merge over every
+// worker's flight) on the same saturated load. parallel_grain=1 keeps
+// every round on the sharded path. Counts are identical to the serial run
+// (pinned by simulator_test); only wall time may differ.
+void BM_SimulatorDeliveryMerge(benchmark::State& state) {
   const auto side = static_cast<NodeId>(state.range(0));
   const Graph g = gen::triangulated_grid(side, side);
   congest::Network net(g);
   congest::SimOptions sopt;
   sopt.num_threads = static_cast<unsigned>(state.range(1));
   sopt.parallel_grain = 1;
-  sopt.union_delivery = union_delivery;
   congest::Simulator sim(net, sopt);
 
   class Saturate : public congest::Program {
@@ -143,50 +139,10 @@ void saturated_delivery_threaded(benchmark::State& state,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(messages));
 }
-
-void BM_SimulatorDeliveryUnion(benchmark::State& state) {
-  saturated_delivery_threaded(state, /*union_delivery=*/true);
-}
-BENCHMARK(BM_SimulatorDeliveryUnion)
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({256, 4});
-
-void BM_SimulatorDeliveryMerge(benchmark::State& state) {
-  saturated_delivery_threaded(state, /*union_delivery=*/false);
-}
 BENCHMARK(BM_SimulatorDeliveryMerge)
     ->Args({128, 2})
     ->Args({128, 4})
     ->Args({256, 4});
-
-// The word-level union feeding the default delivery path: K sparse source
-// bitsets ORed into one pooled target, then cleared.
-void BM_IndexedBitsetUnionFrom(benchmark::State& state) {
-  constexpr std::size_t kBits = 1 << 22;
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto sources = static_cast<std::size_t>(state.range(1));
-  std::vector<IndexedBitset> src(sources);
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  for (IndexedBitset& s : src) {
-    s.reset(kBits);
-    for (std::size_t i = 0; i < k; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      s.insert(x & (kBits - 1));
-    }
-  }
-  IndexedBitset target(kBits);
-  for (auto _ : state) {
-    std::size_t added = 0;
-    for (const IndexedBitset& s : src) added += target.union_from(s);
-    benchmark::DoNotOptimize(added);
-    target.clear();
-  }
-  state.SetItemsProcessed(state.iterations() * k * sources);
-}
-BENCHMARK(BM_IndexedBitsetUnionFrom)->Args({1 << 12, 4})->Args({1 << 16, 4});
 
 // The ordered-bitset min-extraction underlying sort-free delivery.
 void BM_IndexedBitsetDrain(benchmark::State& state) {

@@ -20,13 +20,10 @@
 //     earlier rounds (published by the round barrier), never the open end
 //     of a foreign arena.
 // Chain links may point across shards: a row started by the driver and
-// extended by its worker, or -- under the simulator's observed-load shard
-// rebalancing -- a row whose node migrated to a new worker mid-pass, whose
-// chain keeps growing from the new context while the old arena keeps
-// growing from its own. That is why slot storage is a table of doubling
-// chunks with stable addresses instead of one std::vector per shard: a
-// vector's realloc would move frozen slots out from under a concurrent
-// cross-shard chain walk (or a tail-`next` write), while chunked growth
+// extended by its worker. Slot storage is a table of doubling chunks with
+// stable addresses instead of one std::vector per shard: on_wake may read
+// any node's rows, and a vector's realloc would move frozen slots out from
+// under such a concurrent cross-shard chain walk, while chunked growth
 // only ever writes a previously-null chunk pointer no reader of frozen
 // slots dereferences.
 //

@@ -16,8 +16,6 @@ struct SimMemory::Store {
   std::vector<Simulator::Flight> flights[2];
   std::vector<std::uint32_t> slot[2];
   std::vector<std::vector<Inbound>> inbox;
-  std::vector<IndexedBitset> udeliv_arcs;
-  std::vector<IndexedBitset> udeliv_wakes;
   std::unique_ptr<WorkerPool> pool;
   unsigned pool_workers = 0;
 };
@@ -43,9 +41,6 @@ Simulator::Simulator(const Network& net, SimOptions opt)
     : net_(&net),
       workers_(resolve_sim_threads(opt.num_threads)),
       parallel_grain_(std::max<std::uint64_t>(opt.parallel_grain, 1)),
-      union_delivery_(opt.union_delivery),
-      rebalance_(opt.rebalance_shards),
-      rebalance_interval_(std::max<std::uint32_t>(opt.rebalance_interval, 1)),
       memory_(opt.memory),
       budget_(opt.max_rounds),
       trace_(util::kTraceCompiled ? opt.trace : nullptr) {
@@ -63,8 +58,6 @@ Simulator::Simulator(const Network& net, SimOptions opt)
         slot_[gen] = std::move(s.slot[gen]);
       }
       inbox_ = std::move(s.inbox);
-      udeliv_arcs_ = std::move(s.udeliv_arcs);
-      udeliv_wakes_ = std::move(s.udeliv_wakes);
       if (s.pool != nullptr && s.pool_workers == workers_) {
         pool_ = std::move(s.pool);
       }
@@ -98,22 +91,6 @@ Simulator::Simulator(const Network& net, SimOptions opt)
     execs_.emplace_back(new Exec(this, s));
   }
   inbox_.resize(workers_ + 1);
-  if (workers_ > 1 && union_delivery_) {
-    // Pooled per-shard delivery bitsets (reset reuses adopted capacity).
-    udeliv_arcs_.resize(workers_ + 1);
-    udeliv_wakes_.resize(workers_ + 1);
-    for (std::uint32_t s = 1; s <= workers_; ++s) {
-      udeliv_arcs_[s].reset(net.num_arcs());
-      udeliv_wakes_[s].reset(n);
-    }
-  } else {
-    udeliv_arcs_.clear();
-    udeliv_wakes_.clear();
-  }
-  if (workers_ > 1 && rebalance_) {
-    epoch_load_.assign(workers_ + 1, 0);
-    shard_ewma_.assign(workers_ + 1, 0);
-  }
   if (workers_ > 1 && pool_ == nullptr) {
     pool_ = std::make_unique<WorkerPool>(workers_);
   } else if (workers_ == 1) {
@@ -129,8 +106,6 @@ Simulator::~Simulator() {
     s.slot[gen] = std::move(slot_[gen]);
   }
   s.inbox = std::move(inbox_);
-  s.udeliv_arcs = std::move(udeliv_arcs_);
-  s.udeliv_wakes = std::move(udeliv_wakes_);
   s.pool = std::move(pool_);
   s.pool_workers = s.pool != nullptr ? workers_ : 0;
 }
@@ -143,17 +118,10 @@ void Simulator::clear_flight(Flight& f) {
 }
 
 void Simulator::harvest_counters(std::uint64_t& msgs, std::uint64_t& wakes) {
-  // Rebalancing piggybacks on this sweep: work sent while running shard s
-  // is shard s's observed load for the current epoch (the driver's
-  // begin-time sends are start-up cost, not steady-state skew, and are
-  // excluded). Counter order is deterministic, so epoch_load_ is a pure
-  // function of the schedule.
-  const bool track = !epoch_load_.empty();
   for (std::uint32_t s = 0; s <= workers_; ++s) {
     Exec& e = *execs_[s];
     msgs += e.sent_msgs_;
     wakes += e.sent_wakes_;
-    if (track && s != 0) epoch_load_[s] += e.sent_msgs_ + e.sent_wakes_;
     e.sent_msgs_ = 0;
     e.sent_wakes_ = 0;
   }
@@ -334,193 +302,6 @@ void Simulator::process_shard(Program& program, std::uint32_t s) {
   }
 }
 
-// Same contract as process_shard, but instead of paying a K-way cursor
-// merge per delivered message it ORs every flight's arc / wake words over
-// this shard's range into one pooled delivery bitset up front (word loop
-// with summary short-circuit, see IndexedBitset::union_range_from), then
-// drains the single bitset exactly like the serial fast path. Payload
-// lookup still needs the owning flight (slot_ is shared; each flight holds
-// its own msgs vector), resolved from one cached level-0 word per flight:
-// the cache is reloaded only when delivery crosses a 64-arc word boundary,
-// so a delivered message costs ~1 bit test per flight instead of ~K
-// next_at_least scans. The union holds exactly the same arcs in the same
-// increasing order as the merge, so the delivery schedule -- and every
-// downstream ledger -- is bit-identical.
-void Simulator::process_shard_union(Program& program, std::uint32_t s) {
-  constexpr std::size_t kDrained = ~std::size_t{0};
-  const NodeId lo = shard_lo_[s - 1];
-  const NodeId hi = shard_lo_[s];
-  if (lo == hi) return;
-  const std::size_t arc_lo = net_->arc_base(lo);
-  const std::size_t arc_hi = net_->arc_base(hi);
-
-  Flight* const in = flights_[cur_].data();
-  const std::uint32_t* slot = slot_[cur_].data();
-  const std::uint32_t nsrc = workers_ + 1;
-
-  IndexedBitset& arcs = udeliv_arcs_[s];
-  IndexedBitset& wakes = udeliv_wakes_[s];
-  // The drain below erases every member it delivers, so the pooled bitsets
-  // come back empty -- no end-of-round clear pass.
-  CPT_ASSERT(arcs.empty() && wakes.empty());
-  for (std::uint32_t f = 0; f < nsrc; ++f) {
-    if (!in[f].arcs.empty()) arcs.union_range_from(in[f].arcs, arc_lo, arc_hi);
-    if (!in[f].wakes.empty()) wakes.union_range_from(in[f].wakes, lo, hi);
-  }
-
-  std::size_t owner_word = kDrained;
-  std::uint64_t owner_mask[kMaxWorkers + 1];
-  const auto source_of = [&](std::size_t ri) -> std::uint32_t {
-    const std::size_t w = ri >> 6;
-    if (w != owner_word) {
-      owner_word = w;
-      for (std::uint32_t f = 0; f < nsrc; ++f) {
-        owner_mask[f] = in[f].arcs.l0_word(w);
-      }
-    }
-    const std::uint64_t bit = 1ULL << (ri & 63);
-    for (std::uint32_t f = 0; f < nsrc; ++f) {
-      if (owner_mask[f] & bit) return f;
-    }
-    CPT_ASSERT(false && "delivered arc missing from every flight");
-    return 0;
-  };
-
-  Exec& ex = *execs_[s];
-  std::vector<Inbound>& gather = inbox_[s];
-  std::size_t ri = arcs.empty() ? kDrained : arcs.front();
-  std::size_t wake = wakes.empty() ? kDrained : wakes.front();
-  while (ri != kDrained || wake != kDrained) {
-    const NodeId mv = ri == kDrained
-                          ? kNoNode
-                          : net_->arc_owner(static_cast<std::uint32_t>(ri));
-    const NodeId wv = wake == kDrained ? kNoNode : static_cast<NodeId>(wake);
-    const NodeId v = mv <= wv ? mv : wv;
-    std::span<const Inbound> box{};
-    if (mv == v) {
-      // Identical inbox construction to run_round_single: single-message
-      // inboxes are a span into the owning flight's buffer, multi-message
-      // inboxes gather into inbox_[s]. Ports are filled in here.
-      const std::uint32_t base = net_->arc_base(v);
-      const std::size_t end = base + net_->port_count(v);
-      Inbound& first = in[source_of(ri)].msgs[slot[ri]];
-      first.port = static_cast<std::uint32_t>(ri) - base;
-      std::size_t cnt = 1;
-      arcs.erase(ri);
-      ri = arcs.empty() ? kDrained : arcs.front();
-      while (ri < end) {
-        if (cnt == 1) {
-          gather.clear();
-          gather.push_back(first);
-        }
-        gather.push_back({static_cast<std::uint32_t>(ri) - base,
-                          in[source_of(ri)].msgs[slot[ri]].msg});
-        ++cnt;
-        arcs.erase(ri);
-        ri = arcs.empty() ? kDrained : arcs.front();
-      }
-      box = cnt == 1 ? std::span<const Inbound>{&first, 1}
-                     : std::span<const Inbound>{gather};
-    }
-    if (wv == v) {
-      wakes.erase(wake);
-      wake = wakes.empty() ? kDrained : wakes.front();
-    }
-    program.on_wake(ex, v, box);
-  }
-}
-
-// Recomputes shard_lo_ from the observed per-shard load. Epoch rule:
-// fold the load sent since the last epoch into a halving EWMA, model each
-// old shard's load as uniform over its arc range (piecewise-uniform load
-// density over arc space), and place the k-th new boundary at the arc
-// position where the cumulative modeled load crosses k/K of the total --
-// then snap to the first node whose arc base reaches that position.
-// Everything is integer arithmetic on the harvested counters and the round
-// number drives *when* this runs, so boundaries are a deterministic
-// function of the schedule: two runs of the same instance at the same
-// worker count always agree. (And per the delivery invariant, runs at
-// different worker counts agree on results regardless of boundaries.)
-void Simulator::rebalance_now() {
-  const unsigned K = workers_;
-  const NodeId n = net_->num_nodes();
-  const std::uint64_t total_arcs = net_->num_arcs();
-  std::uint64_t weight[kMaxWorkers + 1];
-  std::uint64_t cum[kMaxWorkers + 1];
-  std::uint64_t arc_bound[kMaxWorkers + 1];
-  // Epoch loads and boundaries are schedule-invariant (see above), so the
-  // rebalance instant is part of the deterministic trace, not rt/ metrics.
-  // Captured before the fold below zeroes epoch_load_.
-  const bool tracing = util::kTraceCompiled && trace_ != nullptr;
-  std::string loads_csv;
-  std::string lo_before;
-  if (tracing) {
-    for (unsigned s = 1; s <= K; ++s) {
-      if (s > 1) loads_csv += ',';
-      loads_csv += std::to_string(epoch_load_[s]);
-    }
-    for (unsigned s = 0; s <= K; ++s) {
-      if (s > 0) lo_before += ',';
-      lo_before += std::to_string(shard_lo_[s]);
-    }
-  }
-  cum[0] = 0;
-  for (unsigned s = 1; s <= K; ++s) {
-    shard_ewma_[s] = shard_ewma_[s] / 2 + epoch_load_[s];
-    epoch_load_[s] = 0;
-    // +1 keeps every segment's density positive so the interpolation below
-    // never divides by zero and boundary positions stay monotone.
-    weight[s] = shard_ewma_[s] + 1;
-    cum[s] = cum[s - 1] + weight[s];
-  }
-  const std::uint64_t total = cum[K];
-  for (unsigned s = 0; s <= K; ++s) {
-    arc_bound[s] =
-        shard_lo_[s] >= n ? total_arcs : net_->arc_base(shard_lo_[s]);
-  }
-  NodeId prev = 0;
-  for (unsigned k = 1; k < K; ++k) {
-    const std::uint64_t target = total * k / K;
-    unsigned s = 1;
-    while (s < K && cum[s] <= target) ++s;  // cum[s-1] <= target < cum[s]
-    const std::uint64_t seg_lo = arc_bound[s - 1];
-    const std::uint64_t seg_hi = arc_bound[s];
-    const std::uint64_t pos =
-        seg_lo + static_cast<std::uint64_t>(
-                     static_cast<unsigned __int128>(target - cum[s - 1]) *
-                     (seg_hi - seg_lo) / weight[s]);
-    // First node at or past `pos` in arc space. Starting at the previous
-    // boundary keeps shard_lo_ monotone even on degenerate weights.
-    NodeId a = prev;
-    NodeId b = n;
-    while (a < b) {
-      const NodeId mid = a + (b - a) / 2;
-      if (net_->arc_base(mid) < pos) {
-        a = mid + 1;
-      } else {
-        b = mid;
-      }
-    }
-    shard_lo_[k] = a;
-    prev = a;
-  }
-  // shard_lo_[0] == 0 and shard_lo_[K] == n are never rewritten.
-  if (tracing) {
-    std::string lo_after;
-    for (unsigned s = 0; s <= K; ++s) {
-      if (s > 0) lo_after += ',';
-      lo_after += std::to_string(shard_lo_[s]);
-    }
-    util::TraceArgs args;
-    args.add("round", round_)
-        .add("shards", K)
-        .add("loads", loads_csv)
-        .add("lo_before", lo_before)
-        .add("lo_after", lo_after);
-    trace_->instant("sim/rebalance", std::move(args));
-  }
-}
-
 PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
   // Drop anything left in flight: the final round's delivered flights of a
   // quiesced previous run (cleared lazily, see below) or everything a
@@ -528,10 +309,6 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
   for (unsigned gen = 0; gen < 2; ++gen) {
     for (Flight& f : flights_[gen]) clear_flight(f);
   }
-  // The union drain leaves its pooled bitsets empty on every normal exit;
-  // this is a defensive O(leftover) sweep against future abandon paths.
-  for (IndexedBitset& b : udeliv_arcs_) b.clear();
-  for (IndexedBitset& b : udeliv_wakes_) b.clear();
   round_ = 0;
   cur_ = 0;
 
@@ -569,13 +346,6 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
     }
     ++total_rounds_;
     ++round_;
-    // Rebalance between rounds at fixed epochs: pure function of the round
-    // number and the harvested counters, never wall clock. Moving the
-    // boundaries before delivery is safe -- delivery scans every flight
-    // over the (new) shard ranges, wherever the messages parked.
-    if (rebalance_ && workers_ > 1 && round_ % rebalance_interval_ == 0) {
-      rebalance_now();
-    }
     cur_ ^= 1;
     aim_execs();
     result.messages += next_msgs;
@@ -583,27 +353,12 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
     next_msgs = 0;
     next_wakes = 0;
 
-    // Adaptive delivery cutover (union_delivery only; both strategies
-    // deliver bit-identically, so this moves wall clock alone): the word
-    // union pays off on dense rounds, where whole 64-arc words OR at a
-    // time and the drain's ~1 probe per message amortizes the pooled
-    // bitset's build-and-tear-down. Sparse rounds drain cheaper through
-    // the compact-live-source cursor merge, which touches only the few
-    // flights that sent. The density test is a pure function of the
-    // round's message counters, so the choice is deterministic.
-    const auto use_union = [&] {
-      return union_delivery_ && work * 64 >= net_->num_arcs();
-    };
-
     // Delivery-path tallies are schedule-dependent (they vary with the
-    // worker count and the union/merge flag), so they flush to rt/
-    // metrics at the end of the pass rather than into the trace stream.
+    // worker count), so they flush to rt/ metrics at the end of the pass
+    // rather than into the trace stream.
     if (util::kTraceCompiled && trace_ != nullptr) {
       if (workers_ == 1) {
         ++trace_serial_rounds_;
-      } else if (use_union()) {
-        ++trace_union_rounds_;
-        trace_union_work_ += work;
       } else {
         ++trace_merge_rounds_;
         trace_merge_work_ += work;
@@ -633,30 +388,19 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
         // extra timestamping lives only on this branch so untraced runs
         // keep the exact lambdas below.
         ++trace_pooled_rounds_;
-        const bool uni = use_union();
         const std::uint64_t t0 = util::trace_now_ns();
         std::uint64_t wake_at[kMaxWorkers] = {};
-        pool_->run([this, prog, uni, &wake_at](unsigned w) {
+        pool_->run([this, prog, &wake_at](unsigned w) {
           wake_at[w] = util::trace_now_ns();
           const std::uint32_t s = w + 1;
           clear_flight(flights_[cur_ ^ 1][s]);
-          if (uni) {
-            process_shard_union(*prog, s);
-          } else {
-            process_shard(*prog, s);
-          }
+          process_shard(*prog, s);
         });
         if (util::MetricsRegistry* m = trace_->metrics()) {
           for (unsigned w = 0; w < workers_; ++w) {
             m->record("rt/sim/pool_wake_ns", wake_at[w] - t0);
           }
         }
-      } else if (use_union()) {
-        pool_->run([this, prog](unsigned w) {
-          const std::uint32_t s = w + 1;
-          clear_flight(flights_[cur_ ^ 1][s]);
-          process_shard_union(*prog, s);
-        });
       } else {
         pool_->run([this, prog](unsigned w) {
           const std::uint32_t s = w + 1;
@@ -666,13 +410,7 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
       }
     } else {
       for (Flight& f : flights_[cur_ ^ 1]) clear_flight(f);
-      if (use_union()) {
-        for (std::uint32_t s = 1; s <= workers_; ++s) {
-          process_shard_union(program, s);
-        }
-      } else {
-        for (std::uint32_t s = 1; s <= workers_; ++s) process_shard(program, s);
-      }
+      for (std::uint32_t s = 1; s <= workers_; ++s) process_shard(program, s);
     }
     harvest_counters(next_msgs, next_wakes);
   }
@@ -681,10 +419,6 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
     if (util::MetricsRegistry* m = trace_->metrics()) {
       if (trace_serial_rounds_ != 0) {
         m->add_counter("rt/sim/serial_rounds", trace_serial_rounds_);
-      }
-      if (trace_union_rounds_ != 0) {
-        m->add_counter("rt/sim/union_rounds", trace_union_rounds_);
-        m->add_counter("rt/sim/union_delivered_work", trace_union_work_);
       }
       if (trace_merge_rounds_ != 0) {
         m->add_counter("rt/sim/merge_rounds", trace_merge_rounds_);
@@ -695,8 +429,6 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
       }
     }
     trace_serial_rounds_ = 0;
-    trace_union_rounds_ = 0;
-    trace_union_work_ = 0;
     trace_merge_rounds_ = 0;
     trace_merge_work_ = 0;
     trace_pooled_rounds_ = 0;

@@ -17,30 +17,15 @@
 // single-writer (the arc -> payload-index map is shared per generation;
 // writers are disjoint by receiving arc, see Flight).
 //
-// Delivery of a round takes one of two equivalent paths. The default
-// (SimOptions::union_delivery) first ORs every live flight's arc and wake
-// bitset words over the shard's range into one pooled per-shard delivery
-// bitset (IndexedBitset::union_range_from -- a word loop with summary-
-// level short-circuit), then drains that single bitset exactly like the
-// serial fast path; payload lookup resolves which flight carries an arc
-// from one cached level-0 word per flight, so a delivered message costs
-// ~1 bit probe instead of ~K next_at_least compares. The fallback merges
-// all flights' ordered arc bitsets on the fly -- each worker scans its own
-// arc range of every source bitset (read-only `next_at_least` walks) and
-// takes arcs in increasing global index order. Both walk arcs in
-// increasing global index order, which is (destination, port) order, so
-// the result is *bit-identical to the serial run at any thread count and
-// under either path*: each node sees the same port-sorted inbox in the
-// same round, so it computes the same state, sends the same messages and
-// the ledgers, partitions and verdicts downstream cannot differ. Sharding
-// changes only which flight a message parks in between rounds, never what
-// is delivered when -- which is also why the shard boundaries themselves
-// may move between rounds (SimOptions::rebalance_shards): at deterministic
-// epochs the simulator folds the per-context send counters into per-shard
-// load EWMAs and recomputes `shard_lo_` from them, a pure integer function
-// of the round number and the message counts (never wall clock), so every
-// run at a given worker count sees the same boundaries and every worker
-// count sees the same results.
+// Delivery merges all flights' ordered arc bitsets on the fly: each
+// worker scans its own arc range of every source bitset (read-only
+// `next_at_least` walks) and takes arcs in increasing global index order,
+// which is (destination, port) order. So the result is *bit-identical to
+// the serial run at any thread count*: each node sees the same port-sorted
+// inbox in the same round, so it computes the same state, sends the same
+// messages and the ledgers, partitions and verdicts downstream cannot
+// differ. Sharding changes only which flight a message parks in between
+// rounds, never what is delivered when.
 //
 // Programs must be per-node-write-clean to run under more than one worker:
 // on_wake(ex, v, inbox) may read anything but may only write v's slots of
@@ -124,25 +109,6 @@ struct SimOptions {
   // Minimum in-flight work (messages + wake-ups) per worker before a round
   // is dispatched to the pool; smaller rounds run inline on the caller.
   std::uint64_t parallel_grain = 2048;
-  // Multi-worker delivery strategy: true (default) ORs all live flights'
-  // arc/wake words into one pooled per-shard bitset and drains it with the
-  // single-bitset fast path (~1 probe per message) on dense rounds (>= 1
-  // message per 64-arc word); sparse rounds cut over per round to the
-  // compact-live-source cursor merge, whose few probes per message beat
-  // building and tearing down the pooled bitsets. false forces the cursor
-  // merge everywhere (differential oracle). Bit-identical results either
-  // way -- the union holds the same arcs in the same order. Ignored at
-  // num_threads == 1 (the serial path already drains a single bitset).
-  bool union_delivery = true;
-  // Recompute the node-shard boundaries from observed per-shard load every
-  // rebalance_interval rounds (multi-worker only). The epoch rule is a
-  // pure function of the round number and the harvested send counters, so
-  // it is schedule-deterministic; and since delivery scans every flight
-  // over the shard's range regardless of where a message parked, moving a
-  // boundary between rounds never changes what is delivered when --
-  // results stay bit-identical with rebalancing on or off.
-  bool rebalance_shards = true;
-  std::uint32_t rebalance_interval = 64;
   // Cumulative round budget across *all* passes run on this Simulator
   // (0 = unlimited). Unlike run()'s per-pass max_rounds -- which callers
   // use to abandon one pass and read its partial cost -- exhausting this
@@ -152,10 +118,9 @@ struct SimOptions {
   // JobResult::timed_out.
   std::uint64_t max_rounds = 0;
   // Optional trace track (not owned; must outlive the Simulator). The
-  // round loop emits schedule-invariant "sim/rebalance" instants into it
-  // and schedule-dependent delivery/pool statistics into the owning
-  // session's MetricsRegistry under rt/ names (see util/trace.h for the
-  // determinism contract). Null disables all instrumentation; the only
+  // round loop emits schedule-dependent delivery/pool statistics into the
+  // owning session's MetricsRegistry under rt/ names (see util/trace.h for
+  // the determinism contract). Null disables all instrumentation; the only
   // residual cost is one predictable branch per round.
   util::TraceBuffer* trace = nullptr;
 };
@@ -243,30 +208,13 @@ class Simulator {
   // (loop condition, message count, grain check) per round.
   void harvest_counters(std::uint64_t& msgs, std::uint64_t& wakes);
   void process_shard(Program& program, std::uint32_t s);
-  void process_shard_union(Program& program, std::uint32_t s);
   void run_round_single(Program& program, Flight& in);
-  // Folds the epoch's observed per-shard load into the EWMAs and
-  // recomputes shard_lo_ (piecewise-uniform interpolation over arc space).
-  // Called between rounds only; pure function of round number + counters.
-  void rebalance_now();
 
   const Network* net_;
   unsigned workers_ = 1;              // K: node shards 1..K
   std::uint64_t parallel_grain_ = 2048;
-  bool union_delivery_ = true;
-  bool rebalance_ = true;
-  std::uint32_t rebalance_interval_ = 64;
   std::vector<NodeId> shard_lo_;      // size K+1: shard s owns [lo[s-1], lo[s])
   std::vector<Flight> flights_[2];    // [generation][context 0..K]
-  // Pooled per-shard union-delivery bitsets (union_delivery_ && workers_>1
-  // only; indexed by shard 1..K). Empty outside process_shard_union: the
-  // drain erases every member it delivers.
-  std::vector<IndexedBitset> udeliv_arcs_;
-  std::vector<IndexedBitset> udeliv_wakes_;
-  // Observed-load rebalancing state, indexed by context (1..K = shards):
-  // work sent since the last epoch, and the halving EWMA it folds into.
-  std::vector<std::uint64_t> epoch_load_;
-  std::vector<std::uint64_t> shard_ewma_;
   std::vector<std::uint32_t> slot_[2];  // arc -> msgs index (shared, see Flight)
   std::vector<std::unique_ptr<Exec>> execs_;        // contexts 0..K
   std::vector<std::vector<Inbound>> inbox_;         // per-shard gather buffer
@@ -280,8 +228,6 @@ class Simulator {
   // Per-pass delivery-path tallies, flushed to rt/ metrics at run() end.
   util::TraceBuffer* trace_ = nullptr;
   std::uint64_t trace_serial_rounds_ = 0;
-  std::uint64_t trace_union_rounds_ = 0;
-  std::uint64_t trace_union_work_ = 0;
   std::uint64_t trace_merge_rounds_ = 0;
   std::uint64_t trace_merge_work_ = 0;
   std::uint64_t trace_pooled_rounds_ = 0;

@@ -249,8 +249,6 @@ std::string render_timing_json(const Manifest& manifest,
   std::string out = "{\n  \"schema\": \"cpt_batch_timing_v1\",\n  \"name\": ";
   json_append_escaped(out, manifest.name);
   out += ",\n  \"threads\": " + json_render_uint(batch.threads_used);
-  out += ",\n  \"sim_threads_policy\": ";
-  json_append_escaped(out, sim_threads_policy_name(batch.sim_threads_policy));
   out += ",\n  \"jobs\": " + json_render_uint(batch.jobs.size());
   out += ",\n  \"wall_seconds\": " + json_render_double(batch.wall_seconds);
   // Degradation counters live here, not in the aggregate document: a

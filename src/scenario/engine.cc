@@ -40,35 +40,6 @@ bool is_transient_error(const std::string& message) {
          message.find("bad_alloc") != std::string::npos;
 }
 
-const char* sim_threads_policy_name(SimThreadsPolicy policy) {
-  switch (policy) {
-    case SimThreadsPolicy::kManifest:
-      return "manifest";
-    case SimThreadsPolicy::kSerialJobsWide:
-      return "serial-jobs-wide";
-    case SimThreadsPolicy::kThreadedJobsNarrow:
-      return "threaded-jobs-narrow";
-    case SimThreadsPolicy::kAuto:
-      return "auto";
-  }
-  return "manifest";
-}
-
-bool parse_sim_threads_policy(const std::string& name, SimThreadsPolicy* out) {
-  if (name == "manifest") {
-    *out = SimThreadsPolicy::kManifest;
-  } else if (name == "serial-jobs-wide") {
-    *out = SimThreadsPolicy::kSerialJobsWide;
-  } else if (name == "threaded-jobs-narrow") {
-    *out = SimThreadsPolicy::kThreadedJobsNarrow;
-  } else if (name == "auto") {
-    *out = SimThreadsPolicy::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 JobResult run_job(const Job& job, const Graph& g, RunState* state,
                   util::TraceBuffer* trace, Stage1Record* stage1_record,
                   const Stage1Record* stage1_replay) {
@@ -538,50 +509,12 @@ BatchResult run_batch_impl(const Manifest& manifest,
                                        std::memory_order_relaxed);
   }
 
-  // Resolve the core split. `cores` is the resolved --threads value (a
-  // shared external pool's width when one is donated); `batch_workers`
-  // of them claim jobs concurrently and `sim_override`
-  // (0 = keep the manifest's per-job value) is forced into every executed
-  // job's sim_threads. kAuto resolves from the manifest alone -- job count
-  // vs cores and the largest instance's advertised size -- so the choice
-  // (like everything downstream of it) is schedule-deterministic.
-  const unsigned cores = options.pool != nullptr
-                             ? options.pool->num_workers()
-                             : congest::resolve_sim_threads(options.threads);
-  SimThreadsPolicy policy = options.sim_threads_policy;
-  if (policy == SimThreadsPolicy::kAuto) {
-    std::int64_t max_n = 0;
-    for (const Job& job : out.jobs) {
-      std::int64_t n = job.instance.params.get_int("n", 0);
-      if (n == 0) {
-        n = job.instance.params.get_int("rows", 0) *
-            job.instance.params.get_int("cols", 0);
-      }
-      max_n = std::max(max_n, n);
-    }
-    // Enough jobs to fill the cores -> cross-sim parallelism wins (no
-    // intra-sim overhead at all); fewer, large jobs -> put the cores
-    // inside the simulator, where a big instance can actually use them.
-    policy = (out.jobs.size() >= cores || max_n < 4096)
-                 ? SimThreadsPolicy::kSerialJobsWide
-                 : SimThreadsPolicy::kThreadedJobsNarrow;
-  }
-  unsigned batch_workers = cores;
-  unsigned sim_override = 0;
-  switch (policy) {
-    case SimThreadsPolicy::kManifest:
-    case SimThreadsPolicy::kAuto:  // resolved above; unreachable
-      break;
-    case SimThreadsPolicy::kSerialJobsWide:
-      sim_override = 1;
-      break;
-    case SimThreadsPolicy::kThreadedJobsNarrow:
-      batch_workers = 1;
-      sim_override = cores;
-      break;
-  }
-  out.sim_threads_policy = policy;
-  out.threads_used = batch_workers;
+  // Concurrent simulations: the resolved --threads value, or a donated
+  // external pool's width.
+  const unsigned workers = options.pool != nullptr
+                               ? options.pool->num_workers()
+                               : congest::resolve_sim_threads(options.threads);
+  out.threads_used = workers;
 
   // Track 0 carries the batch phase spans. The resolved worker counts are
   // --threads dependent, so they go to runtime metrics, keeping the trace
@@ -593,7 +526,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
                          util::TraceArgs().add(
                              "jobs", static_cast<std::uint64_t>(out.jobs.size())));
     trace->metrics().set_gauge("rt/batch/workers",
-                               static_cast<double>(batch_workers));
+                               static_cast<double>(workers));
   }
 
   // Unique instances (by hash), in first-job order, and the job -> slot map.
@@ -619,12 +552,10 @@ BatchResult run_batch_impl(const Manifest& manifest,
   out.corpus.unique_instances = slots.size();
 
   const CorpusStore store(options.corpus_dir);
-  // Materialization is instance-parallel under every policy (no simulator
-  // runs yet), so the pool spans all cores; only the execute phase narrows
-  // to batch_workers. A donated external pool (cpt_serve) is reused as-is;
-  // otherwise the batch owns one for the call.
+  // A donated external pool (cpt_serve) is reused as-is; otherwise the
+  // batch owns one for the call.
   std::optional<WorkerPool> owned_pool;
-  if (options.pool == nullptr) owned_pool.emplace(cores);
+  if (options.pool == nullptr) owned_pool.emplace(workers);
   WorkerPool& pool = options.pool != nullptr ? *options.pool : *owned_pool;
 
   const auto cancelled = [&] {
@@ -805,7 +736,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
   ClaimUnits claims(
       out.jobs, job_slot,
       [&](std::uint32_t j) { return resumed_job(j) || cache_hit_job(j); },
-      cores, options.cancel);
+      workers, options.cancel);
   const auto cached_result = [&](std::uint32_t j) -> const JobResult* {
     if (options.completed == nullptr) return nullptr;
     const auto it = options.completed->find(j);
@@ -851,22 +782,16 @@ BatchResult run_batch_impl(const Manifest& manifest,
     }
     Stage1Record* const record = claims.capture_into(j);
     const Stage1Record* const replay = claims.replay_from(j);
-    if (sim_override != 0) {
-      Job job = out.jobs[j];
-      job.sim_threads = sim_override;
-      return run_job_retrying(job, slot.graph, options, state, job_track,
-                              record, replay);
-    }
     return run_job_retrying(out.jobs[j], slot.graph, options, state,
                             job_track, record, replay);
   };
   // One pooled RunState per batch worker, reused across every job that
   // worker claims (never shared concurrently: worker w touches states[w]
   // only). Allocation reuse only -- results stay schedule-independent.
-  std::vector<RunState> states(cores);
+  std::vector<RunState> states(workers);
   // Per-worker busy nanoseconds (time inside produce), sampled only when
   // tracing; flushed to an rt/ histogram after the pool joins.
-  std::vector<std::uint64_t> busy_ns(cores, 0);
+  std::vector<std::uint64_t> busy_ns(workers, 0);
   const auto mark_done = [&] {
     if (options.progress != nullptr) {
       options.progress->jobs_done.fetch_add(1, std::memory_order_relaxed);
@@ -874,7 +799,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
   };
   const auto flush_busy = [&] {
     if (trace == nullptr) return;
-    for (unsigned w = 0; w < batch_workers; ++w) {
+    for (unsigned w = 0; w < workers; ++w) {
       trace->metrics().record("rt/batch/worker_busy_ns", busy_ns[w]);
     }
   };
@@ -909,7 +834,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
     std::vector<char> resumed_flags(out.jobs.size(), 0);
     std::vector<char> cache_flags(out.jobs.size(), 0);
     auto execute = [&](unsigned w) {
-      if (w >= batch_workers) return;  // narrow policies idle extra cores
       std::uint32_t j = 0;
       while (!cancelled() && claims.claim(w, &j)) {
         bool resumed = false;
@@ -968,9 +892,8 @@ BatchResult run_batch_impl(const Manifest& manifest,
     std::unordered_map<std::uint32_t, Pending> pending;
     std::uint32_t next_retire = 0;
     std::size_t peak_pending = 0;
-    const std::uint32_t window = 4 * batch_workers + 4;
+    const std::uint32_t window = 4 * workers + 4;
     auto execute = [&](unsigned w) {
-      if (w >= batch_workers) return;  // narrow policies idle extra cores
       std::uint32_t j = 0;
       while (!cancelled() && claims.claim(w, &j)) {
         {

@@ -102,33 +102,6 @@ struct JobResult {
 // message: "transient" or "bad_alloc" substrings mark a retryable error.
 bool is_transient_error(const std::string& message);
 
-// How run_batch splits its resolved core count between concurrent
-// simulations (batch width) and workers inside one simulation. Results are
-// bit-identical under every policy -- the simulator is thread-count-
-// invariant and the aggregate schema carries no thread fields -- so the
-// policy is purely a wall-clock/footprint knob.
-enum class SimThreadsPolicy {
-  // Default: all cores go to batch width; each job keeps the sim_threads
-  // its manifest cell requested (usually 1).
-  kManifest,
-  // Force every job single-threaded and run --threads jobs concurrently:
-  // the right split for sweeps with many small/medium jobs.
-  kSerialJobsWide,
-  // Run one job at a time with all cores inside its simulator: the right
-  // split for a handful of huge instances that each parallelize well.
-  kThreadedJobsNarrow,
-  // Pick between the two above deterministically from the manifest (job
-  // count vs cores, instance size) -- never from load or wall clock.
-  kAuto,
-};
-
-// Canonical flag spellings: "manifest", "serial-jobs-wide",
-// "threaded-jobs-narrow", "auto".
-const char* sim_threads_policy_name(SimThreadsPolicy policy);
-// Strict parse of the names above; returns false (out untouched) on
-// anything else.
-bool parse_sim_threads_policy(const std::string& name, SimThreadsPolicy* out);
-
 // Live progress counters the batch engine bumps as it goes (relaxed
 // atomics; read-only consumers like cpt_batch's --progress heartbeat poll
 // them from another thread). Purely observational: nothing in the engine
@@ -146,9 +119,6 @@ struct BatchOptions {
   // Concurrent simulations. 0 resolves like the simulator's thread knob
   // (CPT_TEST_THREADS env, else 1).
   unsigned threads = 1;
-  // Core split between batch width and intra-simulation workers (see
-  // SimThreadsPolicy). Never affects results, only wall clock.
-  SimThreadsPolicy sim_threads_policy = SimThreadsPolicy::kManifest;
   // Corpus directory ("" = in-memory dedup only).
   std::string corpus_dir;
   // Bounded per-job retry for transient failures (is_transient_error):
@@ -230,13 +200,9 @@ struct BatchResult {
   bool cancelled = false;
   std::uint32_t completed_jobs = 0;
   double wall_seconds = 0;
-  // Batch width actually used (concurrent simulations). Under kManifest /
-  // kSerialJobsWide this is the resolved --threads value; under
-  // kThreadedJobsNarrow it is 1 (the cores went inside the simulator).
+  // Batch width actually used (concurrent simulations): the resolved
+  // --threads value, or a donated pool's width.
   unsigned threads_used = 1;
-  // Policy the run executed under, with kAuto resolved to its concrete
-  // choice. Reported via the timing doc, never the aggregate.
-  SimThreadsPolicy sim_threads_policy = SimThreadsPolicy::kManifest;
 };
 
 // Pooled per-worker run state: simulator buffers (flight payloads, inbox

@@ -82,7 +82,6 @@ struct Service::Impl {
     std::uint64_t seq = 0;
     std::uint64_t id = 0;
     Manifest manifest;
-    SimThreadsPolicy policy = SimThreadsPolicy::kManifest;
     std::shared_ptr<Connection> conn;
   };
   std::mutex mu;
@@ -227,7 +226,6 @@ void Service::serve() {
       BatchOptions options;
       options.threads = im.pool.num_workers();
       options.pool = &im.pool;
-      options.sim_threads_policy = req.policy;
       options.corpus_dir = im.options.corpus_dir;
       options.result_cache = im.cache.enabled() ? &im.cache : nullptr;
       options.max_retries = im.options.max_retries;
@@ -331,15 +329,6 @@ void Service::serve() {
               ok = load_manifest_file(path->as_string(), &r.manifest, &merr);
             } else {
               merr = "run request needs manifest_text or manifest_path";
-            }
-            r.policy = im.options.sim_threads_policy;
-            const JsonValue* policy = req.find("sim_threads_policy");
-            if (ok && policy != nullptr) {
-              if (!policy->is_string() ||
-                  !parse_sim_threads_policy(policy->as_string(), &r.policy)) {
-                ok = false;
-                merr = "bad sim_threads_policy";
-              }
             }
             if (!ok) {
               metrics_.add_counter("serve/bad_requests", 1);

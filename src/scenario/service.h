@@ -9,8 +9,7 @@
 //   {"op": "ping"}
 //   {"op": "metrics"}
 //   {"op": "shutdown"}
-//   {"op": "run", "manifest_text": "<manifest JSON>",
-//    "priority": 0, "sim_threads_policy": "auto"}
+//   {"op": "run", "manifest_text": "<manifest JSON>", "priority": 0}
 //
 // A run request is acked with {"ok": true, "queued": true, ...}, then --
 // once the executor picks it -- answered with the verbatim
@@ -53,9 +52,6 @@ struct ServiceOptions {
   std::string cache_dir;        // "" = result cache disabled
   std::uint64_t cache_max_entries = 0;  // 0 = unbounded
   unsigned threads = 0;         // shared pool width; 0 = resolve from env
-  // Default core-split policy; a request's "sim_threads_policy" member
-  // overrides it for that run only.
-  SimThreadsPolicy sim_threads_policy = SimThreadsPolicy::kManifest;
   unsigned max_retries = 2;
 };
 

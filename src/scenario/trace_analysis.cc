@@ -1,7 +1,6 @@
 #include "scenario/trace_analysis.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -21,28 +20,6 @@ std::string member_str(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_string()) return std::string();
   return v->as_string();
-}
-
-// Splits a comma-separated list of unsigned integers (the simulator's
-// rebalance payload encoding). Malformed entries parse as 0.
-std::vector<std::uint64_t> split_csv_u64(const std::string& csv) {
-  std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    std::size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    std::uint64_t v = 0;
-    for (std::size_t i = pos; i < comma; ++i) {
-      const char c = csv[i];
-      if (c < '0' || c > '9') break;
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out.push_back(v);
-    pos = comma + 1;
-    if (comma == csv.size()) break;
-  }
-  if (csv.empty()) out.clear();
-  return out;
 }
 
 std::string format_ms(std::uint64_t ns) {
@@ -294,41 +271,6 @@ std::string trace_flame(const TraceFile& t) {
            "  self_ms=" + format_ms(r.self_ns) + '\n';
   }
   return out;
-}
-
-std::string trace_shards(const TraceFile& t) {
-  std::string out;
-  std::uint64_t epochs = 0, moves = 0;
-  for (const TraceEventRec& e : t.events) {
-    if (e.kind != "instant" || e.name != "sim/rebalance") continue;
-    ++epochs;
-    const std::vector<std::uint64_t> loads =
-        split_csv_u64(member_str(e.args, "loads"));
-    std::uint64_t max_load = 0, sum = 0;
-    for (std::uint64_t v : loads) {
-      sum += v;
-      max_load = std::max(max_load, v);
-    }
-    const double mean =
-        loads.empty() ? 0.0
-                      : static_cast<double>(sum) /
-                            static_cast<double>(loads.size());
-    const bool moved =
-        member_str(e.args, "lo_before") != member_str(e.args, "lo_after");
-    if (moved) ++moves;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "  round=%" PRIu64 " shards=%" PRIu64 " load_max=%" PRIu64
-                  " load_mean=%.1f imbalance=%.2f moved=%s\n",
-                  member_u64(e.args, "round"), member_u64(e.args, "shards"),
-                  max_load, mean,
-                  mean > 0 ? static_cast<double>(max_load) / mean : 0.0,
-                  moved ? "yes" : "no");
-    out += buf;
-  }
-  return "shards " + t.name + ": " + std::to_string(epochs) +
-         " rebalance epochs, " + std::to_string(moves) +
-         " boundary moves\n" + out;
 }
 
 std::string strip_trace_timestamps(std::string_view line) {

@@ -62,11 +62,6 @@ std::string trace_summary(const TraceFile& t, bool include_wall);
 // Inherently wall-clock: two runs flame differently.
 std::string trace_flame(const TraceFile& t);
 
-// Shard rebalance table from the simulator's sim/rebalance instants:
-// one row per epoch (round, shard count, epoch-load imbalance max/mean,
-// whether boundaries moved), plus a footer with totals.
-std::string trace_shards(const TraceFile& t);
-
 // Deterministic view of one JSONL line: truncates at the `,"ts_ns":`
 // suffix (timestamps render last by contract) and recloses the object.
 // Lines without timestamps (header, track decls) pass through.

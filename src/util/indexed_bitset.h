@@ -132,106 +132,6 @@ class IndexedBitset {
     return (w0 << 6) + static_cast<std::size_t>(std::countr_zero(l0_[w0]));
   }
 
-  // OR the members of `other` lying in [lo, hi) into this set, word by
-  // word: `other`'s summaries drive the scan (an empty 2^12-element region
-  // costs one level-2 probe), boundary words are masked so neighbours of
-  // the range are never touched, and each merged word updates the count by
-  // popcount of the freshly set bits. The delivery engine builds its
-  // per-shard union of all live flights with this. Capacities must match.
-  // Returns the number of elements added.
-  std::size_t union_range_from(const IndexedBitset& other, std::size_t lo,
-                               std::size_t hi) {
-    CPT_EXPECTS(other.capacity_ == capacity_);
-    CPT_EXPECTS(lo <= hi && hi <= capacity_);
-    if (lo >= hi || other.count_ == 0) return 0;
-    const std::size_t w_first = lo >> 6;        // first level-0 word
-    const std::size_t w_last = (hi - 1) >> 6;   // last level-0 word
-    const std::uint64_t lo_mask = ~std::uint64_t{0} << (lo & 63);
-    const std::uint64_t hi_mask =
-        ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
-    std::size_t added = 0;
-    std::size_t w1 = w_first >> 6;
-    const std::size_t w1_last = w_last >> 6;
-    while (w1 <= w1_last) {
-      std::uint64_t m1 = other.l1_[w1];
-      if (m1 == 0) {
-        // Summary-level short-circuit: an aligned empty level-2 word skips
-        // 64 level-1 words (2^12 level-0 words) in one probe.
-        if ((w1 & 63) == 0 && other.l2_[w1 >> 6] == 0) {
-          w1 += 64;
-        } else {
-          ++w1;
-        }
-        continue;
-      }
-      if (w1 == (w_first >> 6)) {
-        m1 &= ~std::uint64_t{0} << (w_first & 63);
-      }
-      if (w1 == w1_last) {
-        m1 &= ~std::uint64_t{0} >> (63 - (w_last & 63));
-      }
-      while (m1 != 0) {
-        const std::size_t w0 =
-            (w1 << 6) + static_cast<std::size_t>(std::countr_zero(m1));
-        m1 &= m1 - 1;
-        std::uint64_t bits = other.l0_[w0];
-        if (w0 == w_first) bits &= lo_mask;
-        if (w0 == w_last) bits &= hi_mask;
-        const std::uint64_t old = l0_[w0];
-        const std::uint64_t fresh = bits & ~old;
-        if (fresh == 0) continue;
-        l0_[w0] = old | fresh;
-        if (old == 0) {
-          l1_[w0 >> 6] |= 1ULL << (w0 & 63);
-          l2_[w0 >> 12] |= 1ULL << ((w0 >> 6) & 63);
-        }
-        if (w0 < scan0_) scan0_ = w0;
-        if ((w0 >> 12) < scan2_) scan2_ = w0 >> 12;
-        added += static_cast<std::size_t>(std::popcount(fresh));
-      }
-      ++w1;
-    }
-    count_ += added;
-    return added;
-  }
-
-  // Whole-set union; same word-level walk as union_range_from.
-  std::size_t union_from(const IndexedBitset& other) {
-    return union_range_from(other, 0, capacity_);
-  }
-
-  // Visits every nonzero level-0 word in increasing index order as
-  // fn(word_index, word_bits); element i is set iff bit (i & 63) of the
-  // word with index i >> 6. Summary-driven (empty regions cost one probe
-  // per 2^12 elements) and read-only, so concurrent readers are fine.
-  template <typename Fn>
-  void for_each_word(Fn&& fn) const {
-    if (count_ == 0) return;
-    for (std::size_t w2 = 0; w2 < l2_.size(); ++w2) {
-      std::uint64_t m2 = l2_[w2];
-      while (m2 != 0) {
-        const std::size_t w1 =
-            (w2 << 6) + static_cast<std::size_t>(std::countr_zero(m2));
-        m2 &= m2 - 1;
-        std::uint64_t m1 = l1_[w1];
-        while (m1 != 0) {
-          const std::size_t w0 =
-              (w1 << 6) + static_cast<std::size_t>(std::countr_zero(m1));
-          m1 &= m1 - 1;
-          fn(w0, l0_[w0]);
-        }
-      }
-    }
-  }
-
-  // Raw level-0 word `w` (members 64w .. 64w+63). The delivery engine's
-  // payload-ownership probe reads one cached word per flight instead of a
-  // contains() load per (arc, flight) pair.
-  std::uint64_t l0_word(std::size_t w) const {
-    CPT_EXPECTS(w < l0_.size());
-    return l0_[w];
-  }
-
   // Removes all elements in O(nonzero words) + the level-2 scan (NOT
   // O(capacity), and no per-bit pop loop): the summaries name exactly the
   // level-0 words to zero.

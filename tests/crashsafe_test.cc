@@ -868,41 +868,6 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
   }
 }
 
-TEST(CliParsing, SimThreadsPolicyNamesAreStrict) {
-  const std::string manifest =
-      std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json";
-  const std::string dir = temp_dir();
-  // Unknown names are usage errors, and the diagnostic lists the accepted
-  // values so the caller can fix the flag without reading the source.
-  const std::string errfile = dir + "/policy.err";
-  for (const char* bad : {"bogus", "", "Manifest", "serial", "wide", "auto2",
-                          "serial_jobs_wide"}) {
-    EXPECT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
-                          " --quiet --sim-threads-policy=" + bad + " 2>" +
-                          errfile),
-              2)
-        << '"' << bad << '"';
-    const std::string err = slurp(errfile);
-    EXPECT_NE(err.find("serial-jobs-wide"), std::string::npos) << err;
-    EXPECT_NE(err.find("threaded-jobs-narrow"), std::string::npos) << err;
-  }
-  // Every accepted name runs and reproduces the serial aggregate bytes.
-  const std::string ref = dir + "/policy_ref.json";
-  ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
-                        " --threads=1 --quiet --out=" + ref),
-            0);
-  for (const char* name : {"manifest", "serial-jobs-wide",
-                           "threaded-jobs-narrow", "auto"}) {
-    const std::string out = dir + "/policy_" + name + ".json";
-    ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
-                          " --threads=4 --sim-threads-policy=" + name +
-                          " --quiet --out=" + out),
-              0)
-        << name;
-    EXPECT_EQ(slurp(out), slurp(ref)) << name;
-  }
-}
-
 TEST(CliParsing, ThreadsZeroIsTheValidSerialPath) {
   // --threads=0 defers to CPT_TEST_THREADS (unset here: serial). It must
   // parse, run, and produce the same aggregate as an explicit --threads=1.

@@ -89,117 +89,6 @@ TEST(IndexedBitset, ClearIsReusable) {
   EXPECT_EQ(s.pop_front(), 511u);
 }
 
-TEST(IndexedBitset, UnionFromEmptyAndFull) {
-  IndexedBitset a(1 << 12);
-  IndexedBitset b(1 << 12);
-  EXPECT_EQ(a.union_from(b), 0u);  // empty source: no-op
-  EXPECT_TRUE(a.empty());
-  for (std::size_t i = 0; i < (1 << 12); ++i) b.insert(i);
-  EXPECT_EQ(a.union_from(b), std::size_t{1} << 12);  // full source
-  EXPECT_EQ(a.size(), std::size_t{1} << 12);
-  // Unioning again adds nothing (every bit already present).
-  EXPECT_EQ(a.union_from(b), 0u);
-  EXPECT_EQ(a.size(), std::size_t{1} << 12);
-  for (std::size_t i = 0; i < (1 << 12); ++i) EXPECT_EQ(a.pop_front(), i);
-}
-
-TEST(IndexedBitset, UnionRangeMasksBoundaryWords) {
-  // Range ends straddling level-0 (64), level-1 (4096) and level-2
-  // (262144) word boundaries: neighbours of the range must be untouched.
-  const std::size_t cap = 1 << 19;
-  for (const std::size_t b :
-       {std::size_t{64}, std::size_t{4096}, std::size_t{262144}}) {
-    IndexedBitset src(cap);
-    for (std::size_t i = b - 2; i <= b + 1; ++i) src.insert(i);
-    IndexedBitset dst(cap);
-    EXPECT_EQ(dst.union_range_from(src, b - 1, b + 1), 2u) << b;
-    EXPECT_FALSE(dst.contains(b - 2)) << b;
-    EXPECT_TRUE(dst.contains(b - 1)) << b;
-    EXPECT_TRUE(dst.contains(b)) << b;
-    EXPECT_FALSE(dst.contains(b + 1)) << b;
-    // Empty range and empty intersection are no-ops.
-    EXPECT_EQ(dst.union_range_from(src, b, b), 0u);
-    EXPECT_EQ(dst.union_range_from(src, b + 2, b + 10), 0u);
-  }
-}
-
-TEST(IndexedBitset, UnionMatchesInsertLoopRandomized) {
-  const std::size_t cap = 1 << 16;
-  Rng rng(11);
-  for (int round = 0; round < 20; ++round) {
-    IndexedBitset a(cap);
-    IndexedBitset b(cap);
-    std::set<std::size_t> ref;
-    for (int i = 0; i < 300; ++i) a.insert(rng.next_below(cap));
-    for (int i = 0; i < 300; ++i) b.insert(rng.next_below(cap));
-    const std::size_t lo = rng.next_below(cap);
-    const std::size_t hi = lo + rng.next_below(cap - lo + 1);
-    std::size_t pre = 0;
-    // Reference: b's members in [lo, hi); `pre` counts those already in a.
-    for (std::size_t v = b.next_at_least(lo);
-         v != IndexedBitset::kNone && v < hi; v = b.next_at_least(v + 1)) {
-      ref.insert(v);
-    }
-    for (const std::size_t v : ref) {
-      if (a.contains(v)) ++pre;
-    }
-    const std::size_t added = a.union_range_from(b, lo, hi);
-    EXPECT_EQ(added, ref.size() - pre);
-    for (const std::size_t v : ref) EXPECT_TRUE(a.contains(v));
-    // Cursor correctness: the minimum is still extracted first.
-    std::size_t prev = 0;
-    bool first = true;
-    while (!a.empty()) {
-      const std::size_t v = a.pop_front();
-      EXPECT_TRUE(first || v > prev);
-      prev = v;
-      first = false;
-    }
-  }
-}
-
-TEST(IndexedBitset, ForEachWordMatchesPerBitIteration) {
-  const std::size_t cap = 1 << 18;
-  IndexedBitset s(cap);
-  Rng rng(13);
-  std::set<std::size_t> ref;
-  for (int i = 0; i < 5000; ++i) {
-    const std::size_t v = rng.next_below(cap);
-    s.insert(v);
-    ref.insert(v);
-  }
-  std::vector<std::size_t> visited;
-  std::size_t last_word = 0;
-  bool first = true;
-  s.for_each_word([&](std::size_t w, std::uint64_t bits) {
-    EXPECT_NE(bits, 0u);                       // only nonzero words
-    EXPECT_TRUE(first || w > last_word);       // increasing word order
-    first = false;
-    last_word = w;
-    for (std::uint64_t m = bits; m != 0; m &= m - 1) {
-      visited.push_back((w << 6) +
-                        static_cast<std::size_t>(std::countr_zero(m)));
-    }
-  });
-  EXPECT_EQ(visited, std::vector<std::size_t>(ref.begin(), ref.end()));
-  // Empty set: the visitor must not fire.
-  s.clear();
-  s.for_each_word([&](std::size_t, std::uint64_t) { FAIL(); });
-}
-
-TEST(IndexedBitset, ClearAfterUnionIsReusable) {
-  IndexedBitset a(1 << 14);
-  IndexedBitset b(1 << 14);
-  for (std::size_t i = 0; i < (1 << 14); i += 7) b.insert(i);
-  a.union_from(b);
-  a.clear();
-  EXPECT_TRUE(a.empty());
-  a.insert(9);
-  EXPECT_EQ(a.front(), 9u);
-  EXPECT_EQ(a.union_from(b), b.size());
-  EXPECT_EQ(a.size(), b.size() + 1);
-}
-
 TEST(IndexedBitset, TinyAndBoundaryCapacities) {
   IndexedBitset s(1);
   EXPECT_TRUE(s.insert(0));

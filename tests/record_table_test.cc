@@ -312,8 +312,9 @@ TEST(RecordTableShards, ChainsSpanArenaChunks) {
 }
 
 TEST(RecordTableShards, SlotAddressesAreStableAcrossGrowth) {
-  // The rebalancing safety argument rests on this: a record's address never
-  // moves once pushed, no matter how much the shard's arena grows after.
+  // The chunked arenas' safety argument rests on this: a record's address
+  // never moves once pushed, no matter how much the shard's arena grows
+  // after, so a concurrent cross-shard chain walk never reads moved slots.
   RecordTable t;
   t.reset(2);
   t.push(0, {42, 420}, 1);

@@ -151,68 +151,35 @@ TEST(ScenarioBatch, AggregateJsonBitIdenticalAcrossThreads) {
   }
 }
 
-// Strict parsing of the core-allocation policy names: exact matches only,
-// with round-trip through the canonical name.
-TEST(ScenarioBatch, SimThreadsPolicyParsesStrictly) {
-  const struct {
-    const char* name;
-    SimThreadsPolicy policy;
-  } kNames[] = {
-      {"manifest", SimThreadsPolicy::kManifest},
-      {"serial-jobs-wide", SimThreadsPolicy::kSerialJobsWide},
-      {"threaded-jobs-narrow", SimThreadsPolicy::kThreadedJobsNarrow},
-      {"auto", SimThreadsPolicy::kAuto},
-  };
-  for (const auto& c : kNames) {
-    SimThreadsPolicy got = SimThreadsPolicy::kManifest;
-    EXPECT_TRUE(parse_sim_threads_policy(c.name, &got)) << c.name;
-    EXPECT_EQ(got, c.policy) << c.name;
-    EXPECT_STREQ(sim_threads_policy_name(c.policy), c.name);
-  }
-  for (const char* bad :
-       {"", "Manifest", "serial", "serial-jobs-wide ", " auto", "auto\n",
-        "threaded", "wide", "0", "serial_jobs_wide"}) {
-    SimThreadsPolicy got = SimThreadsPolicy::kAuto;
-    EXPECT_FALSE(parse_sim_threads_policy(bad, &got))
-        << "accepted \"" << bad << '"';
-    EXPECT_EQ(got, SimThreadsPolicy::kAuto) << "output clobbered on reject";
-  }
-}
-
-// Every core-allocation policy must yield the same aggregate bytes as the
-// serial manifest-policy run: policies only move wall clock, never results.
-TEST(ScenarioBatch, AggregateJsonBitIdenticalAcrossPolicies) {
+// Whole manifests with every simulation multi-worker: setting each cell's
+// sim_threads to 4 must reproduce the serial run's aggregate JSON and CSV
+// at --threads 1 and 4. sim_threads is not part of Job::cell_key, so the
+// bytes can only differ if results do.
+TEST(ScenarioBatch, MultiWorkerSimsKeepAggregateBytes) {
   Manifest m;
   std::string err;
-  ASSERT_TRUE(load_manifest_file(CPT_MANIFEST_DIR "/batch_sweep.json", &m,
-                                 &err))
+  ASSERT_TRUE(load_manifest_file(CPT_MANIFEST_DIR "/ci_smoke.json", &m, &err))
       << err;
-
-  BatchOptions serial;
-  serial.threads = 1;
-  const BatchResult ref = run_batch(m, serial);
-  const std::string ref_json =
-      render_aggregate_json(m, ref, aggregate_cells(ref));
-  EXPECT_EQ(ref.sim_threads_policy, SimThreadsPolicy::kManifest);
-
-  for (const SimThreadsPolicy policy :
-       {SimThreadsPolicy::kSerialJobsWide, SimThreadsPolicy::kThreadedJobsNarrow,
-        SimThreadsPolicy::kAuto}) {
-    SCOPED_TRACE(sim_threads_policy_name(policy));
+  const auto render = [](const Manifest& manifest, unsigned threads,
+                         std::string* json, std::string* csv) {
     BatchOptions opt;
-    opt.threads = 4;
-    opt.sim_threads_policy = policy;
-    const BatchResult b = run_batch(m, opt);
-    ASSERT_EQ(b.jobs.size(), ref.jobs.size());
-    EXPECT_EQ(render_aggregate_json(m, b, aggregate_cells(b)), ref_json);
-    if (policy == SimThreadsPolicy::kAuto) {
-      // batch_sweep has >= 200 jobs, far more than 4 cores: auto must
-      // resolve to serial-jobs-wide and use the full batch width.
-      EXPECT_EQ(b.sim_threads_policy, SimThreadsPolicy::kSerialJobsWide);
-      EXPECT_EQ(b.threads_used, 4u);
-    } else {
-      EXPECT_EQ(b.sim_threads_policy, policy);
-    }
+    opt.threads = threads;
+    const BatchResult b = run_batch(manifest, opt);
+    EXPECT_EQ(b.failed_jobs, 0u);
+    const std::vector<CellAggregate> cells = aggregate_cells(b);
+    *json = render_aggregate_json(manifest, b, cells);
+    *csv = render_aggregate_csv(cells);
+  };
+  std::string ref_json, ref_csv;
+  render(m, 1, &ref_json, &ref_csv);
+  Manifest wide = m;
+  for (ManifestCell& cell : wide.cells) cell.sim_threads = 4;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::string json, csv;
+    render(wide, threads, &json, &csv);
+    EXPECT_EQ(json, ref_json);
+    EXPECT_EQ(csv, ref_csv);
   }
 }
 

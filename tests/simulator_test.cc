@@ -198,52 +198,6 @@ TEST(Simulator, ParallelMatchesSerialBitForBit) {
   }
 }
 
-// The delivery-strategy / rebalancing matrix: union delivery (the default)
-// and the K-way merge fallback, with observed-load shard rebalancing on
-// (at an aggressive epoch so it actually fires in these short passes) and
-// off, all reproduce the serial run bit-for-bit.
-TEST(Simulator, UnionMergeAndRebalanceMatrixMatchesSerial) {
-  const Graph g = gen::triangulated_grid(9, 7);
-  Network net(g);
-  SimOptions serial_opt;
-  serial_opt.num_threads = 1;
-  Simulator serial(net, serial_opt);
-  Flood ref_flood(g.num_nodes());
-  const PassResult ref_f = serial.run(ref_flood);
-  Echo ref_echo(g.num_nodes(), 9);
-  const PassResult ref_e = serial.run(ref_echo);
-
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    for (const bool union_delivery : {true, false}) {
-      for (const bool rebalance : {true, false}) {
-        SimOptions opt;
-        opt.num_threads = threads;
-        opt.parallel_grain = 1;
-        opt.union_delivery = union_delivery;
-        opt.rebalance_shards = rebalance;
-        opt.rebalance_interval = 2;  // several epochs within 9 rounds
-        Simulator sim(net, opt);
-        const auto label = [&] {
-          return ::testing::Message()
-                 << threads << (union_delivery ? " union" : " merge")
-                 << (rebalance ? " rebalance" : " static");
-        };
-        Flood flood(g.num_nodes());
-        const PassResult rf = sim.run(flood);
-        EXPECT_EQ(rf.rounds, ref_f.rounds) << label();
-        EXPECT_EQ(rf.messages, ref_f.messages) << label();
-        EXPECT_EQ(flood.reached, ref_flood.reached) << label();
-
-        Echo echo(g.num_nodes(), 9);
-        const PassResult re = sim.run(echo);
-        EXPECT_EQ(re.rounds, ref_e.rounds) << label();
-        EXPECT_EQ(re.messages, ref_e.messages) << label();
-        EXPECT_EQ(echo.inboxes, ref_echo.inboxes) << label();
-      }
-    }
-  }
-}
-
 // Wake-ups and messages merge identically when they land on the same and
 // on different nodes, across the serial/parallel boundary.
 TEST(Simulator, ParallelWakeAndInboxMergeMatchesSerial) {

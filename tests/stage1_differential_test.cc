@@ -36,13 +36,10 @@ struct RunOutput {
 };
 
 RunOutput run_stage1_mode(const Graph& g, double epsilon, bool pipelined,
-                          unsigned num_threads = 1, bool rebalance = true,
-                          std::uint32_t rebalance_interval = 64) {
+                          unsigned num_threads = 1) {
   congest::Network net(g);
   congest::SimOptions sopt;
   sopt.num_threads = num_threads;
-  sopt.rebalance_shards = rebalance;
-  sopt.rebalance_interval = rebalance_interval;
   // Force pool dispatch for every nontrivial round so the sweep exercises
   // the parallel executor even on the small golden graphs.
   if (num_threads > 1) sopt.parallel_grain = 1;
@@ -238,12 +235,11 @@ TEST(Stage1Differential, ThreadSweepIsBitIdentical) {
   }
 }
 
-// Skewed-degree stress for observed-load shard rebalancing: a hub wired to
-// every node of a grid concentrates ~1/3 of all arcs on one node id, so the
-// equal-arc-count initial sharding is maximally lopsided and the EWMA
-// rebalancer actually moves boundaries at every epoch. Stage I must still
-// be bit-identical across 1/2/4/8 workers with rebalancing on (aggressive
-// epoch) and off.
+// Skewed-degree stress for the static shards: a hub wired to every node of
+// a grid concentrates ~1/3 of all arcs on one node id, so the
+// equal-arc-count sharding is maximally lopsided (the hub's shard holds
+// almost nothing else). Stage I must still be bit-identical across 1/2/4/8
+// workers.
 TEST(Stage1Differential, SkewedStarPlusGridSweepIsBitIdentical) {
   constexpr NodeId kRows = 12;
   constexpr NodeId kCols = 12;
@@ -259,19 +255,14 @@ TEST(Stage1Differential, SkewedStarPlusGridSweepIsBitIdentical) {
   const RunOutput ref = run_stage1_mode(g, 0.25, true, 1);
   const std::uint64_t ref_fp = fingerprint(ref);
   for (const unsigned threads : {2u, 4u, 8u}) {
-    for (const bool rebalance : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << threads << (rebalance ? " rebalance" : " static"));
-      const RunOutput out =
-          run_stage1_mode(g, 0.25, true, threads, rebalance,
-                          /*rebalance_interval=*/4);
-      EXPECT_EQ(fingerprint(out), ref_fp);
-      EXPECT_EQ(out.ledger.total_rounds(), ref.ledger.total_rounds());
-      EXPECT_EQ(out.ledger.total_messages(), ref.ledger.total_messages());
-      EXPECT_EQ(out.result.forest.root, ref.result.forest.root);
-      EXPECT_EQ(out.result.forest.parent_edge, ref.result.forest.parent_edge);
-      EXPECT_EQ(out.result.rejected, ref.result.rejected);
-    }
+    SCOPED_TRACE(threads);
+    const RunOutput out = run_stage1_mode(g, 0.25, true, threads);
+    EXPECT_EQ(fingerprint(out), ref_fp);
+    EXPECT_EQ(out.ledger.total_rounds(), ref.ledger.total_rounds());
+    EXPECT_EQ(out.ledger.total_messages(), ref.ledger.total_messages());
+    EXPECT_EQ(out.result.forest.root, ref.result.forest.root);
+    EXPECT_EQ(out.result.forest.parent_edge, ref.result.forest.parent_edge);
+    EXPECT_EQ(out.result.rejected, ref.result.rejected);
   }
 }
 

@@ -1,6 +1,6 @@
 // Observability layer tests: the trace/metrics renderers, the
 // determinism contract (non-timestamp trace bytes identical at every
-// --threads value and under both delivery strategies), the
+// --threads value and every simulator worker count), the
 // tracing-disabled fast path (zero allocations), and the cpt_trace
 // analyses (golden summary, diff divergence detection).
 //
@@ -134,7 +134,7 @@ TEST(MetricsRegistryTest, SplitsRuntimeSectionAndComputesQuartiles) {
   m.add_counter("batch/jobs", 3);
   m.add_counter("batch/jobs", 1);
   m.set_gauge("corpus/ratio", 0.5);
-  m.add_counter("rt/sim/union_rounds", 8);
+  m.add_counter("rt/sim/merge_rounds", 8);
   m.max_gauge("rt/batch/peak", 2);
   m.max_gauge("rt/batch/peak", 7);
   m.max_gauge("rt/batch/peak", 3);
@@ -148,7 +148,7 @@ TEST(MetricsRegistryTest, SplitsRuntimeSectionAndComputesQuartiles) {
   // rt/ names land under "runtime" and nowhere else.
   const std::size_t runtime_pos = doc.find("\"runtime\"");
   ASSERT_NE(runtime_pos, std::string::npos);
-  EXPECT_GT(doc.find("\"rt/sim/union_rounds\": 8"), runtime_pos);
+  EXPECT_GT(doc.find("\"rt/sim/merge_rounds\": 8"), runtime_pos);
   EXPECT_GT(doc.find("\"rt/batch/peak\": 7"), runtime_pos);
   // Nearest-rank quartiles over {1,2,3,4} (aggregate.h's rule).
   EXPECT_NE(doc.find("\"count\": 4, \"min\": 1, \"p25\": 2, \"p50\": 3, "
@@ -224,35 +224,36 @@ TEST(TraceDeterminismTest, BatchTraceInvariantAcrossThreadCounts) {
   EXPECT_EQ(m1, m4);
 }
 
-// Union and K-way merge delivery must produce the same trace: the
-// rebalance instants are a pure function of the round schedule and the
-// harvested send counters, which both strategies share; only rt/
-// metrics may differ.
-TEST(TraceDeterminismTest, UnionAndMergeDeliveryTracesMatch) {
+// A traced Stage I renders the same deterministic trace and metrics at 1
+// and 4 simulator workers: delivery-path and pool statistics are the only
+// worker-count-dependent quantities, and they live under rt/ names.
+TEST(TraceDeterminismTest, Stage1TraceInvariantAcrossSimWorkerCounts) {
   if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const Graph g = gen::triangulated_grid(24, 24);
-  auto traced_stage1 = [&g](bool union_delivery) {
+  auto traced_stage1 = [&g](unsigned workers, std::string* trace_out,
+                            std::string* metrics_out) {
     util::TraceSession session;
     congest::Network net(g);
     congest::SimOptions so;
-    so.num_threads = 4;
-    so.union_delivery = union_delivery;
-    so.rebalance_interval = 32;
+    so.num_threads = workers;
+    so.parallel_grain = 1;  // dispatch every nontrivial round to the pool
     so.trace = session.make_track(0, "sim");
     congest::Simulator sim(net, so);
     congest::RoundLedger ledger;
     ledger.set_trace(so.trace);
-    Stage1Options opt;
-    const Stage1Result r = run_stage1(sim, g, opt, ledger);
+    const Stage1Result r = run_stage1(sim, g, Stage1Options{}, ledger);
     EXPECT_FALSE(r.rejected);
-    return stripped(session.render_jsonl("stage1"));
+    *trace_out = stripped(session.render_jsonl("stage1"));
+    std::string err;
+    EXPECT_TRUE(scenario::metrics_deterministic_view(
+        session.metrics().render_json("stage1"), metrics_out, &err))
+        << err;
   };
-  const std::string union_trace = traced_stage1(true);
-  const std::string merge_trace = traced_stage1(false);
-  EXPECT_EQ(union_trace, merge_trace);
-  // The multi-worker run actually rebalanced (the instants exist).
-  EXPECT_NE(union_trace.find("\"name\":\"sim/rebalance\""),
-            std::string::npos);
+  std::string t1, m1, t4, m4;
+  traced_stage1(1, &t1, &m1);
+  traced_stage1(4, &t4, &m4);
+  EXPECT_EQ(t1, t4);
+  EXPECT_EQ(m1, m4);
 }
 
 // Golden cpt_trace summary over the ci_smoke trace (wall columns off:

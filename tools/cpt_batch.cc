@@ -6,13 +6,6 @@
 //   cpt_batch expand <manifest.json>        print the expanded job list
 //   cpt_batch run <manifest.json>           execute and aggregate
 //       [--threads=N]                       concurrent simulations (0 = env)
-//       [--sim-threads-policy=P]            core split between concurrent
-//                                           simulations and threads inside
-//                                           one: manifest | serial-jobs-wide
-//                                           | threaded-jobs-narrow | auto
-//                                           (wall-clock only; the aggregate
-//                                           is bit-identical under every
-//                                           policy)
 //       [--corpus=DIR]                      binary graph cache directory
 //       [--cache=DIR]                       persistent result cache: jobs
 //                                           whose content address is cached
@@ -26,8 +19,7 @@
 //                                           on SOCK and relay its byte-
 //                                           identical aggregate; only
 //                                           --out/--csv/--stream/--priority/
-//                                           --sim-threads-policy/--quiet
-//                                           combine with it
+//                                           --quiet combine with it
 //       [--priority=N]                      server queue priority (higher
 //                                           runs sooner; default 0)
 //       [--out=FILE]                        aggregate JSON (deterministic:
@@ -217,8 +209,7 @@ int usage() {
                "usage:\n"
                "  cpt_batch list\n"
                "  cpt_batch expand <manifest.json>\n"
-               "  cpt_batch run <manifest.json> [--threads=N]"
-               " [--sim-threads-policy=P] [--corpus=DIR]\n"
+               "  cpt_batch run <manifest.json> [--threads=N] [--corpus=DIR]\n"
                "                [--cache=DIR] [--cache-max-entries=N]"
                " [--server=SOCK] [--priority=N]\n"
                "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]"
@@ -645,7 +636,7 @@ bool recv_line(int fd, std::string* buf, std::string* line) {
 // jobs); connection/protocol failures are 1.
 int cmd_run_server(const std::string& manifest_path,
                    const std::string& socket_path, std::uint64_t priority,
-                   const char* policy_name, const std::string& out_path,
+                   const std::string& out_path,
                    const std::string& csv_path, const std::string& stream_path,
                    bool quiet) {
   std::string manifest_text;
@@ -674,10 +665,6 @@ int cmd_run_server(const std::string& manifest_path,
   std::string req = "{\"op\": \"run\", \"manifest_text\": ";
   json_append_escaped(req, manifest_text);
   req += ", \"priority\": " + json_render_uint(priority);
-  if (policy_name != nullptr) {
-    req += ", \"sim_threads_policy\": ";
-    json_append_escaped(req, policy_name);
-  }
   req += "}\n";
   if (!send_all_fd(fd, req)) {
     std::fprintf(stderr, "error: cannot write to %s\n", socket_path.c_str());
@@ -865,7 +852,7 @@ int main(int argc, char** argv) {
   std::string fault_spec;
   std::string server_path, cache_dir;
   std::uint64_t cache_max_entries = 0, priority = 0;
-  bool have_fault_spec = false, fault_flag = false, have_policy = false;
+  bool have_fault_spec = false, fault_flag = false;
   bool have_threads = false;
   std::uint64_t base_seed = 1, index = 0;
   bool quiet = false, resume = false, progress = false;
@@ -877,19 +864,6 @@ int main(int argc, char** argv) {
       if (!parse_uint_flag("--threads", a + 10, 1u << 16, &parsed)) return 2;
       options.threads = static_cast<unsigned>(parsed);
       have_threads = true;
-    } else if (std::strncmp(a, "--sim-threads-policy=", 21) == 0) {
-      // Same strictness as the numeric flags: an unknown policy name is a
-      // usage error (exit 2) with the accepted values spelled out, never a
-      // silent fallback.
-      if (!parse_sim_threads_policy(a + 21, &options.sim_threads_policy)) {
-        std::fprintf(stderr,
-                     "error: --sim-threads-policy expects one of manifest, "
-                     "serial-jobs-wide, threaded-jobs-narrow, auto; got "
-                     "\"%s\"\n",
-                     a + 21);
-        return 2;
-      }
-      have_policy = true;
     } else if (std::strncmp(a, "--corpus=", 9) == 0) {
       options.corpus_dir = a + 9;
     } else if (std::strncmp(a, "--cache=", 8) == 0) {
@@ -985,14 +959,11 @@ int main(int argc, char** argv) {
         progress) {
       std::fprintf(stderr,
                    "error: --server combines only with --out/--csv/--stream/"
-                   "--priority/--sim-threads-policy/--quiet\n");
+                   "--priority/--quiet\n");
       return 2;
     }
-    return cmd_run_server(
-        args[1], server_path, priority,
-        have_policy ? sim_threads_policy_name(options.sim_threads_policy)
-                    : nullptr,
-        out_path, csv_path, stream_path, quiet);
+    return cmd_run_server(args[1], server_path, priority, out_path, csv_path,
+                          stream_path, quiet);
   }
   if (cmd == "list") return cmd_list();
   if (cmd == "expand" && args.size() == 2) return cmd_expand(args[1]);

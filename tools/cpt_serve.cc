@@ -11,8 +11,6 @@
 //       [--cache-max-entries=N]              FIFO-evict the oldest entries
 //                                            past N (0 = unbounded)
 //       [--threads=N]                        shared pool width (0 = env)
-//       [--sim-threads-policy=P]             default core split; a request
-//                                            may override per run
 //       [--max-retries=N]                    transient retry budget per job
 //       [--metrics-out=FILE]                 write the serve/ metrics
 //                                            snapshot (cpt_metrics_v1) on
@@ -52,8 +50,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: cpt_serve --socket=PATH [--corpus=DIR] [--cache=DIR]\n"
                "                 [--cache-max-entries=N] [--threads=N]\n"
-               "                 [--sim-threads-policy=P] [--max-retries=N]\n"
-               "                 [--metrics-out=FILE] [--quiet]\n");
+               "                 [--max-retries=N] [--metrics-out=FILE]"
+               " [--quiet]\n");
   return 2;
 }
 
@@ -95,13 +93,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.threads = static_cast<unsigned>(parsed);
-    } else if (std::strncmp(a, "--sim-threads-policy=", 21) == 0) {
-      if (!parse_sim_threads_policy(a + 21, &options.sim_threads_policy)) {
-        std::fprintf(stderr,
-                     "error: --sim-threads-policy expects one of manifest, "
-                     "serial-jobs-wide, threaded-jobs-narrow, auto\n");
-        return 2;
-      }
     } else if (std::strncmp(a, "--max-retries=", 14) == 0) {
       if (!parse_uint("--max-retries", a + 14, &parsed) || parsed > 1000) {
         return 2;

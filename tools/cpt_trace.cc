@@ -6,9 +6,6 @@
 //       trace fields (what the golden test pins).
 //   cpt_trace flame TRACE.jsonl
 //       Wall-clock rollup by span name (total and self time).
-//   cpt_trace shards TRACE.jsonl
-//       Simulator shard-rebalance table (epoch loads, imbalance,
-//       boundary moves) from the sim/rebalance instants.
 //   cpt_trace diff FILE_A FILE_B
 //       Compares the deterministic views of two traces (timestamps
 //       stripped) or two metrics snapshots ("runtime" section dropped).
@@ -30,7 +27,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: cpt_trace summary [--no-wall] TRACE.jsonl\n"
                "       cpt_trace flame TRACE.jsonl\n"
-               "       cpt_trace shards TRACE.jsonl\n"
                "       cpt_trace diff FILE_A FILE_B\n");
   return 2;
 }
@@ -72,13 +68,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cmd == "flame" || cmd == "shards") {
+  if (cmd == "flame") {
     if (argc != 3) return usage();
     TraceFile t;
     if (int rc = load_or_fail(argv[2], &t)) return rc;
-    const std::string out = cmd == "flame" ? cpt::scenario::trace_flame(t)
-                                           : cpt::scenario::trace_shards(t);
-    std::fputs(out.c_str(), stdout);
+    std::fputs(cpt::scenario::trace_flame(t).c_str(), stdout);
     return 0;
   }
 
