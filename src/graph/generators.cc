@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -286,8 +287,9 @@ Graph random_regular(NodeId n, std::uint32_t d, Rng& rng) {
     }
     return std::move(b).build();
   }
-  CPT_ASSERT(false && "random_regular: too many rejections");
-  return Graph{};
+  throw std::runtime_error(
+      "random_regular: no simple graph in 200 configuration-model attempts "
+      "(d >= 6 is rarely feasible)");
 }
 
 Graph planar_plus_random_edges(const Graph& g, EdgeId extra, Rng& rng) {

@@ -49,7 +49,8 @@ Graph gnp(NodeId n, double p, Rng& rng);
 Graph gnm(NodeId n, EdgeId m, Rng& rng);
 
 // Random d-regular graph via the configuration model (resampled until
-// simple; requires n*d even, d < n).
+// simple; requires n*d even, d < n). Throws std::runtime_error when 200
+// resamples all fail, as they almost always do for d >= 6.
 Graph random_regular(NodeId n, std::uint32_t d, Rng& rng);
 
 // Adds `extra` uniformly random non-edges to g.

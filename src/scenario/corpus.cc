@@ -30,7 +30,6 @@ static_assert(sizeof(Arc) == 12 && alignof(Arc) == 4);
 static_assert(sizeof(Endpoints) == 8 && alignof(Endpoints) == 4);
 
 constexpr std::uint32_t kMagic = 0x43545043;  // 'CPTC'
-constexpr std::uint32_t kVersionV2 = 2;
 constexpr std::uint32_t kVersionV3 = 3;
 
 // ---- v3 layout ------------------------------------------------------------
@@ -150,66 +149,10 @@ void fill_header_v3(unsigned char* h, std::uint64_t n, std::uint64_t m,
             fnv_bytes(kChecksumSeed, h, kHeaderChecksumOff));
 }
 
-// ---- v2 compatibility ------------------------------------------------------
-
-bool read_u32_f(std::FILE* f, std::uint32_t* out) {
-  unsigned char b[4];
-  if (std::fread(b, 1, 4, f) != 4) return false;
-  *out = load_u32(b);
-  return true;
-}
-
 bool write_u32_f(std::FILE* f, std::uint32_t v) {
   unsigned char b[4];
   store_u32(b, v);
   return std::fwrite(b, 1, 4, f) == 4;
-}
-
-// FNV-1a-64 folded over a payload u32 (byte order matches the file).
-std::uint64_t checksum_step(std::uint64_t h, std::uint32_t v) {
-  unsigned char b[4];
-  store_u32(b, v);
-  return fnv_bytes(h, b, 4);
-}
-
-// v2 loader-side allocation guard: the GraphBuilder replay allocates O(n)
-// before the trailing checksum can vouch for n, so legacy files keep the
-// historical cap. v3 has no such window (the header is checksummed and the
-// graph is mapped, not allocated).
-constexpr std::uint32_t kMaxCachedNodesV2 = 1u << 27;
-
-// Reads the rest of a v2 file (the FILE* is positioned after magic +
-// version) and rebuilds the graph through GraphBuilder.
-bool load_v2_body(std::FILE* f, std::uint64_t file_size, Graph* out) {
-  std::uint32_t n = 0, m = 0;
-  if (!read_u32_f(f, &n) || !read_u32_f(f, &m)) return false;
-  // Cross-check the exact file size a well-formed record implies (header +
-  // m endpoint pairs + checksum) before trusting n and m. u64 arithmetic:
-  // the worst-case forged m (2^32 - 1) stays far below wrap-around, so the
-  // comparison cannot be aliased by an overflowed product.
-  const std::uint64_t expected =
-      16ULL + 8ULL * static_cast<std::uint64_t>(m) + 8ULL;
-  if (n > kMaxCachedNodesV2 || file_size != expected) return false;
-  std::uint64_t sum = checksum_step(checksum_step(kChecksumSeed, n), m);
-  GraphBuilder b(n);
-  for (std::uint32_t e = 0; e < m; ++e) {
-    std::uint32_t u = 0, v = 0;
-    if (!read_u32_f(f, &u) || !read_u32_f(f, &v) || u >= n || v >= n || u == v) {
-      return false;
-    }
-    sum = checksum_step(checksum_step(sum, u), v);
-    b.add_edge(u, v);
-  }
-  std::uint32_t sum_lo = 0, sum_hi = 0;
-  if (!read_u32_f(f, &sum_lo) || !read_u32_f(f, &sum_hi) ||
-      ((static_cast<std::uint64_t>(sum_hi) << 32) | sum_lo) != sum) {
-    return false;
-  }
-  // Anything after the checksum means the writer and reader disagree about
-  // the record: don't trust it.
-  if (std::fgetc(f) != EOF) return false;
-  *out = std::move(b).build();
-  return true;
 }
 
 // ---- v3 loading ------------------------------------------------------------
@@ -331,18 +274,8 @@ CorpusStore::LoadStatus CorpusStore::load(std::uint64_t hash,
     ::close(fd);  // the mapping survives the close
     return ok ? LoadStatus::kHit : corrupt(false);
   }
-  if (version == kVersionV2) {
-    // Legacy format: GraphBuilder replay, then transparent migration --
-    // re-save as v3 (best effort) so the next load is a zero-copy map.
-    std::FILE* f = ::fdopen(fd, "rb");
-    if (f == nullptr) return corrupt(true);
-    bool ok = std::fseek(f, 8, SEEK_SET) == 0 &&
-              load_v2_body(f, file_size, out);
-    std::fclose(f);  // closes fd
-    if (!ok) return corrupt(false);
-    save(hash, *out);
-    return LoadStatus::kHit;
-  }
+  // Any other version, legacy v2 included, is corrupt: the engine
+  // regenerates the instance and re-saves it as v3.
   return corrupt(true);
 }
 
@@ -352,11 +285,13 @@ bool CorpusStore::save(std::uint64_t hash, const Graph& g) const {
   const std::uint64_t m = g.num_edges();
   LayoutV3 layout;
   if (!compute_layout_v3(n, m, &layout)) return false;
-  ::mkdir(dir_.c_str(), 0755);  // EEXIST is fine; failures surface at fopen
+  // EEXIST is fine. Any other failure makes the open below fail and the
+  // store return false; cpt_batch checks its directories before any work.
+  ::mkdir(dir_.c_str(), 0755);
   // Write to a writer-unique temp name then rename: a batch killed
   // mid-save must not leave a truncated file a later run would trust, and
-  // two concurrent writers of the same instance (daemon + CLI, or two
-  // batch workers in different processes) must not share a temp file --
+  // two concurrent writers of the same instance (two cpt_batch processes,
+  // or two batch workers in one) must not share a temp file --
   // with a fixed name, one writer's rename can publish the other's
   // half-written bytes. Concurrent renames of complete files are fine:
   // both wrote identical bytes (saves are deterministic), last one wins.
@@ -562,24 +497,6 @@ bool CorpusStore::save_stream(std::uint64_t hash,
   ok = (::close(fd) == 0) && ok;
   if (ok) ok = durable_rename(tmp_path, final_path);
   if (!ok) std::remove(tmp_path.c_str());
-  return ok;
-}
-
-bool write_corpus_v2(const std::string& path, const Graph& g) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = write_u32_f(f, kMagic) && write_u32_f(f, kVersionV2) &&
-            write_u32_f(f, g.num_nodes()) && write_u32_f(f, g.num_edges());
-  std::uint64_t sum = checksum_step(
-      checksum_step(kChecksumSeed, g.num_nodes()), g.num_edges());
-  for (EdgeId e = 0; ok && e < g.num_edges(); ++e) {
-    const Endpoints ep = g.endpoints(e);
-    ok = write_u32_f(f, ep.u) && write_u32_f(f, ep.v);
-    sum = checksum_step(checksum_step(sum, ep.u), ep.v);
-  }
-  ok = ok && write_u32_f(f, static_cast<std::uint32_t>(sum)) &&
-       write_u32_f(f, static_cast<std::uint32_t>(sum >> 32));
-  ok = (std::fclose(f) == 0) && ok;
   return ok;
 }
 

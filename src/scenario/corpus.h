@@ -15,10 +15,9 @@
 // and no node-count cap (v2 refused graphs above 2^27 nodes; v3 accepts
 // anything within the format limits: n < 2^32 - 1, m < 2^31).
 //
-// Legacy v2 files (u32 header + endpoint list + FNV checksum) are still
-// read -- via the old GraphBuilder replay, with the size cross-check done
-// in u64 so a forged header cannot wrap it -- and are transparently
-// migrated: a v2 hit is re-saved as v3 so the next load maps it.
+// Legacy v2 files (u32 header + endpoint list) are no longer read: their
+// version word fails the header check, so a stale v2 file loads as
+// kCorrupt, is regenerated and is re-saved as v3.
 //
 // Integrity policy: the header checksum and exact-size cross-check are
 // always enforced. The payload checksum is verified in full for files up
@@ -59,9 +58,8 @@ class CorpusStore {
 
   enum class LoadStatus { kMiss, kHit, kCorrupt };
 
-  // kHit fills *out from <dir>/<hash>.cpg -- for v3 files a zero-copy
-  // mmap-backed view, for v2 files a GraphBuilder replay (then re-saved as
-  // v3). kCorrupt means the file exists but failed validation (warned on
+  // kHit fills *out from <dir>/<hash>.cpg as a zero-copy mmap-backed
+  // view. kCorrupt means the file exists but failed validation (warned on
   // stderr; caller should regenerate -- the subsequent save() replaces the
   // damaged file).
   LoadStatus load(std::uint64_t hash, Graph* out) const;
@@ -84,10 +82,5 @@ class CorpusStore {
  private:
   std::string dir_;
 };
-
-// Writes a legacy v2 corpus file (u32 header + endpoint list + checksum).
-// Production code always writes v3; this exists so migration tests can
-// manufacture genuine v2 files.
-bool write_corpus_v2(const std::string& path, const Graph& g);
 
 }  // namespace cpt::scenario

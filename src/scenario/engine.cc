@@ -509,11 +509,8 @@ BatchResult run_batch_impl(const Manifest& manifest,
                                        std::memory_order_relaxed);
   }
 
-  // Concurrent simulations: the resolved --threads value, or a donated
-  // external pool's width.
-  const unsigned workers = options.pool != nullptr
-                               ? options.pool->num_workers()
-                               : congest::resolve_sim_threads(options.threads);
+  // Concurrent simulations: the resolved --threads value.
+  const unsigned workers = congest::resolve_sim_threads(options.threads);
   out.threads_used = workers;
 
   // Track 0 carries the batch phase spans. The resolved worker counts are
@@ -552,11 +549,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
   out.corpus.unique_instances = slots.size();
 
   const CorpusStore store(options.corpus_dir);
-  // A donated external pool (cpt_serve) is reused as-is; otherwise the
-  // batch owns one for the call.
-  std::optional<WorkerPool> owned_pool;
-  if (options.pool == nullptr) owned_pool.emplace(workers);
-  WorkerPool& pool = options.pool != nullptr ? *options.pool : *owned_pool;
+  WorkerPool pool(workers);
 
   const auto cancelled = [&] {
     return options.cancel != nullptr &&

@@ -53,10 +53,6 @@
 #include "scenario/manifest.h"
 #include "util/trace.h"
 
-namespace cpt {
-class WorkerPool;  // util/parallel.h
-}
-
 namespace cpt::scenario {
 
 class ResultCache;  // scenario/result_cache.h
@@ -146,13 +142,6 @@ struct BatchOptions {
   // job is served from the cache (or the resume map) are not materialized
   // at all. Counted in BatchResult::cache_hit_jobs. nullptr = off.
   ResultCache* result_cache = nullptr;
-  // External WorkerPool to run on instead of constructing one per batch
-  // (cpt_serve shares one pool across requests, amortizing thread
-  // creation and keeping the daemon's core budget fixed). When set, the
-  // pool's worker count overrides `threads` as the resolved core count.
-  // The pool must not be running anything else for the duration of the
-  // call (WorkerPool is not reentrant).
-  WorkerPool* pool = nullptr;
   // Optional trace session (util/trace.h). The engine lays out tracks
   // deterministically -- 0 = batch phases, 1+slot = instance
   // materialization, 1+num_slots+job_index = jobs -- so the rendered
@@ -201,7 +190,7 @@ struct BatchResult {
   std::uint32_t completed_jobs = 0;
   double wall_seconds = 0;
   // Batch width actually used (concurrent simulations): the resolved
-  // --threads value, or a donated pool's width.
+  // --threads value.
   unsigned threads_used = 1;
 };
 
@@ -253,9 +242,9 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options,
 // via the registry's streaming edge generator where one exists (no
 // resident graph, O(n) peak memory), else build_instance + save -- and
 // releases each graph immediately, so peak RSS is bounded by one instance
-// regardless of manifest size. Requires options.corpus_dir != "".
-// Instances already present (and valid) in the store are verified-by-load
-// and counted as disk_hits.
+// regardless of manifest size. Instances already present (and valid) in
+// the store are verified-by-load and counted as disk_hits. Without a
+// corpus directory each instance is only built and dropped.
 struct MaterializeResult {
   CorpusCounters corpus;
   std::uint32_t failed_instances = 0;

@@ -361,8 +361,8 @@ bool write_text_file(const std::string& path, std::string_view body) {
   // JSON/CSV, timing docs) treat existence as completeness, so a crashed
   // or failed writer must leave either the old content or nothing --
   // never a truncated file that looks finished.
-  // unique_tmp_path: the daemon and a CLI run (or two daemon requests)
-  // may publish the same output path concurrently; a shared ".tmp" name
+  // unique_tmp_path: two concurrent cpt_batch processes may publish the
+  // same output path; a shared ".tmp" name
   // would let one writer's rename publish the other's partial bytes.
   const std::string tmp_path = unique_tmp_path(path);
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");

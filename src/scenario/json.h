@@ -1,5 +1,5 @@
-// Minimal JSON reader/writer for the scenario engine (manifests in --
-// including ones arriving over cpt_serve's socket -- aggregates out). No
+// Minimal JSON reader/writer for the scenario engine (manifests,
+// journals and result-cache entries in -- aggregates out). No
 // third-party dependency, mirroring bench/bench_json's approach on the
 // write side. The reader is a strict recursive-descent parser for the
 // JSON subset manifests need: objects (insertion order preserved --

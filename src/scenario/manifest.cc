@@ -136,21 +136,28 @@ bool parse_param_block(ParseCtx& ctx, const JsonValue& obj, bool for_perturb,
   return true;
 }
 
+// Every tester requires 0 < epsilon < 1 (stage1_theory_phase_count and its
+// random_partition twin), so anything else is a manifest error, not a job.
 bool parse_epsilons(ParseCtx& ctx, const JsonValue& v,
                     std::vector<double>* out) {
   out->clear();
   if (v.is_number()) {
     out->push_back(v.as_double());
-    return true;
-  }
-  if (v.is_array() && !v.items().empty()) {
+  } else if (v.is_array() && !v.items().empty()) {
     for (const JsonValue& item : v.items()) {
       if (!item.is_number()) return ctx.fail("epsilon: expected numbers");
       out->push_back(item.as_double());
     }
-    return true;
+  } else {
+    return ctx.fail("epsilon: expected a number or non-empty array");
   }
-  return ctx.fail("epsilon: expected a number or non-empty array");
+  for (const double eps : *out) {
+    if (!(eps > 0 && eps < 1)) {
+      return ctx.fail("epsilon: expected values in (0, 1), got " +
+                      json_render_double(eps));
+    }
+  }
+  return true;
 }
 
 bool parse_testers(ParseCtx& ctx, const JsonValue& v,

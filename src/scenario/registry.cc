@@ -46,18 +46,28 @@ const ParamValue* ScenarioParams::find(std::string_view key) const {
   return nullptr;
 }
 
+namespace {
+
+[[noreturn]] void bad_type(std::string_view key, const char* expected,
+                           const ParamValue& got) {
+  throw std::invalid_argument("param \"" + std::string(key) + "\": expected " +
+                              expected + ", got \"" + got.to_string() + "\"");
+}
+
+}  // namespace
+
 std::int64_t ScenarioParams::get_int(std::string_view key,
                                      std::int64_t def) const {
   const ParamValue* p = find(key);
   if (p == nullptr) return def;
-  CPT_EXPECTS(p->kind == ParamValue::Kind::kInt && "integer param expected");
+  if (p->kind != ParamValue::Kind::kInt) bad_type(key, "an integer", *p);
   return p->i;
 }
 
 double ScenarioParams::get_double(std::string_view key, double def) const {
   const ParamValue* p = find(key);
   if (p == nullptr) return def;
-  CPT_EXPECTS(p->kind != ParamValue::Kind::kString && "numeric param expected");
+  if (p->kind == ParamValue::Kind::kString) bad_type(key, "a number", *p);
   return p->kind == ParamValue::Kind::kInt ? static_cast<double>(p->i) : p->d;
 }
 
@@ -65,7 +75,7 @@ std::string ScenarioParams::get_string(std::string_view key,
                                        std::string def) const {
   const ParamValue* p = find(key);
   if (p == nullptr) return def;
-  CPT_EXPECTS(p->kind == ParamValue::Kind::kString && "string param expected");
+  if (p->kind != ParamValue::Kind::kString) bad_type(key, "a string", *p);
   return p->s;
 }
 
@@ -132,77 +142,148 @@ std::uint64_t derive_instance_seed(std::string_view scenario,
 
 namespace {
 
-NodeId p_node(const ScenarioParams& p, std::string_view key, std::int64_t def) {
+// Out-of-domain params throw instead of reaching a generator contract:
+// materialization turns the throw into a failed, non-retried job. Each
+// check mirrors the preconditions of the generator it guards.
+void require(bool ok, std::string_view owner, const std::string& what) {
+  if (!ok) throw std::invalid_argument(std::string(owner) + ": " + what);
+}
+
+// Largest node or edge count: NodeId and EdgeId are u32, kNoNode reserved.
+constexpr std::uint64_t kMaxCount = kNoNode - 1;
+
+// A count param (nodes, edges, degree, blobs, copies) in [min, kMaxCount].
+std::uint32_t p_count(const ScenarioParams& p, std::string_view key,
+                      std::int64_t def, std::int64_t min = 0) {
   const std::int64_t v = p.get_int(key, def);
-  CPT_EXPECTS(v >= 0 && "node-count param must be non-negative");
-  return static_cast<NodeId>(v);
+  require(v >= min && v <= static_cast<std::int64_t>(kMaxCount),
+          "param \"" + std::string(key) + "\"",
+          "expected an integer in [" + std::to_string(min) + ", " +
+              std::to_string(kMaxCount) + "], got " + std::to_string(v));
+  return static_cast<std::uint32_t>(v);
+}
+
+// A derived node or edge count (a + b, n * copies, ...).
+void require_count(std::string_view owner, const char* what,
+                   std::uint64_t v) {
+  require(v <= kMaxCount, owner,
+          std::string(what) + " must be at most " + std::to_string(kMaxCount));
+}
+
+// rows x cols of a lattice family, checked alike on the built and the
+// streamed path; n * edges_per_node bounds m.
+struct LatticeDims {
+  NodeId rows, cols;
+};
+
+LatticeDims lattice_dims(const ScenarioParams& p, std::string_view family,
+                         NodeId min_side, std::uint64_t edges_per_node) {
+  const LatticeDims d{p_count(p, "rows", 16, min_side),
+                      p_count(p, "cols", 16, min_side)};
+  require(std::uint64_t{d.rows} * d.cols <= kMaxCount / edges_per_node,
+          family, "rows * cols is too large");
+  return d;
+}
+
+// planar_plus_random_edges' precondition, for the built and the streamed
+// path: the extras fit among the node pairs the base graph leaves free.
+void check_extra_edges(std::uint64_t n, std::uint64_t m, std::uint64_t extra) {
+  require(m + extra <= n * (n - 1) / 2, "plus_random_edges",
+          "extra exceeds the node pairs the base graph leaves free");
 }
 
 // ---- Family generators ----------------------------------------------------
 
-Graph f_path(const ScenarioParams& p, Rng&) { return gen::path(p_node(p, "n", 64)); }
-Graph f_cycle(const ScenarioParams& p, Rng&) { return gen::cycle(p_node(p, "n", 64)); }
-Graph f_star(const ScenarioParams& p, Rng&) { return gen::star(p_node(p, "n", 64)); }
-Graph f_complete(const ScenarioParams& p, Rng&) { return gen::complete(p_node(p, "k", 5)); }
+Graph f_path(const ScenarioParams& p, Rng&) { return gen::path(p_count(p, "n", 64)); }
+Graph f_cycle(const ScenarioParams& p, Rng&) { return gen::cycle(p_count(p, "n", 64, 3)); }
+Graph f_star(const ScenarioParams& p, Rng&) { return gen::star(p_count(p, "n", 64, 1)); }
+Graph f_complete(const ScenarioParams& p, Rng&) {
+  const std::uint64_t k = p_count(p, "k", 5);
+  require_count("complete", "k * (k - 1) / 2", k * (k - 1) / 2);
+  return gen::complete(static_cast<NodeId>(k));
+}
 Graph f_complete_bipartite(const ScenarioParams& p, Rng&) {
-  return gen::complete_bipartite(p_node(p, "a", 3), p_node(p, "b", 3));
+  const std::uint64_t a = p_count(p, "a", 3), b = p_count(p, "b", 3);
+  require_count("complete_bipartite", "a + b", a + b);
+  require_count("complete_bipartite", "a * b", a * b);
+  return gen::complete_bipartite(static_cast<NodeId>(a), static_cast<NodeId>(b));
 }
 Graph f_grid(const ScenarioParams& p, Rng&) {
-  return gen::grid(p_node(p, "rows", 16), p_node(p, "cols", 16));
+  const LatticeDims d = lattice_dims(p, "grid", 1, 2);
+  return gen::grid(d.rows, d.cols);
 }
 Graph f_trigrid(const ScenarioParams& p, Rng&) {
-  return gen::triangulated_grid(p_node(p, "rows", 16), p_node(p, "cols", 16));
+  const LatticeDims d = lattice_dims(p, "triangulated_grid", 1, 3);
+  return gen::triangulated_grid(d.rows, d.cols);
 }
 Graph f_hypercube(const ScenarioParams& p, Rng&) {
-  return gen::hypercube(static_cast<std::uint32_t>(p.get_int("dim", 4)));
+  const std::int64_t dim = p.get_int("dim", 4);
+  require(dim >= 0 && dim <= 24, "hypercube", "dim must be in [0, 24]");
+  return gen::hypercube(static_cast<std::uint32_t>(dim));
 }
 Graph f_binary_tree(const ScenarioParams& p, Rng&) {
-  return gen::binary_tree(p_node(p, "n", 127));
+  return gen::binary_tree(p_count(p, "n", 127));
 }
 Graph f_random_tree(const ScenarioParams& p, Rng& rng) {
-  return gen::random_tree(p_node(p, "n", 256), rng);
+  return gen::random_tree(p_count(p, "n", 256), rng);
 }
 Graph f_outerplanar(const ScenarioParams& p, Rng& rng) {
-  const NodeId n = p_node(p, "n", 128);
-  const std::int64_t def_chords = n >= 3 ? (n - 3) / 2 : 0;
-  return gen::outerplanar(n, p_node(p, "chords", def_chords), rng);
+  const NodeId n = p_count(p, "n", 128, 3);
+  const NodeId chords = p_count(p, "chords", (std::int64_t{n} - 3) / 2);
+  require(chords <= n - 3, "outerplanar", "chords must be <= n - 3");
+  return gen::outerplanar(n, chords, rng);
 }
 Graph f_apollonian(const ScenarioParams& p, Rng& rng) {
-  return gen::apollonian(p_node(p, "n", 256), rng);
+  return gen::apollonian(p_count(p, "n", 256, 3), rng);
 }
 Graph f_random_planar(const ScenarioParams& p, Rng& rng) {
-  const NodeId n = p_node(p, "n", 256);
-  const std::int64_t def_m = 2 * static_cast<std::int64_t>(n);
-  return gen::random_planar(n, static_cast<EdgeId>(p.get_int("m", def_m)), rng);
+  const NodeId n = p_count(p, "n", 256, 3);
+  const EdgeId m = p_count(p, "m", 2 * std::int64_t{n});
+  require(m + 1 >= n && m <= 3 * std::uint64_t{n} - 6, "random_planar",
+          "m must be in [n - 1, 3n - 6]");
+  return gen::random_planar(n, m, rng);
 }
 Graph f_gnp(const ScenarioParams& p, Rng& rng) {
-  const NodeId n = p_node(p, "n", 256);
-  CPT_EXPECTS(n > 0);
+  const NodeId n = p_count(p, "n", 256, 1);
   const double prob = p.has("p") ? p.get_double("p", 0.0)
                                  : p.get_double("avg_degree", 8.0) / n;
+  require(prob >= 0.0 && prob <= 1.0, "gnp",
+          p.has("p") ? "p must be in [0, 1]" : "avg_degree must be in [0, n]");
   return gen::gnp(n, prob, rng);
 }
 Graph f_gnm(const ScenarioParams& p, Rng& rng) {
-  const NodeId n = p_node(p, "n", 256);
-  return gen::gnm(n, static_cast<EdgeId>(p.get_int("m", 4 * static_cast<std::int64_t>(n))), rng);
+  const std::uint64_t n = p_count(p, "n", 256);
+  const EdgeId m = p_count(p, "m", 4 * static_cast<std::int64_t>(n));
+  require(m <= n * (n - 1) / 2, "gnm", "m must be <= n * (n - 1) / 2");
+  return gen::gnm(static_cast<NodeId>(n), m, rng);
 }
 Graph f_random_regular(const ScenarioParams& p, Rng& rng) {
   // Default degree 4: the configuration model resamples whole matchings,
   // whose simple-graph acceptance rate decays like exp(-(d^2-1)/4) -- d >= 6
   // virtually never survives the generator's 200 attempts.
-  return gen::random_regular(p_node(p, "n", 256),
-                             static_cast<std::uint32_t>(p.get_int("d", 4)), rng);
+  const NodeId n = p_count(p, "n", 256);
+  const std::uint32_t d = p_count(p, "d", 4);
+  require(d < n && std::uint64_t{n} * d % 2 == 0, "random_regular",
+          "d must be < n, with n * d even");
+  return gen::random_regular(n, d, rng);
 }
-Graph f_wheel(const ScenarioParams& p, Rng&) { return gen::wheel(p_node(p, "n", 64)); }
+Graph f_wheel(const ScenarioParams& p, Rng&) { return gen::wheel(p_count(p, "n", 64, 4)); }
 Graph f_caterpillar(const ScenarioParams& p, Rng& rng) {
-  return gen::caterpillar(p_node(p, "spine", 64), p_node(p, "legs", 128), rng);
+  const NodeId spine = p_count(p, "spine", 64, 1), legs = p_count(p, "legs", 128);
+  require_count("caterpillar", "spine + legs", std::uint64_t{spine} + legs);
+  return gen::caterpillar(spine, legs, rng);
 }
 Graph f_toroidal_grid(const ScenarioParams& p, Rng&) {
-  return gen::toroidal_grid(p_node(p, "rows", 16), p_node(p, "cols", 16));
+  const LatticeDims d = lattice_dims(p, "toroidal_grid", 3, 2);
+  return gen::toroidal_grid(d.rows, d.cols);
 }
 Graph f_k5_blobs(const ScenarioParams& p, Rng& rng) {
-  return gen::planar_with_k5_blobs(p_node(p, "backbone_n", 200),
-                                   p_node(p, "blobs", 20), rng);
+  const NodeId backbone_n = p_count(p, "backbone_n", 200, 3);
+  const NodeId blobs = p_count(p, "blobs", 20);
+  // Each blob adds 5 nodes and 11 edges; the backbone has <= 2n edges.
+  require_count("k5_blobs", "2 * backbone_n + 11 * blobs",
+                2 * std::uint64_t{backbone_n} + 11 * std::uint64_t{blobs});
+  return gen::planar_with_k5_blobs(backbone_n, blobs, rng);
 }
 // Environmental failures (missing/unreadable files) throw instead of
 // tripping a contract: the batch engine catches them per job, so one bad
@@ -240,8 +321,9 @@ Graph f_file(const ScenarioParams& p, Rng&) {
 
 Graph x_plus_random_edges(const Graph& base, const ScenarioParams& p,
                           Rng& rng) {
-  return gen::planar_plus_random_edges(
-      base, static_cast<EdgeId>(p.get_int("extra", 0)), rng);
+  const EdgeId extra = p_count(p, "extra", 0);
+  check_extra_edges(base.num_nodes(), base.num_edges(), extra);
+  return gen::planar_plus_random_edges(base, extra, rng);
 }
 
 // Attaches `count` disjoint copies of `blob` to uniformly random base
@@ -249,9 +331,14 @@ Graph x_plus_random_edges(const Graph& base, const ScenarioParams& p,
 // needs >= 1 edge removed to restore the base family's property, so the
 // result is at least (count / m)-far from it -- the same argument as
 // gen::planar_with_k5_blobs, over an arbitrary base.
-Graph inject_blobs(const Graph& base, const Graph& blob, NodeId count,
-                   Rng& rng) {
-  CPT_EXPECTS(base.num_nodes() > 0);
+Graph inject_blobs(const char* perturb, const Graph& base, const Graph& blob,
+                   const ScenarioParams& p, Rng& rng) {
+  const std::uint64_t count = p_count(p, "count", 8);
+  require(base.num_nodes() > 0, perturb, "the base graph has no nodes");
+  require_count(perturb, "nodes after injection",
+                base.num_nodes() + count * blob.num_nodes());
+  require_count(perturb, "edges after injection",
+                base.num_edges() + count * (blob.num_edges() + 1));
   GraphBuilder b(base.num_nodes());
   for (const Endpoints e : base.edges()) b.add_edge(e.u, e.v);
   for (NodeId t = 0; t < count; ++t) {
@@ -266,31 +353,47 @@ Graph inject_blobs(const Graph& base, const Graph& blob, NodeId count,
 }
 
 Graph x_k5_blobs(const Graph& base, const ScenarioParams& p, Rng& rng) {
-  return inject_blobs(base, gen::complete(5),
-                      p_node(p, "count", 8), rng);
+  return inject_blobs("k5_blobs", base, gen::complete(5), p, rng);
 }
 Graph x_k33_blobs(const Graph& base, const ScenarioParams& p, Rng& rng) {
-  return inject_blobs(base, gen::complete_bipartite(3, 3),
-                      p_node(p, "count", 8), rng);
+  return inject_blobs("k33_blobs", base, gen::complete_bipartite(3, 3), p,
+                      rng);
 }
 Graph x_disjoint_copies(const Graph& base, const ScenarioParams& p, Rng&) {
-  return gen::disjoint_copies(base, p_node(p, "copies", 2));
+  const std::uint64_t copies = p_count(p, "copies", 2);
+  require_count("disjoint_copies", "n * copies", base.num_nodes() * copies);
+  require_count("disjoint_copies", "m * copies", base.num_edges() * copies);
+  return gen::disjoint_copies(base, static_cast<NodeId>(copies));
 }
 
 // ---- Presets (examples' graph setups; see examples/*.cc) ------------------
+
+// Presets run at manifest expansion, so they copy user values through
+// unchecked: a mistyped or out-of-range value fails when the instance is
+// built, in the family's or perturbation's reader, like any other param.
+ParamValue preset_value(const ScenarioParams& user, std::string_view key,
+                        std::int64_t def) {
+  const ParamValue* v = user.find(key);
+  return v != nullptr ? *v : ParamValue::of_int(def);
+}
+
+// `extra` random edges, unless the knob is an integer <= 0 (none).
+void preset_extra_edges(const ScenarioParams& user, std::string_view key,
+                        std::int64_t def, ScenarioInstance* inst) {
+  ParamValue extra = preset_value(user, key, def);
+  if (extra.kind == ParamValue::Kind::kInt && extra.i <= 0) return;
+  inst->perturb = "plus_random_edges";
+  inst->perturb_params.set("extra", std::move(extra));
+}
 
 // road_network: a planar street grid with `flyovers` long-range crossings
 // (examples/road_network.cc).
 ScenarioInstance preset_road_network(const ScenarioParams& user) {
   ScenarioInstance inst;
   inst.family = "grid";
-  inst.params.set_int("rows", user.get_int("rows", 40));
-  inst.params.set_int("cols", user.get_int("cols", 40));
-  const std::int64_t flyovers = user.get_int("flyovers", 200);
-  if (flyovers > 0) {
-    inst.perturb = "plus_random_edges";
-    inst.perturb_params.set_int("extra", flyovers);
-  }
+  inst.params.set("rows", preset_value(user, "rows", 40));
+  inst.params.set("cols", preset_value(user, "cols", 40));
+  preset_extra_edges(user, "flyovers", 200, &inst);
   return inst;
 }
 
@@ -299,13 +402,9 @@ ScenarioInstance preset_road_network(const ScenarioParams& user) {
 ScenarioInstance preset_overlay_backbone(const ScenarioParams& user) {
   ScenarioInstance inst;
   inst.family = "random_planar";
-  inst.params.set_int("n", user.get_int("n", 1500));
-  inst.params.set_int("m", user.get_int("m", 3200));
-  const std::int64_t overlay = user.get_int("overlay", 300);
-  if (overlay > 0) {
-    inst.perturb = "plus_random_edges";
-    inst.perturb_params.set_int("extra", overlay);
-  }
+  inst.params.set("n", preset_value(user, "n", 1500));
+  inst.params.set("m", preset_value(user, "m", 3200));
+  preset_extra_edges(user, "overlay", 300, &inst);
   return inst;
 }
 
@@ -496,13 +595,14 @@ std::unique_ptr<gen::EdgeStream> make_edge_stream(
   if (!instance.perturb.empty() && instance.perturb != "plus_random_edges") {
     return nullptr;
   }
-  const NodeId rows = p_node(instance.params, "rows", 16);
-  const NodeId cols = p_node(instance.params, "cols", 16);
-  auto base = diagonals ? gen::triangulated_grid_stream(rows, cols)
-                        : gen::grid_stream(rows, cols);
+  // The same checks as f_grid / f_trigrid / x_plus_random_edges.
+  const LatticeDims d = lattice_dims(instance.params, instance.family,
+                                     1, diagonals ? 3 : 2);
+  auto base = diagonals ? gen::triangulated_grid_stream(d.rows, d.cols)
+                        : gen::grid_stream(d.rows, d.cols);
   if (instance.perturb.empty()) return base;
-  const auto extra = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, instance.perturb_params.get_int("extra", 0)));
+  const EdgeId extra = p_count(instance.perturb_params, "extra", 0);
+  check_extra_edges(base->num_nodes(), base->num_edges(), extra);
   if (extra == 0) {
     // planar_plus_random_edges with extra=0 draws nothing; the base set is
     // the whole graph.
@@ -512,7 +612,7 @@ std::unique_ptr<gen::EdgeStream> make_edge_stream(
   // the Rng, so the perturbation draws from a fresh instance-seeded chain.
   Rng rng(instance.seed);
   std::vector<Endpoints> extras = draw_lattice_extras(
-      rows, cols, diagonals, extra, base->num_edges(), rng);
+      d.rows, d.cols, diagonals, extra, base->num_edges(), rng);
   return gen::merge_extra_edges(std::move(base), std::move(extras));
 }
 

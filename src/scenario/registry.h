@@ -80,8 +80,8 @@ class ScenarioParams {
   const ParamValue* find(std::string_view key) const;
 
   // Typed getters with defaults. get_int accepts kInt only; get_double
-  // accepts kInt or kDouble. A present-but-mistyped param is a contract
-  // violation (manifest validation happens at parse time).
+  // accepts kInt or kDouble. A present-but-mistyped param throws
+  // std::invalid_argument naming the key.
   std::int64_t get_int(std::string_view key, std::int64_t def) const;
   double get_double(std::string_view key, double def) const;
   std::string get_string(std::string_view key, std::string def) const;
@@ -182,7 +182,8 @@ ScenarioInstance resolve_scenario(std::string_view name,
                                   std::uint64_t index);
 
 // Builds the instance's graph: family generator, then the perturbation,
-// both drawing from one Rng seeded with instance.seed.
+// both drawing from one Rng seeded with instance.seed. A param outside its
+// generator's domain throws std::invalid_argument naming the key.
 Graph build_instance(const ScenarioInstance& instance);
 
 // Streaming alternative to build_instance for families with analytic edge
@@ -193,7 +194,7 @@ Graph build_instance(const ScenarioInstance& instance);
 // analytic lattice adjacency, so the corpus file written from the stream
 // is byte-identical to one written from the built graph (pinned by
 // tests). Returns nullptr when the instance has no streaming generator;
-// callers fall back to build_instance.
+// callers fall back to build_instance, which throws on the same params.
 std::unique_ptr<gen::EdgeStream> make_edge_stream(
     const ScenarioInstance& instance);
 

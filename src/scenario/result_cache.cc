@@ -4,11 +4,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
-#include <vector>
 
 #include "scenario/journal.h"
 #include "scenario/json.h"
@@ -23,16 +20,14 @@ namespace {
 // the cache dir shareable with the corpus (.cpg) without the two sweeps
 // or globs ever matching each other's files.
 constexpr const char* kEntrySuffix = ".cpr";
-constexpr std::size_t kEntrySuffixLen = 4;
 
 }  // namespace
 
-ResultCache::ResultCache(std::string dir, std::uint64_t max_entries)
-    : dir_(std::move(dir)), max_entries_(max_entries) {
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   if (dir_.empty()) return;
   // Sweep orphaned publish temporaries, mirroring the corpus store: a
   // writer killed between open and rename leaks <key>.cpr.tmp.<pid>.<n>.
-  // Live-pid temps are kept (sweepable_tmp): a concurrent daemon or batch
+  // Live-pid temps are kept (sweepable_tmp): a concurrent cpt_batch
   // process may be mid-store in this very directory.
   DIR* d = ::opendir(dir_.c_str());
   if (d == nullptr) return;  // created later on first store
@@ -62,16 +57,12 @@ ResultCache::LoadStatus ResultCache::load(const Job& job,
   if (!enabled()) return LoadStatus::kMiss;
   const std::string path = path_for(key_for(job));
   std::string text;
-  if (!read_text_file(path, &text)) {
-    counters_.misses.fetch_add(1, std::memory_order_relaxed);
-    return LoadStatus::kMiss;
-  }
+  if (!read_text_file(path, &text)) return LoadStatus::kMiss;
   const auto corrupt = [&] {
     // Self-heal: a removed entry is re-stored on this run's retire. A
     // concurrent writer may have already replaced it with a good entry;
     // removing that one too only costs the next run a re-execution.
     std::remove(path.c_str());
-    counters_.corrupt.fetch_add(1, std::memory_order_relaxed);
     return LoadStatus::kCorrupt;
   };
   if (text.empty() || text.back() != '\n') return corrupt();
@@ -106,13 +97,11 @@ ResultCache::LoadStatus ResultCache::load(const Job& job,
       seed != job.tester_seed) {
     // A valid entry for a different job: a key collision. Not corruption
     // of this file -- leave it for its owner -- but a miss for us.
-    counters_.misses.fetch_add(1, std::memory_order_relaxed);
     return LoadStatus::kMiss;
   }
   JobResult r;
   std::string perr;
   if (!parse_result_fields(rec, &r, &perr)) return corrupt();
-  counters_.hits.fetch_add(1, std::memory_order_relaxed);
   *out = std::move(r);
   return LoadStatus::kHit;
 }
@@ -130,7 +119,9 @@ bool ResultCache::store(const Job& job, const JobResult& result) const {
   rec += "}";
   const std::string line = checksummed_record_line(rec);
 
-  ::mkdir(dir_.c_str(), 0755);  // EEXIST is fine; failures surface at fopen
+  // EEXIST is fine. Any other failure makes the open below fail and the
+  // store return false; cpt_batch checks its directories before any work.
+  ::mkdir(dir_.c_str(), 0755);
   const std::string final_path = path_for(key_for(job));
   const std::string tmp_path = unique_tmp_path(final_path);
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
@@ -143,53 +134,7 @@ bool ResultCache::store(const Job& job, const JobResult& result) const {
     std::remove(tmp_path.c_str());
     return false;
   }
-  counters_.stores.fetch_add(1, std::memory_order_relaxed);
-  if (max_entries_ > 0) evict_over_cap();
   return true;
-}
-
-void ResultCache::evict_over_cap() const {
-  // Write-time FIFO over mtime. The scan is O(entries) per store; caches
-  // small enough to want a cap are small enough to scan. Concurrent
-  // evictors race benignly: remove() of a already-gone file fails
-  // silently and the count converges.
-  struct Entry {
-    std::string name;
-    std::int64_t mtime_ns;
-  };
-  std::vector<Entry> entries;
-  DIR* d = ::opendir(dir_.c_str());
-  if (d == nullptr) return;
-  while (const dirent* ent = ::readdir(d)) {
-    const std::size_t len = std::strlen(ent->d_name);
-    if (len <= kEntrySuffixLen ||
-        std::strcmp(ent->d_name + (len - kEntrySuffixLen), kEntrySuffix) !=
-            0) {
-      continue;
-    }
-    struct stat st {};
-    const std::string path = dir_ + "/" + ent->d_name;
-    if (::stat(path.c_str(), &st) != 0) continue;
-    entries.push_back(
-        {ent->d_name, static_cast<std::int64_t>(st.st_mtim.tv_sec) *
-                              1000000000 +
-                          st.st_mtim.tv_nsec});
-  }
-  ::closedir(d);
-  if (entries.size() <= max_entries_) return;
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              // Oldest first; name breaks mtime ties so two evictors
-              // agree on the victim order.
-              return a.mtime_ns != b.mtime_ns ? a.mtime_ns < b.mtime_ns
-                                              : a.name < b.name;
-            });
-  const std::size_t excess = entries.size() - max_entries_;
-  for (std::size_t i = 0; i < excess; ++i) {
-    if (std::remove((dir_ + "/" + entries[i].name).c_str()) == 0) {
-      counters_.evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace cpt::scenario

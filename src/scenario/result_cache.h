@@ -1,6 +1,7 @@
-// Persistent content-addressed result cache (cpt_serve's reason repeated
-// sweeps cost nothing), living next to the corpus store: one file per
-// cached JobResult, keyed by the job's content address.
+// Persistent content-addressed result cache, living next to the corpus
+// store: one file per cached JobResult, keyed by the job's content
+// address. Repeated sweeps, from one cpt_batch process or several at
+// once, re-simulate only what changed.
 //
 // Key derivation reuses the journal fingerprint's FNV-1a-64 chain over
 // exactly the identity a result is a function of: the cell_key string
@@ -26,16 +27,9 @@
 // and reported as kCorrupt; the engine re-executes and re-stores, so the
 // cache self-heals exactly like the corpus. Failed results are never
 // stored (they may be transient); timed-out results are (a round-budget
-// refusal is deterministic).
-//
-// Eviction: with max_entries > 0, store() scans the directory after
-// publishing and removes the oldest entries by mtime until the count is
-// back under the cap -- write-time FIFO, not LRU (reads do not touch
-// mtime), which is cheap, multi-process safe (remove() of an already
-// evicted entry is a no-op) and good enough for a bounded scratch cache.
+// refusal is deterministic). The directory has no size cap.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -47,8 +41,7 @@ namespace cpt::scenario {
 class ResultCache {
  public:
   // dir = "" disables the cache (every load misses, every store no-ops).
-  // max_entries = 0 means unbounded.
-  explicit ResultCache(std::string dir, std::uint64_t max_entries = 0);
+  explicit ResultCache(std::string dir);
 
   bool enabled() const { return !dir_.empty(); }
   const std::string& dir() const { return dir_; }
@@ -69,25 +62,10 @@ class ResultCache {
   // Failed results are rejected (returns false without writing).
   bool store(const Job& job, const JobResult& result) const;
 
-  // Monotonic counters since construction (relaxed atomics; exact once
-  // concurrent runs quiesce). Evictions count files this instance removed
-  // to enforce max_entries; corrupt counts entries load() rejected.
-  struct Counters {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> corrupt{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> evictions{0};
-  };
-  const Counters& counters() const { return counters_; }
-
  private:
   std::string path_for(std::uint64_t key) const;
-  void evict_over_cap() const;
 
   std::string dir_;
-  std::uint64_t max_entries_ = 0;
-  mutable Counters counters_;
 };
 
 }  // namespace cpt::scenario

@@ -23,8 +23,8 @@ bool durable_rename(const std::string& tmp_path, const std::string& final_path);
 
 // A collision-free temporary name for publishing `final_path`:
 // "<final_path>.tmp.<pid>.<counter>". The pid separates concurrent
-// processes (daemon + CLI, or two clients materializing the same
-// instance); the process-wide atomic counter separates concurrent threads
+// processes (two cpt_batch runs materializing the same instance or
+// storing the same result); the process-wide atomic counter separates concurrent threads
 // inside one. A fixed "<final>.tmp" name lets two writers open the same
 // temp file: the second truncates the first mid-write and the first's
 // rename() then publishes the second's half-written bytes under the final
@@ -35,9 +35,9 @@ std::string unique_tmp_path(const std::string& final_path);
 // `marker` (e.g. ".cpg.tmp") and the temp file is safe to delete. Legacy
 // bare-marker names (the fixed "<final>.tmp" spelling that predates
 // unique_tmp_path) are always sweepable; pid-suffixed names only once the
-// owning process is gone, so a store opening a shared directory (daemon +
-// CLI, two batch processes) never deletes another live writer's in-flight
-// bytes out from under its rename.
+// owning process is gone, so a store opening a directory shared by
+// concurrent cpt_batch processes never deletes another live writer's
+// in-flight bytes out from under its rename.
 bool sweepable_tmp(const char* name, const char* marker);
 
 }  // namespace cpt

@@ -1,9 +1,8 @@
 // Corpus v3 + streaming generators + pooled run-state suite (the
 // out-of-core PR): v3 round-trip through the zero-copy mmap path,
 // mapped-view vs GraphBuilder bit-identity across every registry family,
-// torn/truncated/bit-rotted v3 files, transparent v2 -> v3 migration
-// (including the forged-header size regression that used to overflow
-// `long` arithmetic), save_stream byte-identity with the in-memory writer,
+// torn/truncated/bit-rotted v3 files and stale v2 files (both corrupt,
+// so regenerated), save_stream byte-identity with the in-memory writer,
 // edge-stream equivalence with the materialized generators, and the
 // engine's pooled RunState reuse pinned bit-identical to fresh state at
 // every thread count.
@@ -171,81 +170,26 @@ TEST(CorpusV3, DetectsTornTruncatedAndBitRottenFiles) {
     std::fclose(f);
     EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt);
   }
+  // A legacy v2 file (u32 magic, version 2, n, m, endpoint pairs, u64
+  // checksum) is no longer read: it is corrupt, so the engine regenerates
+  // the instance and re-saves it as v3.
+  {
+    std::vector<std::uint32_t> words = {0x43545043u, 2u, g.num_nodes(),
+                                        g.num_edges()};
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      words.push_back(g.endpoints(e).u);
+      words.push_back(g.endpoints(e).v);
+    }
+    words.insert(words.end(), {0u, 0u});
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(words.data(), 4, words.size(), f), words.size());
+    std::fclose(f);
+    EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt);
+  }
   ASSERT_TRUE(store.save(inst.hash(), g));
   EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kHit);
   expect_identical_csr(out, g);
-}
-
-// ---- v2 migration ----------------------------------------------------------
-
-TEST(CorpusV2, MigratesToV3OnFirstLoad) {
-  const CorpusStore store(temp_dir());
-  ScenarioParams params;
-  params.set_int("n", 70);
-  const ScenarioInstance inst = resolve_scenario("random_planar", params, 6, 2);
-  const Graph g = build_instance(inst);
-  const std::string path = store.path_for(inst.hash());
-  ASSERT_TRUE(write_corpus_v2(path, g));
-  {
-    std::uint32_t version = 0;
-    const std::string bytes = slurp_bytes(path);
-    ASSERT_GE(bytes.size(), 8u);
-    std::memcpy(&version, bytes.data() + 4, 4);
-    ASSERT_EQ(version, 2u);
-  }
-
-  // First load replays the v2 endpoint list (an owned build, not a view)
-  // and re-saves the entry as v3.
-  Graph first;
-  ASSERT_EQ(store.load(inst.hash(), &first), CorpusStore::LoadStatus::kHit);
-  EXPECT_FALSE(first.is_external_view());
-  expect_identical_csr(first, g);
-  {
-    std::uint32_t version = 0;
-    const std::string bytes = slurp_bytes(path);
-    ASSERT_GE(bytes.size(), 64u);
-    std::memcpy(&version, bytes.data() + 4, 4);
-    EXPECT_EQ(version, 3u);
-  }
-
-  // Second load maps the migrated file.
-  Graph second;
-  ASSERT_EQ(store.load(inst.hash(), &second), CorpusStore::LoadStatus::kHit);
-  EXPECT_TRUE(second.is_external_view());
-  expect_identical_csr(second, g);
-}
-
-TEST(CorpusV2, RejectsForgedEdgeCountWithoutOverflow) {
-  // Regression: the v2 size cross-check used to run in `long` arithmetic
-  // seeded from the untrusted header, so a forged edge count could wrap
-  // the expected size into agreement and drive a huge allocation. All-u64
-  // arithmetic + the node cap must classify it as corrupt instead.
-  const CorpusStore store(temp_dir());
-  const Graph g = gen::grid(4, 4);
-  const std::uint64_t hash = 0xabcdef0123456789ULL;
-  const std::string path = store.path_for(hash);
-  ASSERT_TRUE(write_corpus_v2(path, g));
-  Graph out;
-  for (const std::uint32_t forged_m :
-       {0xFFFFFFFFu, 0x80000000u, 0x20000000u}) {
-    ASSERT_TRUE(write_corpus_v2(path, g));
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);  // v2 header: m at [12, 16)
-    ASSERT_EQ(std::fwrite(&forged_m, 4, 1, f), 1u);
-    std::fclose(f);
-    EXPECT_EQ(store.load(hash, &out), CorpusStore::LoadStatus::kCorrupt)
-        << forged_m;
-  }
-  // Forged node count above the v2 replay cap: refused before allocation.
-  ASSERT_TRUE(write_corpus_v2(path, g));
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  const std::uint32_t forged_n = 0xF0000000u;
-  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);  // v2 header: n at [8, 12)
-  ASSERT_EQ(std::fwrite(&forged_n, 4, 1, f), 1u);
-  std::fclose(f);
-  EXPECT_EQ(store.load(hash, &out), CorpusStore::LoadStatus::kCorrupt);
 }
 
 // ---- Streaming generators --------------------------------------------------

@@ -908,6 +908,37 @@ TEST(CliParsing, MaterializeSubcommandPopulatesCorpusForRun) {
   EXPECT_NE(summary.find("0 generated"), std::string::npos) << summary;
 }
 
+TEST(CliParsing, UnusableStoreDirectoriesExitOne) {
+  // A store that cannot write is a miss, not an error, so an unusable
+  // --corpus/--cache path must be refused before any work (exit 1, like
+  // an unwritable --out) rather than silently cache nothing.
+  const std::string manifest =
+      std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json";
+  const std::string dir = temp_dir();
+  write_file(dir + "/file", "not a directory\n");
+  const std::string bin = std::string(CPT_BATCH_BIN);
+  const std::string err = dir + "/err.txt";
+  const auto expect_refused = [&](const std::string& args, const char* flag) {
+    EXPECT_EQ(run_command(bin + " " + args + " --quiet 2>" + err), 1) << args;
+    EXPECT_NE(slurp(err).find(flag), std::string::npos) << args;
+  };
+  for (const std::string& bad :
+       {dir + "/missing/a/b", dir + "/file/x", dir + "/file"}) {
+    expect_refused("materialize " + manifest + " --corpus=" + bad,
+                   "--corpus=");
+    expect_refused("run " + manifest + " --corpus=" + bad, "--corpus=");
+    expect_refused("run " + manifest + " --cache=" + bad, "--cache=");
+  }
+  // A missing leaf under an existing parent is created.
+  EXPECT_EQ(run_command(bin + " materialize " + manifest + " --quiet" +
+                        " --corpus=" + dir + "/corpus"),
+            0);
+  EXPECT_EQ(run_command(bin + " run " + manifest + " --quiet --corpus=" +
+                        dir + "/corpus --cache=" + dir + "/cache"),
+            0);
+  EXPECT_GT(count_files_containing(dir + "/cache", ".cpr"), 0u);
+}
+
 #endif  // CPT_BATCH_BIN
 
 }  // namespace

@@ -134,6 +134,89 @@ TEST(Registry, EveryFamilyBuildsAGraph) {
   }
 }
 
+// Every family, perturbation and preset key set to values outside most
+// generators' domains. Each instance must build or fail as a job: no abort
+// on a generator contract, and no retry (a deterministic error is not
+// transient). With a corpus directory the grid families take the streamed
+// writer, so both materialization paths see the same checks.
+TEST(Registry, OutOfDomainParamsFailTheirInstanceWithoutRetry) {
+  std::string corpus = testing::TempDir() + "cpt_domain_XXXXXX";
+  ASSERT_NE(mkdtemp(corpus.data()), nullptr);
+  const std::vector<ParamValue> values = {
+      ParamValue::of_int(-1), ParamValue::of_int(0), ParamValue::of_double(2.5),
+      ParamValue::of_int(std::int64_t{1} << 33), ParamValue::of_string("x")};
+  // (scenario, perturbation, accepted keys); perturbations ride a small grid.
+  struct Target {
+    std::string scenario, perturb;
+    const char* keys;
+    bool preset;
+  };
+  std::vector<Target> targets;
+  for (const FamilyInfo& f : scenario_families()) {
+    targets.push_back({f.name, "", f.param_keys, false});
+  }
+  for (const PerturbInfo& x : scenario_perturbations()) {
+    targets.push_back({"grid", x.name, x.param_keys, false});
+  }
+  for (const PresetInfo& p : scenario_presets()) {
+    targets.push_back({p.name, "", p.param_keys, true});
+  }
+  std::size_t failed = 0, built = 0;
+  for (const Target& t : targets) {
+    std::string_view keys(t.keys);
+    while (!keys.empty()) {
+      const std::size_t comma = keys.find(',');
+      const std::string key(keys.substr(0, comma));
+      keys.remove_prefix(comma == std::string_view::npos ? keys.size()
+                                                         : comma + 1);
+      for (const ParamValue& value : values) {
+        Manifest m;
+        ManifestCell cell;
+        cell.scenario = t.scenario;
+        cell.epsilons = {0.1};
+        cell.testers = {TesterKind::kPlanarity};
+        if (t.perturb.empty()) {
+          cell.fixed_params.set(key, value);
+        } else {
+          cell.fixed_params.set_int("rows", 4);
+          cell.fixed_params.set_int("cols", 4);
+          cell.perturb = t.perturb;
+          cell.fixed_perturb_params.set(key, value);
+        }
+        m.cells.push_back(cell);
+        const std::string label =
+            expand_manifest(m)[0].instance.label_with_seed();
+        for (const bool with_corpus : {true, false}) {
+          BatchOptions opt;
+          opt.corpus_dir = with_corpus ? corpus : "";
+          const MaterializeResult r = materialize_manifest(m, opt);
+          const std::string where = label + (with_corpus ? " (corpus)" : "");
+          ASSERT_EQ(r.corpus.unique_instances, 1u) << where;
+          if (r.failed_instances == 0) {
+            ++built;
+            continue;
+          }
+          ++failed;
+          ASSERT_EQ(r.errors.size(), 1u) << where;
+          const std::string error = r.errors[0].substr(label.size() + 2);
+          EXPECT_FALSE(is_transient_error(error)) << where << ": " << error;
+          // Presets forward their knobs, so the message may name the
+          // family or perturbation key they map to instead. file(path=x)
+          // is in domain and fails on the missing file.
+          const bool missing_file =
+              t.scenario == "file" && value.kind == ParamValue::Kind::kString;
+          if (!t.preset && !missing_file) {
+            EXPECT_NE(error.find(key), std::string::npos)
+                << where << ": " << error;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(built, 0u);
+}
+
 TEST(Registry, SeedDerivationIsStableAndSeparates) {
   ScenarioParams p1;
   p1.set_int("rows", 12);
@@ -413,6 +496,25 @@ TEST(Manifest, MalformedJsonReportsErrorsNotCrashes) {
   EXPECT_FALSE(parse_manifest(
       R"({"cells": [{"scenario": "grid", "sim_threads": 99}]})", &m, &err));
   EXPECT_NE(err.find("sim_threads"), std::string::npos) << err;
+}
+
+TEST(Manifest, RejectsEpsilonOutsideTheOpenUnitInterval) {
+  // Every tester requires 0 < epsilon < 1, so anything else fails the
+  // manifest rather than a partition contract mid-run.
+  Manifest m;
+  for (const char* eps : {"0", "-0.5", "1.5", "1", "[0.1, 0]"}) {
+    std::string err;
+    const std::string text =
+        std::string(R"({"cells": [{"scenario": "grid", "epsilon": )") + eps +
+        "}]}";
+    EXPECT_FALSE(parse_manifest(text, &m, &err)) << eps;
+    EXPECT_NE(err.find("epsilon"), std::string::npos) << err;
+  }
+  std::string err;
+  EXPECT_TRUE(parse_manifest(
+      R"({"cells": [{"scenario": "grid", "epsilon": [0.001, 0.999]}]})", &m,
+      &err))
+      << err;
 }
 
 TEST(Manifest, RejectsUnknownNamesAndBadFields) {

@@ -12,16 +12,8 @@
 //                                           are served without simulating,
 //                                           and freshly executed results
 //                                           are stored; the aggregate stays
-//                                           byte-identical either way
-//       [--cache-max-entries=N]             FIFO-evict past N entries
-//       [--server=SOCK]                     thin-client mode: send the
-//                                           manifest to a cpt_serve daemon
-//                                           on SOCK and relay its byte-
-//                                           identical aggregate; only
-//                                           --out/--csv/--stream/--priority/
-//                                           --quiet combine with it
-//       [--priority=N]                      server queue priority (higher
-//                                           runs sooner; default 0)
+//                                           byte-identical either way;
+//                                           concurrent runs may share DIR
 //       [--out=FILE]                        aggregate JSON (deterministic:
 //                                           bit-identical at every --threads)
 //       [--csv=FILE]                        aggregate CSV
@@ -76,15 +68,15 @@
 //
 // Exit status:
 //    0  every job ran (timed-out jobs are reported, not fatal)
-//    1  hard failure: bad usage/manifest, unwritable output, failed jobs
-//       (the aggregate covers only the jobs that ran), fingerprint mismatch
+//    1  hard failure: bad usage/manifest, unwritable output, a --corpus or
+//       --cache path that cannot be a directory, failed jobs (the
+//       aggregate covers only the jobs that ran), fingerprint mismatch
 //    2  usage error
 //   75  resumable interruption (EX_TEMPFAIL): SIGINT/SIGTERM drained the
 //       in-flight jobs and flushed the journal + partial aggregate, or the
 //       journal itself could not be written -- re-run with --resume
 //  137  injected hard kill (fault plan `exit` action; mimics SIGKILL)
-#include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -209,9 +201,8 @@ int usage() {
                "usage:\n"
                "  cpt_batch list\n"
                "  cpt_batch expand <manifest.json>\n"
-               "  cpt_batch run <manifest.json> [--threads=N] [--corpus=DIR]\n"
-               "                [--cache=DIR] [--cache-max-entries=N]"
-               " [--server=SOCK] [--priority=N]\n"
+               "  cpt_batch run <manifest.json> [--threads=N] [--corpus=DIR]"
+               " [--cache=DIR]\n"
                "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]"
                " [--stream=FILE]\n"
                "                [--journal=FILE] [--resume]"
@@ -594,178 +585,20 @@ int cmd_materialize(const std::string& path, const BatchOptions& options,
   return 0;
 }
 
-// ---- Thin client for a cpt_serve daemon (`run --server=SOCK`) ------------
-
-bool send_all_fd(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-// One '\n'-terminated line (stripped); false on EOF/error.
-bool recv_line(int fd, std::string* buf, std::string* line) {
-  while (true) {
-    const std::size_t pos = buf->find('\n');
-    if (pos != std::string::npos) {
-      line->assign(*buf, 0, pos);
-      buf->erase(0, pos + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buf->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-// Sends the manifest to the daemon and relays its response: the streamed
-// cpt_batch_aggregate_stream_v1 lines go to --stream verbatim, and the
-// terminal "done" line carries the full aggregate/CSV documents (escaped)
-// for --out/--csv -- byte-identical to a local run because the server
-// renders them through the exact same code path. The exit code mirrors
-// what a local run of the same manifest would return (0 ok, 1 failed
-// jobs); connection/protocol failures are 1.
-int cmd_run_server(const std::string& manifest_path,
-                   const std::string& socket_path, std::uint64_t priority,
-                   const std::string& out_path,
-                   const std::string& csv_path, const std::string& stream_path,
-                   bool quiet) {
-  std::string manifest_text;
-  if (!read_text_file(manifest_path, &manifest_text)) {
-    std::fprintf(stderr, "error: cannot read %s\n", manifest_path.c_str());
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof addr.sun_path) {
-    std::fprintf(stderr, "error: socket path too long: %s\n",
-                 socket_path.c_str());
-    return 1;
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    std::fprintf(stderr, "error: cannot connect to %s: %s\n",
-                 socket_path.c_str(), std::strerror(errno));
-    if (fd >= 0) ::close(fd);
-    return 1;
-  }
-  std::signal(SIGPIPE, SIG_IGN);
-
-  std::string req = "{\"op\": \"run\", \"manifest_text\": ";
-  json_append_escaped(req, manifest_text);
-  req += ", \"priority\": " + json_render_uint(priority);
-  req += "}\n";
-  if (!send_all_fd(fd, req)) {
-    std::fprintf(stderr, "error: cannot write to %s\n", socket_path.c_str());
-    ::close(fd);
-    return 1;
-  }
-
-  std::FILE* stream = nullptr;
-  if (!stream_path.empty()) {
-    stream = std::fopen(stream_path.c_str(), "w");
-    if (stream == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
-      ::close(fd);
-      return 1;
-    }
-  }
-  const auto fail = [&](const std::string& message) {
-    std::fprintf(stderr, "error: %s\n", message.c_str());
-    if (stream != nullptr) std::fclose(stream);
-    ::close(fd);
-    return 1;
-  };
-
-  std::string buf, line;
-  while (true) {
-    if (!recv_line(fd, &buf, &line)) {
-      return fail("server closed the connection before finishing");
-    }
-    JsonValue msg;
-    std::string jerr;
-    if (!JsonValue::parse(line, &msg, &jerr) || !msg.is_object()) {
-      return fail("bad server response: " + jerr);
-    }
-    if (const JsonValue* ok = msg.find("ok")) {
-      if (ok->is_bool() && !ok->as_bool()) {
-        const JsonValue* e = msg.find("error");
-        return fail(e != nullptr && e->is_string() ? e->as_string()
-                                                   : "server error");
-      }
-      continue;  // the enqueue ack
-    }
-    const JsonValue* done = msg.find("done");
-    if (done == nullptr) {
-      // A verbatim cpt_batch_aggregate_stream_v1 line.
-      if (stream != nullptr) {
-        std::fprintf(stream, "%s\n", line.c_str());
-        std::fflush(stream);
-      }
-      continue;
-    }
-    // Terminal line: unpack totals and the full documents.
-    const auto get_u64 = [&](const char* key) -> std::uint64_t {
-      const JsonValue* v = msg.find(key);
-      return v != nullptr && v->is_integer()
-                 ? static_cast<std::uint64_t>(v->as_int64())
-                 : 0;
-    };
-    const std::uint64_t jobs = get_u64("jobs");
-    const std::uint64_t failed = get_u64("failed_jobs");
-    const std::uint64_t timed_out = get_u64("timed_out_jobs");
-    const std::uint64_t cache_hits = get_u64("cache_hit_jobs");
-    const int exit_code = static_cast<int>(get_u64("exit_code"));
-    const JsonValue* aggregate = msg.find("aggregate");
-    const JsonValue* csv = msg.find("csv");
-    if (stream != nullptr && std::fclose(stream) != 0) {
-      stream = nullptr;
-      return fail("cannot write " + stream_path);
-    }
-    stream = nullptr;
-    if (!out_path.empty()) {
-      if (aggregate == nullptr || !aggregate->is_string() ||
-          !write_text_file(out_path, aggregate->as_string())) {
-        return fail("cannot write " + out_path);
-      }
-    }
-    if (!csv_path.empty()) {
-      if (csv == nullptr || !csv->is_string() ||
-          !write_text_file(csv_path, csv->as_string())) {
-        return fail("cannot write " + csv_path);
-      }
-    }
-    if (!quiet) {
-      std::printf("# serve: %" PRIu64 " of %" PRIu64
-                  " jobs from result cache (via %s)\n",
-                  cache_hits, jobs, socket_path.c_str());
-      if (timed_out > 0) {
-        std::printf("# serve: %" PRIu64 " job(s) timed out at the round "
-                    "budget\n",
-                    timed_out);
-      }
-    }
-    if (failed > 0) {
-      std::fprintf(stderr,
-                   "error: %" PRIu64 " of %" PRIu64
-                   " jobs failed on the server; the aggregate covers only "
-                   "the jobs that ran\n",
-                   failed, jobs);
-    }
-    ::close(fd);
-    return exit_code;
-  }
+// Creates a --corpus/--cache directory one level deep, as the stores do.
+// A store that cannot write is a miss, not an error, so without this
+// check an unusable path would silently cache nothing on every run.
+bool ensure_store_dir(const char* flag, const std::string& dir) {
+  if (dir.empty() || ::mkdir(dir.c_str(), 0755) == 0) return true;
+  struct stat st {};
+  const int err = errno != EEXIST                  ? errno
+                  : ::stat(dir.c_str(), &st) != 0 ? errno
+                  : S_ISDIR(st.st_mode)           ? 0
+                                                  : ENOTDIR;
+  if (err == 0) return true;
+  std::fprintf(stderr, "error: %s=%s is not a usable directory: %s\n", flag,
+               dir.c_str(), std::strerror(err));
+  return false;
 }
 
 // Strict unsigned-integer flag parsing. The old bare atoi silently mapped
@@ -836,7 +669,13 @@ int cmd_gen(const std::vector<std::string>& args, std::uint64_t base_seed,
   }
   const ScenarioInstance inst =
       resolve_scenario(name, params, base_seed, index);
-  const Graph g = build_instance(inst);
+  Graph g;
+  try {
+    g = build_instance(inst);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   std::printf("# %s  hash=%016" PRIx64 "\n", inst.label_with_seed().c_str(),
               inst.hash());
   write_edge_list(g, std::cout);
@@ -850,10 +689,8 @@ int main(int argc, char** argv) {
   std::string out_path, csv_path, timing_path, stream_path, journal_path;
   std::string trace_path, metrics_path;
   std::string fault_spec;
-  std::string server_path, cache_dir;
-  std::uint64_t cache_max_entries = 0, priority = 0;
-  bool have_fault_spec = false, fault_flag = false;
-  bool have_threads = false;
+  std::string cache_dir;
+  bool have_fault_spec = false;
   std::uint64_t base_seed = 1, index = 0;
   bool quiet = false, resume = false, progress = false;
   std::vector<std::string> args;
@@ -863,22 +700,10 @@ int main(int argc, char** argv) {
     if (std::strncmp(a, "--threads=", 10) == 0) {
       if (!parse_uint_flag("--threads", a + 10, 1u << 16, &parsed)) return 2;
       options.threads = static_cast<unsigned>(parsed);
-      have_threads = true;
     } else if (std::strncmp(a, "--corpus=", 9) == 0) {
       options.corpus_dir = a + 9;
     } else if (std::strncmp(a, "--cache=", 8) == 0) {
       cache_dir = a + 8;
-    } else if (std::strncmp(a, "--cache-max-entries=", 20) == 0) {
-      if (!parse_uint_flag("--cache-max-entries", a + 20, UINT64_MAX,
-                           &parsed)) {
-        return 2;
-      }
-      cache_max_entries = parsed;
-    } else if (std::strncmp(a, "--server=", 9) == 0) {
-      server_path = a + 9;
-    } else if (std::strncmp(a, "--priority=", 11) == 0) {
-      if (!parse_uint_flag("--priority", a + 11, INT64_MAX, &parsed)) return 2;
-      priority = parsed;
     } else if (std::strncmp(a, "--out=", 6) == 0) {
       out_path = a + 6;
     } else if (std::strncmp(a, "--csv=", 6) == 0) {
@@ -900,7 +725,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--fault-plan=", 13) == 0) {
       fault_spec = a + 13;
       have_fault_spec = true;
-      fault_flag = true;
     } else if (std::strncmp(a, "--max-retries=", 14) == 0) {
       if (!parse_uint_flag("--max-retries", a + 14, 1000, &parsed)) return 2;
       options.max_retries = static_cast<unsigned>(parsed);
@@ -945,32 +769,17 @@ int main(int argc, char** argv) {
   }
   if (args.empty()) return usage();
   const std::string cmd = args[0];
-  if (!server_path.empty()) {
-    // Thin-client mode: the daemon owns the pool, the corpus and the
-    // result cache, so every local-execution flag is a contradiction, not
-    // something to silently ignore.
-    if (cmd != "run" || args.size() != 2) {
-      std::fprintf(stderr, "error: --server only applies to `run`\n");
-      return 2;
-    }
-    if (have_threads || !options.corpus_dir.empty() ||
-        !cache_dir.empty() || !journal_path.empty() || resume || fault_flag ||
-        !trace_path.empty() || !metrics_path.empty() || !timing_path.empty() ||
-        progress) {
-      std::fprintf(stderr,
-                   "error: --server combines only with --out/--csv/--stream/"
-                   "--priority/--quiet\n");
-      return 2;
-    }
-    return cmd_run_server(args[1], server_path, priority, out_path, csv_path,
-                          stream_path, quiet);
-  }
   if (cmd == "list") return cmd_list();
   if (cmd == "expand" && args.size() == 2) return cmd_expand(args[1]);
+  if ((cmd == "run" || cmd == "materialize") && args.size() == 2 &&
+      (!ensure_store_dir("--corpus", options.corpus_dir) ||
+       !ensure_store_dir("--cache", cache_dir))) {
+    return 1;
+  }
   if (cmd == "run" && args.size() == 2) {
     std::optional<ResultCache> cache;
     if (!cache_dir.empty()) {
-      cache.emplace(cache_dir, cache_max_entries);
+      cache.emplace(cache_dir);
       options.result_cache = &*cache;
     }
     return cmd_run(args[1], options, out_path, csv_path, timing_path,

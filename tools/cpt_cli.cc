@@ -9,6 +9,7 @@
 //   cpt_cli witness <file>                Kuratowski witness (exact, centralized)
 //   cpt_cli gen <family> <args...>        write a generator graph to stdout
 //
+// eps must be a number in (0, 1) (default 0.25); anything else exits 2.
 // Edge-list format: "n m" header, then one "u v" pair per line; '#' comments.
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,16 @@ int usage() {
 }
 
 unsigned g_threads = 0;  // 0 = env default (CPT_TEST_THREADS) or 1
+
+// Strict EPS: the whole argument must be a number, and every tester needs
+// 0 < eps < 1.
+bool parse_eps(const char* text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(v > 0 && v < 1)) return false;
+  *out = v;
+  return true;
+}
 
 int cmd_test(const std::string& path, double eps, std::uint64_t seed) {
   const Graph g = load_edge_list_file(path);
@@ -169,7 +180,13 @@ int main(int argc, char** argv) {
   argv = args.data();
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
-  const double eps = argc >= 4 ? std::atof(argv[3]) : 0.25;
+  const bool takes_eps = cmd == "test" || cmd == "partition" || cmd == "spanner";
+  double eps = 0.25;
+  if (takes_eps && argc >= 4 && !parse_eps(argv[3], &eps)) {
+    std::fprintf(stderr, "error: eps must be a number in (0, 1), got \"%s\"\n",
+                 argv[3]);
+    return usage();
+  }
   const std::uint64_t seed =
       argc >= 5 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 1;
   if (cmd == "test") return cmd_test(argv[2], eps, seed);
