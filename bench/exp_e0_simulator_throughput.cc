@@ -9,13 +9,9 @@
 //   * saturate  -- every node sends on every port every round (pure
 //                  delivery-engine stress; the headline messages/sec).
 //
-// Usage: exp_e0_simulator_throughput [--grid=256] [--reps=3] [--threads=1]
+// Usage: exp_e0_simulator_throughput [--grid=256] [--reps=3]
 //                                    [--out=BENCH_congest_sim.json]
-// --threads sets the simulator worker count (deterministic: message and
-// round counts are identical at every value; only wall time changes). The
-// JSON carries it as meta "threads".
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -138,7 +134,6 @@ int main(int argc, char** argv) {
   using namespace cpt;
   NodeId side = 256;
   int reps = 3;
-  unsigned threads = 0;
   std::string out_path = "BENCH_congest_sim.json";
   for (int i = 1; i < argc; ++i) {
     unsigned long parsed = 0;
@@ -154,8 +149,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       reps = static_cast<int>(parsed);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else {
@@ -170,15 +163,11 @@ int main(int argc, char** argv) {
   std::printf("triangulated_grid(%u,%u): n=%u m=%u, best of %d reps\n",
               side, side, g.num_nodes(), g.num_edges(), reps);
   congest::Network net(g);
-  congest::SimOptions sim_opt;
-  sim_opt.num_threads = threads;
-  congest::Simulator sim(net, sim_opt);
-  std::printf("simulator workers: %u\n", sim.num_workers());
+  congest::Simulator sim(net);
 
   bench::BenchJson out("congest_sim_throughput");
   bench::add_provenance(out);
   out.meta("graph", "triangulated_grid");
-  out.meta("threads", static_cast<std::int64_t>(sim.num_workers()));
   out.meta("side", static_cast<std::int64_t>(side));
   out.meta("nodes", static_cast<std::int64_t>(g.num_nodes()));
   out.meta("edges", static_cast<std::int64_t>(g.num_edges()));

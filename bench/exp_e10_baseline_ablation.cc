@@ -5,8 +5,6 @@
 // forest-decomposition verification step: with the Theorem-4 selection (no
 // peeling) the per-phase contraction guarantee weakens from 1 - 1/(12a) to
 // 1 - 1/(64a) (Claim 1 vs Claim 14), visible in the phases needed.
-#include <cstring>
-
 #include "bench/bench_common.h"
 #include "baseline/en_partition.h"
 #include "baseline/en_tester.h"
@@ -19,15 +17,7 @@
 
 using namespace cpt;
 
-int main(int argc, char** argv) {
-  unsigned threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
-    }
-  }
-  congest::SimOptions sim_opt;
-  sim_opt.num_threads = threads;
+int main() {
   bench::header("E10: baseline & ablations",
                 "Section 1.1: EN-based tester needs O(log^2 n); ours "
                 "O(log n). Claim 1 vs Claim 14 contraction.");
@@ -40,7 +30,7 @@ int main(int argc, char** argv) {
     const Graph g = gen::triangulated_grid(side, side);
     {
       congest::Network net(g);
-      congest::Simulator sim(net, sim_opt);
+      congest::Simulator sim(net);
       congest::RoundLedger ledger;
       Stage1Options opt;
       opt.epsilon = eps;
@@ -54,7 +44,7 @@ int main(int argc, char** argv) {
     }
     {
       congest::Network net(g);
-      congest::Simulator sim(net, sim_opt);
+      congest::Simulator sim(net);
       congest::RoundLedger ledger;
       EnPartitionOptions opt;
       opt.epsilon = eps;
@@ -79,7 +69,6 @@ int main(int argc, char** argv) {
   constexpr int kSeeds = 6;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     TesterOptions opt;
-    opt.num_threads = threads;
     opt.epsilon = 0.2;
     opt.seed = seed;
     const TesterResult a = test_planarity(far_graph, opt);
@@ -109,7 +98,7 @@ int main(int argc, char** argv) {
     std::uint32_t det_phases = 0;
     {
       congest::Network net(g);
-      congest::Simulator sim(net, sim_opt);
+      congest::Simulator sim(net);
       congest::RoundLedger ledger;
       Stage1Options opt;
       opt.epsilon = eps;
@@ -118,7 +107,7 @@ int main(int argc, char** argv) {
     std::uint32_t rand_phases = 0;
     {
       congest::Network net(g);
-      congest::Simulator sim(net, sim_opt);
+      congest::Simulator sim(net);
       congest::RoundLedger ledger;
       RandomPartitionOptions opt;
       opt.epsilon = eps;

@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks of the computational kernels: LR
 // planarity test, LR embedding extraction, the simulator's BFS and
-// saturated-delivery passes (serial, and multi-worker through the K-way
-// merge), bitset drain, and the violation sweep. Besides the normal google-benchmark output,
-// results are mirrored into BENCH_micro_kernels.json (shared bench_json
-// schema, see bench/README.md) so the kernel trajectory is tracked
-// alongside BENCH_congest_sim.json and BENCH_thread_scaling.json.
+// saturated-delivery passes, bitset drain, and the violation sweep.
+// Besides the normal google-benchmark output, results are mirrored into
+// BENCH_micro_kernels.json (shared bench_json schema, see bench/README.md)
+// so the kernel trajectory is tracked alongside BENCH_congest_sim.json and
+// BENCH_thread_scaling.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -99,50 +99,6 @@ void BM_SimulatorSaturatedDelivery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(messages));
 }
 BENCHMARK(BM_SimulatorSaturatedDelivery)->Arg(64)->Arg(128)->Arg(256);
-
-// Multi-worker delivery (the K-way next_at_least cursor merge over every
-// worker's flight) on the same saturated load. parallel_grain=1 keeps
-// every round on the sharded path. Counts are identical to the serial run
-// (pinned by simulator_test); only wall time may differ.
-void BM_SimulatorDeliveryMerge(benchmark::State& state) {
-  const auto side = static_cast<NodeId>(state.range(0));
-  const Graph g = gen::triangulated_grid(side, side);
-  congest::Network net(g);
-  congest::SimOptions sopt;
-  sopt.num_threads = static_cast<unsigned>(state.range(1));
-  sopt.parallel_grain = 1;
-  congest::Simulator sim(net, sopt);
-
-  class Saturate : public congest::Program {
-   public:
-    void begin(congest::Exec& ex) override {
-      const NodeId n = ex.network().num_nodes();
-      for (NodeId v = 0; v < n; ++v) {
-        for (std::uint32_t p = 0; p < ex.network().port_count(v); ++p) {
-          ex.send(v, p, congest::Msg::make(p));
-        }
-      }
-    }
-    void on_wake(congest::Exec& ex, NodeId v,
-                 std::span<const congest::Inbound> inbox) override {
-      if (ex.current_round() >= 8) return;
-      for (const congest::Inbound& in : inbox) ex.send(v, in.port, in.msg);
-    }
-  };
-
-  std::uint64_t messages = 0;
-  for (auto _ : state) {
-    Saturate sat;
-    const congest::PassResult r = sim.run(sat);
-    messages += r.messages;
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
-}
-BENCHMARK(BM_SimulatorDeliveryMerge)
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({256, 4});
 
 // The ordered-bitset min-extraction underlying sort-free delivery.
 void BM_IndexedBitsetDrain(benchmark::State& state) {

@@ -9,7 +9,6 @@ AppResult test_cycle_freeness(const Graph& g, const MinorFreeOptions& opt) {
   AppResult result;
   congest::Network net(g);
   congest::SimOptions sim_opt;
-  sim_opt.num_threads = opt.num_threads;
   sim_opt.max_rounds = opt.max_rounds;
   sim_opt.memory = opt.sim_memory;
   sim_opt.trace = opt.trace;

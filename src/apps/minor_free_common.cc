@@ -74,7 +74,7 @@ BfsClassification classify_edges(congest::Simulator& sim, const Graph& g,
                                        out.bfs.level[v])});
         }
       },
-      [&](congest::Exec&, NodeId v, std::span<const Inbound> inbox) {
+      [&](NodeId v, std::span<const Inbound> inbox) {
         for (const Inbound& in : inbox) {
           if (in.msg.tag != kTagInfo) continue;
           if (static_cast<NodeId>(in.msg.w[0]) != pf.root[v]) continue;

@@ -27,7 +27,9 @@ struct MinorFreeOptions {
   // Stage I pipelined converge/broadcast streams (deterministic partition
   // only; the randomized variant has no unpipelined schedule).
   bool pipelined_streams = true;
-  unsigned num_threads = 0;   // simulator workers (0 = env default)
+  // Ignored: every simulation runs on the calling thread. Kept only
+  // because perfbench/src/layers.cc still assigns it.
+  unsigned num_threads = 0;
   // Cumulative simulated-round budget for the whole app run (0 =
   // unlimited); exhausting it throws congest::RoundBudgetExceeded.
   std::uint64_t max_rounds = 0;

@@ -20,9 +20,7 @@ constexpr std::uint32_t kTagRoot = 80;
 SpannerResult build_spanner(const Graph& g, const MinorFreeOptions& opt) {
   SpannerResult result;
   congest::Network net(g);
-  congest::SimOptions sim_opt;
-  sim_opt.num_threads = opt.num_threads;
-  congest::Simulator sim(net, sim_opt);
+  congest::Simulator sim(net);
 
   const MinorFreePartition part = minor_free_partition(sim, g, opt, result.ledger);
   CPT_ASSERT(!part.rejected && "spanner construction assumes the promise");
@@ -32,8 +30,7 @@ SpannerResult build_spanner(const Graph& g, const MinorFreeOptions& opt) {
 
   // Cut edges: each node learns per-port neighbor roots in one round and
   // keeps its cut ports (per-node lists -- both endpoints of a cut edge
-  // record it, the edge marking below deduplicates; collecting per node
-  // keeps on_wake per-node-write-clean for parallel rounds).
+  // record it, the edge marking below deduplicates).
   std::vector<std::uint8_t> in_spanner(g.num_edges(), 0);
   std::vector<std::vector<std::uint32_t>> cut_ports(g.num_nodes());
   Exchange cut(
@@ -45,7 +42,7 @@ SpannerResult build_spanner(const Graph& g, const MinorFreeOptions& opt) {
                                           part.forest.root[v]))});
         }
       },
-      [&](congest::Exec&, NodeId v, std::span<const Inbound> inbox) {
+      [&](NodeId v, std::span<const Inbound> inbox) {
         for (const Inbound& in : inbox) {
           if (in.msg.tag != kTagRoot) continue;
           if (static_cast<NodeId>(in.msg.w[0]) != part.forest.root[v]) {

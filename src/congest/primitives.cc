@@ -80,7 +80,7 @@ void ConvergeRecords::reset(TreeView tree, Combine combine, std::uint32_t cap,
   }
 }
 
-void ConvergeRecords::merge_record(NodeId v, Record r, std::uint32_t shard) {
+void ConvergeRecords::merge_record(NodeId v, Record r) {
   if (overflow_[v]) return;
   if (r.key == kOverflowKey) {
     overflow_[v] = 1;
@@ -97,7 +97,7 @@ void ConvergeRecords::merge_record(NodeId v, Record r, std::uint32_t shard) {
       return;
     }
   }
-  merged_.push(v, r, shard);
+  merged_.push(v, r);
   if (cap_ != 0 && merged_.size(v) > cap_) {
     overflow_[v] = 1;
     merged_.clear_row(v);
@@ -147,7 +147,7 @@ void ConvergeRecords::pump(Exec& ex, NodeId v) {
 }
 
 void ConvergeRecords::finalize(Exec& ex, NodeId v) {
-  for (const Record& r : initial[v]) merge_record(v, r, ex.shard());
+  for (const Record& r : initial[v]) merge_record(v, r);
   if ((*tree_.parent_edge)[v] == kNoEdge) return;  // root keeps its result
   merged_.set_cursor(v, merged_.head_slot(v));
   pump(ex, v);
@@ -206,11 +206,9 @@ void ConvergeRecords::on_wake(Exec& ex, NodeId v,
   bool finalized_now = false;
   for (const Inbound& in : inbox) {
     if (in.msg.tag == kTagRecord) {
-      merge_record(v, {static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]},
-                   ex.shard());
+      merge_record(v, {static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]});
     } else if (in.msg.tag == kTagLast) {
-      merge_record(v, {static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]},
-                   ex.shard());
+      merge_record(v, {static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]});
       CPT_ASSERT(pending_[v] > 0);
       if (--pending_[v] == 0) finalized_now = true;
     } else if (in.msg.tag == kTagDone) {
@@ -249,8 +247,8 @@ void BroadcastRecords::reset(TreeView tree, const TreePorts* ports,
   }
 }
 
-void BroadcastRecords::queue_push(NodeId v, Record r, std::uint32_t shard) {
-  queue_.push(v, r, shard);
+void BroadcastRecords::queue_push(NodeId v, Record r) {
+  queue_.push(v, r);
   // Repair the send cursor of a drained (or fresh) row so pump resumes.
   if (queue_.cursor(v) == kNil) queue_.set_cursor(v, queue_.tail_slot(v));
 }
@@ -284,8 +282,7 @@ void BroadcastRecords::start_root(Exec& ex, NodeId v) {
     stream.set_cursor(v, stream.head_slot(v));
   } else {
     queue_[v] = stream[v];
-    // start_root only runs from begin() (driver context).
-    queue_.push(v, {}, RecordTable::kDriverShard);  // end marker, sent as DONE
+    queue_.push(v, {});  // end marker, sent as DONE
     queue_.set_cursor(v, queue_.head_slot(v));
   }
   end_queued_[v] = 1;
@@ -330,25 +327,25 @@ void BroadcastRecords::on_wake(Exec& ex, NodeId v,
   for (const Inbound& in : inbox) {
     if (in.msg.tag == kTagRecord) {
       const Record r{static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]};
-      received.push(v, r, ex.shard());
+      received.push(v, r);
       if (relay) {
         if (pipelined_) {
           if (received.cursor(v) == kNil) {
             received.set_cursor(v, received.tail_slot(v));
           }
         } else {
-          queue_push(v, r, ex.shard());
+          queue_push(v, r);
         }
       }
     } else if (in.msg.tag == kTagLast) {
       const Record r{static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]};
-      received.push(v, r, ex.shard());
+      received.push(v, r);
       if (relay && received.cursor(v) == kNil) {
         received.set_cursor(v, received.tail_slot(v));
       }
       end_queued_[v] = 1;
     } else if (in.msg.tag == kTagDone) {
-      if (relay) queue_push(v, {}, ex.shard());
+      if (relay) queue_push(v, {});
       end_queued_[v] = 1;
     }
   }
@@ -371,8 +368,8 @@ void Exchange::begin(Exec& ex) {
   }
 }
 
-void Exchange::on_wake(Exec& ex, NodeId v, std::span<const Inbound> inbox) {
-  if (collect_) collect_(ex, v, inbox);
+void Exchange::on_wake(Exec&, NodeId v, std::span<const Inbound> inbox) {
+  if (collect_) collect_(v, inbox);
 }
 
 // ---------------------------------------------------------------- BfsForest

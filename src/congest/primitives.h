@@ -17,11 +17,6 @@
 // O(n)-per-pass sweeps of early-phase masked passes (ROADMAP item). The
 // emulated schedule is unchanged -- members never alters who sends what
 // when, only how the host iterates.
-//
-// Parallel rounds: every program here is per-node-write-clean (on_wake(v)
-// writes only v's slots / rows, RecordTable pushes pass ex.shard()), so
-// they run bit-identically under any simulator worker count. New programs
-// must keep that property; see DESIGN.md.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +117,7 @@ class ConvergeRecords : public Program {
   bool overflowed(NodeId root) const { return overflow_[root] != 0; }
 
  private:
-  void merge_record(NodeId v, Record r, std::uint32_t shard);
+  void merge_record(NodeId v, Record r);
   void finalize(Exec& ex, NodeId v);
   void pump(Exec& ex, NodeId v);
 
@@ -171,7 +166,7 @@ class BroadcastRecords : public Program {
  private:
   void pump(Exec& ex, NodeId v);
   void start_root(Exec& ex, NodeId v);
-  void queue_push(NodeId v, Record r, std::uint32_t shard);
+  void queue_push(NodeId v, Record r);
   bool has_children(NodeId v) const {
     return child_offset_view_[v + 1] > child_offset_view_[v];
   }
@@ -191,8 +186,7 @@ class BroadcastRecords : public Program {
 };
 
 // One-round exchange: `outgoing` lists (port, msg) pairs per node before the
-// round; `collect` sees each node's inbox after delivery (with the worker
-// context first, for sharded RecordTable pushes). `senders` (optional)
+// round; `collect` sees each node's inbox after delivery. `senders` (optional)
 // names the nodes that may send — any superset of the actual senders leaves
 // the pass's messages unchanged while skipping the `outgoing` callback for
 // everyone else; drivers that run many exchanges where few nodes speak
@@ -201,7 +195,7 @@ class Exchange : public Program {
  public:
   using OutgoingFn =
       std::function<void(NodeId, std::vector<std::pair<std::uint32_t, Msg>>&)>;
-  using CollectFn = std::function<void(Exec&, NodeId, std::span<const Inbound>)>;
+  using CollectFn = std::function<void(NodeId, std::span<const Inbound>)>;
 
   Exchange(NodeId num_nodes, OutgoingFn outgoing, CollectFn collect,
            const std::vector<NodeId>* senders = nullptr)

@@ -20,9 +20,6 @@ namespace cpt {
 struct TesterOptions {
   double epsilon = 0.1;
   std::uint64_t seed = 1;
-  // Simulator workers for round execution (0 = CPT_TEST_THREADS env or 1).
-  // Any value produces bit-identical verdicts, ledgers and partitions.
-  unsigned num_threads = 0;
   // Cumulative simulated-round budget across both stages (0 = unlimited);
   // exhausting it throws congest::RoundBudgetExceeded (see simulator.h).
   std::uint64_t max_rounds = 0;

@@ -112,12 +112,12 @@ void run_forest_decomposition(congest::Simulator& sim, const Graph& g,
                               static_cast<std::int64_t>(pf.root[v]))});
           }
         },
-        [&](congest::Exec& ex, NodeId v, std::span<const Inbound> inbox) {
+        [&](NodeId v, std::span<const Inbound> inbox) {
           for (const Inbound& in : inbox) {
             if (in.msg.tag != kTagActive) continue;
             const NodeId r = static_cast<NodeId>(in.msg.w[0]);
             result.neighbor_root[v][in.port] = r;
-            if (r != pf.root[v]) local_rec.push(v, {r, 1}, ex.shard());
+            if (r != pf.root[v]) local_rec.push(v, {r, 1});
           }
         },
         &announcing);

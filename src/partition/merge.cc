@@ -270,11 +270,11 @@ class RelayHop : public congest::Program {
       if (in.msg.tag != kTagSignal) continue;
       const Record rec{static_cast<std::uint64_t>(in.msg.w[0]), in.msg.w[1]};
       if (dir_ == Dir::kDown) {
-        if (in.port == ctx_.charge_port[v]) sink_.push(v, rec, ex.shard());
+        if (in.port == ctx_.charge_port[v]) sink_.push(v, rec);
       } else {
         const auto& ports = serve_set(v);
         if (std::find(ports.begin(), ports.end(), in.port) != ports.end()) {
-          sink_.push(v, rec, ex.shard());
+          sink_.push(v, rec);
         }
       }
     }
@@ -513,7 +513,7 @@ void find_designated_edges(MergeCtx& ctx) {
           out.push_back({ctx.charge_port[v], Msg::make(kTagSignal, 1)});
         }
       },
-      [&](congest::Exec&, NodeId v, std::span<const Inbound> inbox) {
+      [&](NodeId v, std::span<const Inbound> inbox) {
         for (const Inbound& in : inbox) {
           if (in.msg.tag == kTagSignal) ctx.serve_ports[v].push_back(in.port);
         }
@@ -744,7 +744,7 @@ void mark_edges(MergeCtx& ctx) {
           out.push_back({ctx.charge_port[v], Msg::make(kTagSignal, 1)});
         }
       },
-      [&](congest::Exec&, NodeId v, std::span<const Inbound> inbox) {
+      [&](NodeId v, std::span<const Inbound> inbox) {
         for (const Inbound& in : inbox) {
           if (in.msg.tag == kTagSignal) {
             ctx.marked_serve_ports[v].push_back(in.port);

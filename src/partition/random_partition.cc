@@ -199,7 +199,7 @@ RandomPartitionResult run_random_partition(congest::Simulator& sim,
                 {p, Msg::make(kTagRoot, static_cast<std::int64_t>(pf.root[v]))});
           }
         },
-        [&](congest::Exec&, NodeId v, std::span<const Inbound> inbox) {
+        [&](NodeId v, std::span<const Inbound> inbox) {
           for (const Inbound& in : inbox) {
             if (in.msg.tag == kTagRoot) {
               neighbor_root[v][in.port] = static_cast<NodeId>(in.msg.w[0]);
@@ -244,8 +244,8 @@ RandomPartitionResult run_random_partition(congest::Simulator& sim,
     ConvergeRecords conv(TreeView{&pf.parent_edge, &pf.children, &all},
                          Combine::kSum, 0);
     for (const NodeId v : bc.received.touched_rows()) {
-      // touched_rows may repeat a row (cleared-and-refilled rows can be
-      // listed by two shards); initial[v] is filled only here, so a
+      // touched_rows may repeat a row (a cleared-and-refilled row is
+      // listed once per fill); initial[v] is filled only here, so a
       // non-empty row marks v as already processed.
       if (!conv.initial[v].empty()) continue;
       for (const Record& want : bc.received[v]) {

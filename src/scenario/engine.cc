@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -33,6 +34,18 @@ double now_seconds() {
       .count();
 }
 
+// BatchOptions::threads: 0 defers to the CPT_TEST_THREADS environment
+// variable (the CI knob that runs whole test suites at a wider batch),
+// else 1; the result is clamped to [1, kMaxBatchThreads].
+unsigned resolve_batch_threads(unsigned requested) {
+  long t = requested;
+  if (t == 0) {
+    const char* env = std::getenv("CPT_TEST_THREADS");
+    t = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+  }
+  return static_cast<unsigned>(std::clamp<long>(t, 1, kMaxBatchThreads));
+}
+
 }  // namespace
 
 bool is_transient_error(const std::string& message) {
@@ -60,7 +73,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         TesterOptions opt;
         opt.epsilon = job.epsilon;
         opt.seed = job.tester_seed;
-        opt.num_threads = job.sim_threads;
         opt.max_rounds = job.max_rounds;
         opt.sim_memory = mem;
         opt.stage1.adaptive = job.adaptive;
@@ -91,7 +103,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         opt.seed = job.tester_seed;
         opt.adaptive_phases = job.adaptive;
         opt.pipelined_streams = job.pipelined;
-        opt.num_threads = job.sim_threads;
         opt.max_rounds = job.max_rounds;
         opt.sim_memory = mem;
         opt.scratch = scratch;
@@ -113,7 +124,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
       case TesterKind::kStage1Partition: {
         congest::Network net(g);
         congest::SimOptions sopt;
-        sopt.num_threads = job.sim_threads;
         sopt.max_rounds = job.max_rounds;
         sopt.memory = mem;
         sopt.trace = trace;
@@ -146,7 +156,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         CPT_EXPECTS(stage1_record == nullptr && stage1_replay == nullptr);
         congest::Network net(g);
         congest::SimOptions sopt;
-        sopt.num_threads = job.sim_threads;
         sopt.max_rounds = job.max_rounds;
         sopt.memory = mem;
         sopt.trace = trace;
@@ -510,7 +519,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
   }
 
   // Concurrent simulations: the resolved --threads value.
-  const unsigned workers = congest::resolve_sim_threads(options.threads);
+  const unsigned workers = resolve_batch_threads(options.threads);
   out.threads_used = workers;
 
   // Track 0 carries the batch phase spans. The resolved worker counts are
@@ -996,7 +1005,7 @@ MaterializeResult materialize_manifest(const Manifest& manifest,
   out.corpus.unique_instances = instances.size();
 
   const CorpusStore store(options.corpus_dir);
-  const unsigned workers = congest::resolve_sim_threads(options.threads);
+  const unsigned workers = resolve_batch_threads(options.threads);
   WorkerPool pool(workers);
   std::mutex mu;  // guards the result counters/errors only
   std::atomic<std::uint32_t> cursor{0};

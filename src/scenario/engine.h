@@ -1,7 +1,7 @@
 // Batch engine: expands a manifest into jobs and executes the independent
 // simulations concurrently on a util/parallel.h WorkerPool -- cross-
-// simulation parallelism (each job runs its own Network/Simulator, by
-// default single-worker). Workers claim jobs dynamically, so the schedule
+// simulation parallelism (each job runs its own Network/Simulator on the
+// worker that claimed it). Workers claim jobs dynamically, so the schedule
 // is work-stealing and nondeterministic, but every result lands in its
 // job's slot and each job's result is a function of its own inputs (graph,
 // options, seeds): the result array -- and everything aggregated from it --
@@ -111,9 +111,13 @@ struct ProgressCounters {
   std::atomic<std::uint64_t> retries{0};        // job + materialize re-runs
 };
 
+// Widest batch: BatchOptions::threads is clamped to it, and the CLIs
+// refuse a --threads above it.
+inline constexpr unsigned kMaxBatchThreads = 32;
+
 struct BatchOptions {
-  // Concurrent simulations. 0 resolves like the simulator's thread knob
-  // (CPT_TEST_THREADS env, else 1).
+  // Concurrent simulations. 0 resolves to the CPT_TEST_THREADS environment
+  // variable if set, else 1; clamped to [1, kMaxBatchThreads].
   unsigned threads = 1;
   // Corpus directory ("" = in-memory dedup only).
   std::string corpus_dir;
@@ -194,9 +198,9 @@ struct BatchResult {
   unsigned threads_used = 1;
 };
 
-// Pooled per-worker run state: simulator buffers (flight payloads, inbox
-// shards, the intra-sim WorkerPool) and Stage I scratch (peeling +
-// merge-proposal arrays), reused across the jobs one batch worker claims.
+// Pooled per-worker run state: simulator buffers (flights and the gather
+// inbox) and Stage I scratch (peeling + merge-proposal arrays), reused
+// across the jobs one batch worker claims.
 // Purely an allocation optimization: every pooled buffer is re-sized and
 // re-initialized by its consumer before use, so results are bit-identical
 // to fresh state at every --threads value (pinned by tests). A RunState

@@ -202,7 +202,6 @@ std::uint64_t journal_fingerprint(const Manifest& manifest,
     h = fnv_fold_bytes(h, key.data(), key.size());
     h = fnv_fold_u64(h, job.instance.hash());
     h = fnv_fold_u64(h, job.tester_seed);
-    h = fnv_fold_u64(h, job.sim_threads);
   }
   return h;
 }

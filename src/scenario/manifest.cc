@@ -212,11 +212,11 @@ bool get_bool(ParseCtx& ctx, const JsonValue* v, bool* out, const char* what) {
 // Keys a cell object may carry ("scenario"/"family" + sweep blocks + the
 // scalar fields); "defaults" accepts the scalar fields only.
 constexpr const char* kCellScalarKeys =
-    "epsilon,tester,instances,trials,sim_threads,adaptive,randomized,"
-    "pipelined,delta,alpha,max_rounds";
+    "epsilon,tester,instances,trials,adaptive,randomized,pipelined,delta,"
+    "alpha,max_rounds";
 constexpr const char* kCellKeys =
     "scenario,family,params,perturb,epsilon,tester,instances,trials,"
-    "sim_threads,adaptive,randomized,pipelined,delta,alpha,max_rounds";
+    "adaptive,randomized,pipelined,delta,alpha,max_rounds";
 
 bool check_known_keys(ParseCtx& ctx, const JsonValue& obj, const char* allowed,
                       const std::string& where) {
@@ -281,13 +281,10 @@ bool parse_cell(ParseCtx& ctx, const JsonValue& cv, const JsonValue* defaults,
   if (const JsonValue* tester = cell_field(cv, defaults, "tester")) {
     if (!parse_testers(ctx, *tester, &cell->testers)) return false;
   }
-  std::uint32_t threads = 1;
   if (!get_u32(ctx, cell_field(cv, defaults, "instances"), 1, 1u << 20,
                &cell->instances, "instances") ||
       !get_u32(ctx, cell_field(cv, defaults, "trials"), 1, 1u << 20,
                &cell->trials, "trials") ||
-      !get_u32(ctx, cell_field(cv, defaults, "sim_threads"), 1, 32, &threads,
-               "sim_threads") ||
       !get_u32(ctx, cell_field(cv, defaults, "alpha"), 1, 64, &cell->alpha,
                "alpha") ||
       !get_bool(ctx, cell_field(cv, defaults, "adaptive"), &cell->adaptive,
@@ -298,7 +295,6 @@ bool parse_cell(ParseCtx& ctx, const JsonValue& cv, const JsonValue* defaults,
                 "pipelined")) {
     return false;
   }
-  cell->sim_threads = threads;
   if (const JsonValue* mr = cell_field(cv, defaults, "max_rounds")) {
     if (!mr->is_integer() || mr->as_int64() < 0) {
       return ctx.fail("max_rounds: expected a non-negative integer");
@@ -413,7 +409,6 @@ void expand_axes(const Manifest& m, std::uint32_t cell_index,
           job.pipelined = cell.pipelined;
           job.delta = cell.delta;
           job.alpha = cell.alpha;
-          job.sim_threads = cell.sim_threads;
           job.max_rounds = cell.max_rounds;
           job.tester_seed = derive_tester_seed(instance.seed, trial);
           out->push_back(std::move(job));

@@ -1,6 +1,6 @@
 // Manifest-driven batch sweeps: a small JSON document declares a matrix of
-// {scenario/family, params, perturbation, epsilon, tester, sim_threads,
-// instances, trials}; expansion produces a flat, deterministically ordered
+// {scenario/family, params, perturbation, epsilon, tester, instances,
+// trials}; expansion produces a flat, deterministically ordered
 // job list with per-instance derived seeds (see registry.h for the seed
 // contract). The same manifest always expands to the identical job list --
 // pinned by scenario_test.cc's golden-expansion tests.
@@ -25,7 +25,7 @@
 // tester), with the instance index and trial index innermost -- changing
 // only an axis value list never reorders unrelated jobs. Per-cell keys
 // (and "defaults" fallbacks): epsilon, tester, instances, trials,
-// sim_threads, adaptive, randomized, pipelined, delta, alpha.
+// adaptive, randomized, pipelined, delta, alpha, max_rounds.
 //
 // Validation is strict: unknown top-level / defaults / cell keys, and
 // params or perturb keys the named family/preset/perturbation does not
@@ -71,7 +71,6 @@ struct ManifestCell {
   std::vector<TesterKind> testers;    // >= 1 entry
   std::uint32_t instances = 1;        // distinct graphs per config
   std::uint32_t trials = 1;           // tester seeds per graph
-  unsigned sim_threads = 1;           // per-simulation workers
   bool adaptive = false;              // Stage I adaptive phase schedule
   bool randomized = false;            // Theorem 4 partition (minor-free testers)
   bool pipelined = true;              // Stage I pipelined streams (PR 2)
@@ -102,6 +101,8 @@ struct Job {
   bool pipelined = true;
   double delta = 0.1;
   std::uint32_t alpha = 3;
+  // Always 1 and ignored; kept only because perfbench/src/layers.cc still
+  // reads it.
   unsigned sim_threads = 1;
   std::uint64_t max_rounds = 0;  // 0 = unlimited (see ManifestCell)
   std::uint64_t tester_seed = 0;

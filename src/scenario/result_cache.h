@@ -8,10 +8,7 @@
 // (family, params, perturbation, epsilon, tester, mode flags), the
 // instance hash (pins the exact graph incl. its seed chain) and the
 // tester seed. Deliberately *not* folded: job_index (the same cell can
-// appear at different indices across manifests and must still hit) and
-// sim_threads (results are bit-identical at every thread count by the
-// determinism contract, so a result computed at --threads 4 serves a
-// --threads 1 request byte-for-byte).
+// appear at different indices across manifests and must still hit).
 //
 // Entries are single checksummed lines in the journal's record format
 // ({"sum": "<16hex>", "rec": {...}}, FNV over the record bytes -- the

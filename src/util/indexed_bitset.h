@@ -96,42 +96,6 @@ class IndexedBitset {
     return i;
   }
 
-  // No member >= the probe: next_at_least's "exhausted" result.
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
-  // Smallest member >= i, or kNone. Pure read (unlike front(), it never
-  // touches the scan cursors), so any number of threads may iterate
-  // disjoint -- or even overlapping -- ranges of one bitset concurrently
-  // with each other, as long as nobody mutates. Amortized O(1) per element
-  // when walking a range in order; a probe into an empty tail costs the
-  // level-2 scan (capacity / 2^18 words).
-  std::size_t next_at_least(std::size_t i) const {
-    if (i >= capacity_) return kNone;
-    std::size_t w0 = i >> 6;
-    if (const std::uint64_t m = l0_[w0] & (~std::uint64_t{0} << (i & 63))) {
-      return (w0 << 6) + static_cast<std::size_t>(std::countr_zero(m));
-    }
-    // Find the next nonzero level-0 word strictly after w0 via the
-    // summaries. bits_above masks away bit `b` and everything below it.
-    const auto bits_above = [](std::uint64_t x, std::size_t b) {
-      return b >= 63 ? std::uint64_t{0} : x & (~std::uint64_t{0} << (b + 1));
-    };
-    std::size_t w1 = w0 >> 6;  // level-1 word covering w0
-    std::uint64_t m1 = bits_above(l1_[w1], w0 & 63);
-    if (m1 == 0) {
-      std::size_t w2 = w1 >> 6;  // level-2 word covering w1
-      std::uint64_t m2 = bits_above(l2_[w2], w1 & 63);
-      while (m2 == 0) {
-        if (++w2 >= l2_.size()) return kNone;
-        m2 = l2_[w2];
-      }
-      w1 = (w2 << 6) + static_cast<std::size_t>(std::countr_zero(m2));
-      m1 = l1_[w1];
-    }
-    w0 = (w1 << 6) + static_cast<std::size_t>(std::countr_zero(m1));
-    return (w0 << 6) + static_cast<std::size_t>(std::countr_zero(l0_[w0]));
-  }
-
   // Removes all elements in O(nonzero words) + the level-2 scan (NOT
   // O(capacity), and no per-bit pop loop): the summaries name exactly the
   // level-0 words to zero.

@@ -3,8 +3,9 @@
 // acts as the last worker, so a pool of size 1 never context-switches and
 // a dispatch costs two mutex hand-offs per helper thread. Work is handed
 // out as a single callable invoked once per worker id -- the caller is
-// responsible for making the id -> work mapping deterministic (the CONGEST
-// simulator maps worker ids to fixed node-id shards).
+// responsible for making results independent of which worker did what
+// (the batch engine's workers claim jobs dynamically and write each
+// result to its job's slot).
 //
 // Memory-ordering contract: everything written by the caller before run()
 // happens-before every fn(w) invocation, and everything written inside

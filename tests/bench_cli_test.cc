@@ -1,6 +1,6 @@
 // Input and output checks for the BENCH_*.json emitters: E0 and E11
-// reject a bad --reps or --grid with exit 2 instead of running zero
-// repetitions (which made every count 0 and E11's determinism check
+// reject a bad --reps, --grid or --threads with exit 2 instead of running
+// zero repetitions (which made every count 0 and E11's determinism check
 // vacuous), and BenchJson refuses to write a metric JSON cannot spell.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "bench/bench_json.h"
 
@@ -38,29 +40,45 @@ int run_command(const std::string& cmd) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-TEST(BenchCli, BadRepsOrGridExitsTwo) {
+std::string bench_command(const char* bin,
+                          const std::vector<std::string>& flags,
+                          const std::string& out) {
+  std::string cmd = bin;
+  for (const std::string& f : flags) cmd += " " + f;
+  return cmd + " --out=" + out + " >/dev/null 2>&1";
+}
+
+// Each binary has one known-good flag set, run first as a positive
+// control. Every bad case replaces exactly one of its flags, so exit 2 can
+// only come from that flag's value.
+TEST(BenchCli, BadFlagValuesExitTwo) {
   const std::string out = temp_path("bench_cli.json");
-  std::remove(out.c_str());
-  for (const char* bin : {CPT_E0_BIN, CPT_E11_BIN}) {
-    for (const char* flags :
-         {"--grid=16 --reps=0", "--grid=16 --reps=abc", "--grid=16 --reps=",
-          "--grid=16 --reps=-1", "--grid=16 --reps=2x", "--grid=abc --reps=1",
-          "--grid=0 --reps=1", "--grid=99999999999999999999 --reps=1"}) {
-      EXPECT_EQ(run_command(std::string(bin) + " " + flags +
-                            " --threads=1 --out=" + out +
-                            " >/dev/null 2>&1"),
-                2)
-          << bin << ' ' << flags;
+  const std::map<std::string, std::vector<std::string>> bad_values = {
+      {"--reps", {"0", "abc", "", "-1", "2x"}},
+      {"--grid", {"abc", "0", "99999999999999999999"}},
+      {"--threads", {"", "0", "abc", "1,,2", "1,33"}},
+  };
+  struct Bench {
+    const char* bin;
+    std::vector<std::string> good;
+  };
+  for (const Bench& b : {Bench{CPT_E0_BIN, {"--grid=4", "--reps=1"}},
+                         Bench{CPT_E11_BIN, {"--reps=1", "--threads=1"}}}) {
+    std::remove(out.c_str());
+    EXPECT_EQ(run_command(bench_command(b.bin, b.good, out)), 0) << b.bin;
+    EXPECT_TRUE(file_exists(out)) << b.bin;
+    std::remove(out.c_str());
+    for (std::size_t i = 0; i < b.good.size(); ++i) {
+      const std::string name = b.good[i].substr(0, b.good[i].find('='));
+      for (const std::string& value : bad_values.at(name)) {
+        std::vector<std::string> flags = b.good;
+        flags[i] = name + "=" + value;
+        EXPECT_EQ(run_command(bench_command(b.bin, flags, out)), 2)
+            << b.bin << ' ' << flags[i];
+      }
     }
+    EXPECT_FALSE(file_exists(out)) << b.bin;
   }
-  EXPECT_FALSE(file_exists(out));
-  // The smallest valid run still works.
-  EXPECT_EQ(run_command(std::string(CPT_E0_BIN) +
-                        " --grid=4 --reps=1 --threads=1 --out=" + out +
-                        " >/dev/null 2>&1"),
-            0);
-  EXPECT_TRUE(file_exists(out));
-  std::remove(out.c_str());
 }
 
 TEST(BenchJson, NonFiniteMetricFailsToWrite) {

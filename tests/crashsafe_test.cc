@@ -859,6 +859,7 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
   const char* bad[] = {
       "--threads=abc",      "--threads=",      "--threads=-1",
       "--threads=2x",       "--threads=1e3",   "--threads=99999999999",
+      "--threads=33",
       "--max-retries=abc",  "--max-retries=-2",
       "--max-retries=999999999999999999999",
       "--base-seed=seven",  "--index=0.5",
@@ -940,6 +941,38 @@ TEST(CliParsing, UnusableStoreDirectoriesExitOne) {
 }
 
 #endif  // CPT_BATCH_BIN
+
+#ifdef CPT_CLI_BIN
+
+TEST(CliParsing, CptCliRejectsBadArguments) {
+  const std::string dir = temp_dir();
+  const std::string cycle = dir + "/c4.el";
+  write_file(cycle, "4 4\n0 1\n1 2\n2 3\n3 0\n");
+  const std::string k5 = dir + "/k5.el";
+  write_file(k5,
+             "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n");
+  const std::string bin = std::string(CPT_CLI_BIN);
+  const auto status = [&](const std::string& args) {
+    const int st = std::system((bin + " " + args + " >/dev/null 2>&1").c_str());
+    EXPECT_TRUE(WIFEXITED(st)) << args;
+    return WEXITSTATUS(st);
+  };
+  // Positive controls: the verdict is the exit code.
+  EXPECT_EQ(status("test " + cycle), 0);
+  EXPECT_EQ(status("test " + cycle + " 0.2 7"), 0);
+  EXPECT_EQ(status("test " + k5), 1);
+  // Bad EPS, bad seed (2^64 overflows), an unknown subcommand (`gen`) and
+  // an unknown flag (--threads) are usage errors.
+  for (const char* args :
+       {" 0", " 1.5", " abc", " 0.2 abc", " 0.2 7x", " 0.2 -3",
+        " 0.2 18446744073709551616"}) {
+    EXPECT_EQ(status("test " + cycle + args), 2) << args;
+  }
+  EXPECT_EQ(status("gen grid 0 5"), 2);
+  EXPECT_EQ(status("--threads=2 test " + cycle), 2);
+}
+
+#endif  // CPT_CLI_BIN
 
 }  // namespace
 }  // namespace cpt::scenario

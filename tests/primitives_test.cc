@@ -305,7 +305,7 @@ TEST(Exchange, OneRoundNeighborInfo) {
           out.push_back({p, Msg::make(9, static_cast<std::int64_t>(v))});
         }
       },
-      [&](Exec&, NodeId v, std::span<const Inbound> inbox) {
+      [&](NodeId v, std::span<const Inbound> inbox) {
         for (const Inbound& in : inbox) {
           received[v] += static_cast<int>(in.msg.w[0]) + 1;
         }

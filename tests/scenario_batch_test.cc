@@ -151,37 +151,5 @@ TEST(ScenarioBatch, AggregateJsonBitIdenticalAcrossThreads) {
   }
 }
 
-// Whole manifests with every simulation multi-worker: setting each cell's
-// sim_threads to 4 must reproduce the serial run's aggregate JSON and CSV
-// at --threads 1 and 4. sim_threads is not part of Job::cell_key, so the
-// bytes can only differ if results do.
-TEST(ScenarioBatch, MultiWorkerSimsKeepAggregateBytes) {
-  Manifest m;
-  std::string err;
-  ASSERT_TRUE(load_manifest_file(CPT_MANIFEST_DIR "/ci_smoke.json", &m, &err))
-      << err;
-  const auto render = [](const Manifest& manifest, unsigned threads,
-                         std::string* json, std::string* csv) {
-    BatchOptions opt;
-    opt.threads = threads;
-    const BatchResult b = run_batch(manifest, opt);
-    EXPECT_EQ(b.failed_jobs, 0u);
-    const std::vector<CellAggregate> cells = aggregate_cells(b);
-    *json = render_aggregate_json(manifest, b, cells);
-    *csv = render_aggregate_csv(cells);
-  };
-  std::string ref_json, ref_csv;
-  render(m, 1, &ref_json, &ref_csv);
-  Manifest wide = m;
-  for (ManifestCell& cell : wide.cells) cell.sim_threads = 4;
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE(threads);
-    std::string json, csv;
-    render(wide, threads, &json, &csv);
-    EXPECT_EQ(json, ref_json);
-    EXPECT_EQ(csv, ref_csv);
-  }
-}
-
 }  // namespace
 }  // namespace cpt::scenario

@@ -456,7 +456,7 @@ TEST(Manifest, RejectsUnknownAndMisspelledKeys) {
   EXPECT_TRUE(parse_manifest(
       R"({"name": "ok", "base_seed": 2,
           "defaults": {"epsilon": 0.2, "tester": "planarity", "instances": 1,
-                       "trials": 1, "sim_threads": 1, "adaptive": false,
+                       "trials": 1, "adaptive": false,
                        "randomized": false, "pipelined": true, "delta": 0.1,
                        "alpha": 3},
           "cells": [{"scenario": "grid", "params": {"rows": 6, "cols": 6}}]})",
@@ -691,7 +691,6 @@ TEST(Engine, MatchesDirectTesterCalls) {
   TesterOptions topt;
   topt.epsilon = pj.epsilon;
   topt.seed = pj.tester_seed;
-  topt.num_threads = pj.sim_threads;
   topt.stage1.adaptive = pj.adaptive;
   const TesterResult direct = test_planarity(pg, topt);
   EXPECT_EQ(via_engine.verdict, direct.verdict);
@@ -710,7 +709,6 @@ TEST(Engine, MatchesDirectTesterCalls) {
   mopt.delta = cj.delta;
   mopt.seed = cj.tester_seed;
   mopt.adaptive_phases = cj.adaptive;
-  mopt.num_threads = cj.sim_threads;
   const AppResult cd = test_cycle_freeness(cg, mopt);
   EXPECT_EQ(ce.verdict, cd.verdict);
   EXPECT_EQ(ce.rounds, cd.ledger.total_rounds());
@@ -820,7 +818,7 @@ constexpr const char* kSharingManifest = R"({
     {"scenario": "random_planar", "params": {"n": 80, "m": 150},
      "pipelined": false},
     {"scenario": "k5_blobs", "params": {"backbone_n": 60, "blobs": 6},
-     "instances": 2, "sim_threads": 2}
+     "instances": 2}
   ]
 })";
 // Followers per cell above: 2 * 11 + 2 + 2 + 2 + 2 + 0 + 2 + 2 * 2.

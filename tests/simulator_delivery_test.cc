@@ -21,16 +21,6 @@
 namespace cpt::congest {
 namespace {
 
-// The exact global on_wake order within a round is a *serial* contract (a
-// parallel run interleaves shards; its guarantee -- identical per-node
-// results and pass costs -- is covered by simulator_test.cc). Pin one
-// worker regardless of CPT_TEST_THREADS.
-SimOptions serial_options() {
-  SimOptions opt;
-  opt.num_threads = 1;
-  return opt;
-}
-
 // Runs scripted per-node behavior and records every on_wake as
 // "r<round> n<node> [port:tag port:tag ...]".
 class Tracer : public Program {
@@ -74,7 +64,7 @@ class Tracer : public Program {
 TEST(SimulatorDelivery, MessageHeavyExactTrace) {
   const Graph g = gen::star(5);
   Network net(g);
-  Simulator sim(net, serial_options());
+  Simulator sim(net);
   Tracer t(
       [](Exec& sim) {
         // Reverse send order: delivery must still sort the hub's inbox by
@@ -117,7 +107,7 @@ TEST(SimulatorDelivery, MessageHeavyExactTrace) {
 TEST(SimulatorDelivery, WakeHeavyExactTrace) {
   const Graph g = gen::path(4);
   Network net(g);
-  Simulator sim(net, serial_options());
+  Simulator sim(net);
   Tracer t(
       [](Exec& sim) {
         for (NodeId v = 0; v < 4; ++v) sim.wake_next_round(v);
@@ -152,7 +142,7 @@ TEST(SimulatorDelivery, WakeHeavyExactTrace) {
 TEST(SimulatorDeliveryDeathTest, MidRunBandwidthViolationAborts) {
   const Graph g = gen::path(3);
   Network net(g);
-  Simulator sim(net, serial_options());
+  Simulator sim(net);
   Tracer t([](Exec& sim) { sim.send(0, 0, Msg::make(1)); },
            [](Exec& sim, NodeId v, std::span<const Inbound>) {
              if (sim.current_round() == 1 && v == 1) {
@@ -171,7 +161,7 @@ TEST(SimulatorDelivery, HugeDegreeHubDeliversOnCorrectPort) {
   constexpr NodeId kHubDegree = (1u << 20) + 1;  // > 2^20 ports
   const Graph g = gen::star(kHubDegree + 1);     // hub 0 + kHubDegree leaves
   Network net(g);
-  Simulator sim(net, serial_options());
+  Simulator sim(net);
   const NodeId high_leaf = kHubDegree;  // behind hub port 2^20
   Tracer t(
       [&](Exec& sim) { sim.send(high_leaf, 0, Msg::make(42)); },
@@ -195,7 +185,7 @@ TEST(SimulatorDelivery, HugeDegreeHubDeliversOnCorrectPort) {
 TEST(SimulatorDelivery, TruncatedRunLeavesNoResidue) {
   const Graph g = gen::cycle(6);
   Network net(g);
-  Simulator sim(net, serial_options());
+  Simulator sim(net);
   Tracer forever([](Exec& sim) { sim.send(0, 0, Msg::make(1)); },
                  [](Exec& sim, NodeId v, std::span<const Inbound> inbox) {
                    for (const Inbound& in : inbox) {

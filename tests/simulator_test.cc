@@ -139,105 +139,6 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.messages, r2.messages);
 }
 
-// Echo storm: every node echoes every inbound message for `rounds` rounds.
-// Saturates every directed edge, the densest load the executor sees.
-class Echo : public Program {
- public:
-  explicit Echo(NodeId n, std::uint64_t rounds) : inboxes(n, 0), rounds_(rounds) {}
-
-  void begin(Exec& sim) override {
-    const NodeId n = static_cast<NodeId>(inboxes.size());
-    for (NodeId v = 0; v < n; ++v) {
-      for (std::uint32_t p = 0; p < sim.network().port_count(v); ++p) {
-        sim.send(v, p, Msg::make(1, static_cast<std::int64_t>(v), p));
-      }
-    }
-  }
-
-  void on_wake(Exec& sim, NodeId v, std::span<const Inbound> inbox) override {
-    inboxes[v] += static_cast<std::uint64_t>(inbox.size());
-    if (sim.current_round() >= rounds_) return;
-    for (const Inbound& in : inbox) sim.send(v, in.port, in.msg);
-  }
-
-  std::vector<std::uint64_t> inboxes;
-
- private:
-  std::uint64_t rounds_;
-};
-
-// The tentpole guarantee: any worker count produces the serial results
-// bit-for-bit -- same rounds, same messages, same per-node state.
-TEST(Simulator, ParallelMatchesSerialBitForBit) {
-  const Graph g = gen::triangulated_grid(9, 7);
-  Network net(g);
-  SimOptions serial_opt;
-  serial_opt.num_threads = 1;
-  Simulator serial(net, serial_opt);
-  Flood ref_flood(g.num_nodes());
-  const PassResult ref_f = serial.run(ref_flood);
-  Echo ref_echo(g.num_nodes(), 5);
-  const PassResult ref_e = serial.run(ref_echo);
-
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    SimOptions opt;
-    opt.num_threads = threads;
-    opt.parallel_grain = 1;  // force pool dispatch for every nontrivial round
-    Simulator sim(net, opt);
-    Flood flood(g.num_nodes());
-    const PassResult rf = sim.run(flood);
-    EXPECT_EQ(rf.rounds, ref_f.rounds) << threads;
-    EXPECT_EQ(rf.messages, ref_f.messages) << threads;
-    EXPECT_EQ(flood.reached, ref_flood.reached) << threads;
-
-    Echo echo(g.num_nodes(), 5);
-    const PassResult re = sim.run(echo);
-    EXPECT_EQ(re.rounds, ref_e.rounds) << threads;
-    EXPECT_EQ(re.messages, ref_e.messages) << threads;
-    EXPECT_EQ(echo.inboxes, ref_echo.inboxes) << threads;
-  }
-}
-
-// Wake-ups and messages merge identically when they land on the same and
-// on different nodes, across the serial/parallel boundary.
-TEST(Simulator, ParallelWakeAndInboxMergeMatchesSerial) {
-  const Graph g = gen::grid(6, 6);
-  Network net(g);
-
-  class WakeAndSend : public Program {
-   public:
-    explicit WakeAndSend(NodeId n) : hits(n, 0) {}
-    void begin(Exec& sim) override {
-      const NodeId n = static_cast<NodeId>(hits.size());
-      for (NodeId v = 0; v < n; ++v) {
-        sim.wake_next_round(v);
-        if (v % 3 == 0) sim.send(v, 0, Msg::make(2));
-      }
-    }
-    void on_wake(Exec& sim, NodeId v, std::span<const Inbound> inbox) override {
-      hits[v] += 1 + 100 * static_cast<std::uint64_t>(inbox.size());
-      if (sim.current_round() < 4 && v % 2 == 0) sim.wake_next_round(v);
-    }
-    std::vector<std::uint64_t> hits;
-  };
-
-  SimOptions serial_opt;
-  serial_opt.num_threads = 1;
-  Simulator serial(net, serial_opt);
-  WakeAndSend ref(g.num_nodes());
-  const PassResult rr = serial.run(ref);
-
-  SimOptions opt;
-  opt.num_threads = 4;
-  opt.parallel_grain = 1;
-  Simulator par(net, opt);
-  WakeAndSend got(g.num_nodes());
-  const PassResult rp = par.run(got);
-  EXPECT_EQ(rp.rounds, rr.rounds);
-  EXPECT_EQ(rp.messages, rr.messages);
-  EXPECT_EQ(got.hits, ref.hits);
-}
-
 TEST(Network, PortNumberingRoundTrips) {
   const Graph g = gen::triangulated_grid(3, 4);
   Network net(g);

@@ -5,7 +5,8 @@
 //                                           presets, testers)
 //   cpt_batch expand <manifest.json>        print the expanded job list
 //   cpt_batch run <manifest.json>           execute and aggregate
-//       [--threads=N]                       concurrent simulations (0 = env)
+//       [--threads=N]                       concurrent simulations, at most
+//                                           32 (0 = env)
 //       [--corpus=DIR]                      binary graph cache directory
 //       [--cache=DIR]                       persistent result cache: jobs
 //                                           whose content address is cached
@@ -605,7 +606,7 @@ bool ensure_store_dir(const char* flag, const std::string& dir) {
 // "--threads=abc" to 0 and overflowed large values into garbage; here
 // anything but a plain decimal number in [0, max] is a usage error (exit
 // 2). "--threads=0" stays valid: 0 means "resolve from the environment"
-// (and resolves to the serial fast path when CPT_TEST_THREADS is unset).
+// (CPT_TEST_THREADS, else 1).
 bool parse_uint_flag(const char* flag, const char* text, std::uint64_t max,
                      std::uint64_t* out) {
   if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
@@ -698,7 +699,9 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     std::uint64_t parsed = 0;
     if (std::strncmp(a, "--threads=", 10) == 0) {
-      if (!parse_uint_flag("--threads", a + 10, 1u << 16, &parsed)) return 2;
+      if (!parse_uint_flag("--threads", a + 10, kMaxBatchThreads, &parsed)) {
+        return 2;
+      }
       options.threads = static_cast<unsigned>(parsed);
     } else if (std::strncmp(a, "--corpus=", 9) == 0) {
       options.corpus_dir = a + 9;

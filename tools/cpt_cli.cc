@@ -3,26 +3,22 @@
 //   cpt_cli test <file> [eps] [seed]      planarity tester (Theorem 1)
 //   cpt_cli partition <file> [eps]        Stage I partition (Theorem 3)
 //   cpt_cli spanner <file> [eps]          spanner construction (Corollary 17)
-//
-//   --threads=N (anywhere): simulator workers for round execution.
-//   Results are bit-identical at every N; N only changes host wall time.
 //   cpt_cli witness <file>                Kuratowski witness (exact, centralized)
-//   cpt_cli gen <family> <args...>        write a generator graph to stdout
 //
-// eps must be a number in (0, 1) (default 0.25); anything else exits 2.
+// eps must be a number in (0, 1) (default 0.25) and seed a decimal
+// unsigned 64-bit integer (default 1); anything else exits 2. Generator
+// graphs come from `cpt_batch gen <family> key=value...`.
 // Edge-list format: "n m" header, then one "u v" pair per line; '#' comments.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "apps/spanner.h"
 #include "congest/network.h"
 #include "congest/simulator.h"
 #include "core/tester.h"
-#include "graph/generators.h"
 #include "graph/io.h"
 #include "partition/partition.h"
 #include "planar/kuratowski.h"
@@ -34,18 +30,12 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  cpt_cli [--threads=N] test <file> [eps] [seed]\n"
-               "  cpt_cli [--threads=N] partition <file> [eps]\n"
-               "  cpt_cli [--threads=N] spanner <file> [eps]\n"
-               "  cpt_cli witness <file>\n"
-               "  cpt_cli gen grid <rows> <cols>\n"
-               "  cpt_cli gen trigrid <rows> <cols>\n"
-               "  cpt_cli gen apollonian <n> <seed>\n"
-               "  cpt_cli gen gnp <n> <avg_degree> <seed>\n");
+               "  cpt_cli test <file> [eps] [seed]\n"
+               "  cpt_cli partition <file> [eps]\n"
+               "  cpt_cli spanner <file> [eps]\n"
+               "  cpt_cli witness <file>\n");
   return 2;
 }
-
-unsigned g_threads = 0;  // 0 = env default (CPT_TEST_THREADS) or 1
 
 // Strict EPS: the whole argument must be a number, and every tester needs
 // 0 < eps < 1.
@@ -57,12 +47,18 @@ bool parse_eps(const char* text, double* out) {
   return true;
 }
 
+// Strict seed: decimal digits only, the whole argument, no overflow.
+bool parse_seed(const char* text, std::uint64_t* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 int cmd_test(const std::string& path, double eps, std::uint64_t seed) {
   const Graph g = load_edge_list_file(path);
   TesterOptions opt;
   opt.epsilon = eps;
   opt.seed = seed;
-  opt.num_threads = g_threads;
   const TesterResult r = test_planarity(g, opt);
   std::printf("n=%u m=%u eps=%.3f\n", g.num_nodes(), g.num_edges(), eps);
   std::printf("verdict: %s\n", r.verdict == Verdict::kAccept ? "ACCEPT"
@@ -81,9 +77,7 @@ int cmd_test(const std::string& path, double eps, std::uint64_t seed) {
 int cmd_partition(const std::string& path, double eps) {
   const Graph g = load_edge_list_file(path);
   congest::Network net(g);
-  congest::SimOptions sim_opt;
-  sim_opt.num_threads = g_threads;
-  congest::Simulator sim(net, sim_opt);
+  congest::Simulator sim(net);
   congest::RoundLedger ledger;
   Stage1Options opt;
   opt.epsilon = eps;
@@ -110,7 +104,6 @@ int cmd_spanner(const std::string& path, double eps) {
   MinorFreeOptions opt;
   opt.epsilon = eps;
   opt.adaptive_phases = true;
-  opt.num_threads = g_threads;
   const SpannerResult s = build_spanner(g, opt);
   std::printf("# spanner: %zu edges (%.3f x n), rounds=%llu\n", s.edges.size(),
               s.size_ratio(g),
@@ -141,43 +134,9 @@ int cmd_witness(const std::string& path) {
   return 1;
 }
 
-int cmd_gen(int argc, char** argv) {
-  const std::string family = argv[2];
-  Graph g;
-  if (family == "grid" && argc >= 5) {
-    g = gen::grid(static_cast<NodeId>(std::atoi(argv[3])),
-                  static_cast<NodeId>(std::atoi(argv[4])));
-  } else if (family == "trigrid" && argc >= 5) {
-    g = gen::triangulated_grid(static_cast<NodeId>(std::atoi(argv[3])),
-                               static_cast<NodeId>(std::atoi(argv[4])));
-  } else if (family == "apollonian" && argc >= 5) {
-    Rng rng(static_cast<std::uint64_t>(std::atoll(argv[4])));
-    g = gen::apollonian(static_cast<NodeId>(std::atoi(argv[3])), rng);
-  } else if (family == "gnp" && argc >= 6) {
-    Rng rng(static_cast<std::uint64_t>(std::atoll(argv[5])));
-    const NodeId n = static_cast<NodeId>(std::atoi(argv[3]));
-    g = gen::gnp(n, std::atof(argv[4]) / n, rng);
-  } else {
-    return usage();
-  }
-  write_edge_list(g, std::cout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --threads=N wherever it appears.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
   const bool takes_eps = cmd == "test" || cmd == "partition" || cmd == "spanner";
@@ -187,12 +146,16 @@ int main(int argc, char** argv) {
                  argv[3]);
     return usage();
   }
-  const std::uint64_t seed =
-      argc >= 5 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 1;
+  std::uint64_t seed = 1;
+  if (cmd == "test" && argc >= 5 && !parse_seed(argv[4], &seed)) {
+    std::fprintf(stderr,
+                 "error: seed must be an unsigned 64-bit integer, got \"%s\"\n",
+                 argv[4]);
+    return usage();
+  }
   if (cmd == "test") return cmd_test(argv[2], eps, seed);
   if (cmd == "partition") return cmd_partition(argv[2], eps);
   if (cmd == "spanner") return cmd_spanner(argv[2], eps);
   if (cmd == "witness") return cmd_witness(argv[2]);
-  if (cmd == "gen") return cmd_gen(argc, argv);
   return usage();
 }
