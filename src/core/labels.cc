@@ -187,11 +187,21 @@ void EdgeLabelStream::on_wake(Exec& ex, NodeId v,
 
 // ------------------------------------------------------------ UpStreamWords
 
+std::int64_t UpStreamWords::WordQueue::pop() {
+  const std::int64_t w = words[head++];
+  if (2 * head >= words.size()) {
+    words.erase(words.begin(),
+                words.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return w;
+}
+
 UpStreamWords::UpStreamWords(congest::TreeView tree) : tree_(tree) {
   const std::size_t n = tree.parent_edge->size();
   initial.resize(n);
+  parent_port_.assign(n, 0);
   out_q_.resize(n);
-  cursor_.assign(n, 0);
   sources_.resize(n);
   active_.assign(n, kNoSource);
   active_remaining_.assign(n, -1);
@@ -199,70 +209,63 @@ UpStreamWords::UpStreamWords(congest::TreeView tree) : tree_(tree) {
   frames_.resize(n);
 }
 
+bool UpStreamWords::forward(NodeId v, std::int64_t word) {
+  out_q_[v].words.push_back(word);
+  std::int64_t& left = active_remaining_[v];
+  left = left < 0 ? word : left - 1;  // a header carries the payload length
+  if (left != 0) return false;
+  left = -1;
+  active_[v] = kNoSource;
+  return true;
+}
+
 void UpStreamWords::transfer(NodeId v) {
   // Move buffered words into the out queue, cut-through: commit to one
   // source until its current frame is fully moved; then pick the next
   // source with buffered data.
+  std::vector<Source>& srcs = sources_[v];
   while (true) {
     if (active_[v] == kNoSource) {
-      for (std::uint32_t i = 0; i < sources_[v].size(); ++i) {
-        if (sources_[v][i].head < sources_[v][i].buf.size()) {
-          active_[v] = i;
-          active_remaining_[v] = -1;
-          break;
-        }
-      }
-      if (active_[v] == kNoSource) return;  // nothing buffered anywhere
+      const auto it =
+          std::find_if(srcs.begin(), srcs.end(),
+                       [](const Source& s) { return !s.buf.empty(); });
+      if (it == srcs.end()) return;  // nothing buffered anywhere
+      active_[v] = static_cast<std::uint32_t>(it - srcs.begin());
     }
-    Source& src = sources_[v][active_[v]];
-    bool frame_done = false;
-    while (src.head < src.buf.size()) {
-      const std::int64_t w = src.buf[src.head++];
-      out_q_[v].push_back(w);
-      if (active_remaining_[v] < 0) {
-        active_remaining_[v] = w;  // header: payload length
-      } else {
-        --active_remaining_[v];
-      }
-      if (active_remaining_[v] == 0) {
-        frame_done = true;
-        break;
-      }
-    }
-    if (!frame_done) return;  // mid-frame: wait for more words of this source
-    active_[v] = kNoSource;
-    active_remaining_[v] = -1;
+    WordQueue& buf = srcs[active_[v]].buf;
+    do {
+      if (buf.empty()) return;  // mid-frame: wait for more words of this source
+    } while (!forward(v, buf.pop()));
   }
 }
 
 void UpStreamWords::pump(Exec& ex, NodeId v) {
-  if (cursor_[v] >= out_q_[v].size()) return;
-  const EdgeId pe = (*tree_.parent_edge)[v];
-  CPT_ASSERT(pe != kNoEdge);
-  ex.send(v, ex.network().port_of_edge(v, pe),
-           Msg::make(kTagWord, out_q_[v][cursor_[v]++]));
-  if (cursor_[v] < out_q_[v].size()) ex.wake_next_round(v);
+  WordQueue& q = out_q_[v];
+  if (q.empty()) return;
+  CPT_ASSERT((*tree_.parent_edge)[v] != kNoEdge);
+  ex.send(v, parent_port_[v], Msg::make(kTagWord, q.pop()));
+  if (!q.empty()) ex.wake_next_round(v);
 }
 
 void UpStreamWords::begin(Exec& ex) {
   const NodeId n = static_cast<NodeId>(out_q_.size());
   for (NodeId v = 0; v < n; ++v) {
-    if (!tree_.in(v)) continue;
-    if ((*tree_.parent_edge)[v] == kNoEdge) {
+    const EdgeId pe = (*tree_.parent_edge)[v];
+    if (pe != kNoEdge) parent_port_[v] = ex.network().port_of_edge(v, pe);
+    if (!tree_.in(v) || initial[v].empty()) continue;
+    if (pe == kNoEdge) {
       // Root: its own frames go straight to the result.
       for (const auto& f : initial[v]) frames_[v].push_back(f);
       continue;
     }
-    if (!initial[v].empty()) {
-      Source local{kLocalSource, {}, 0};
-      for (const auto& f : initial[v]) {
-        local.buf.push_back(static_cast<std::int64_t>(f.size()));
-        local.buf.insert(local.buf.end(), f.begin(), f.end());
-      }
-      sources_[v].push_back(std::move(local));
-      transfer(v);
-      pump(ex, v);
+    // Own frames are committed before any child's, so they enter the out
+    // queue whole.
+    std::vector<std::int64_t>& q = out_q_[v].words;
+    for (const auto& f : initial[v]) {
+      q.push_back(static_cast<std::int64_t>(f.size()));
+      q.insert(q.end(), f.begin(), f.end());
     }
+    pump(ex, v);
   }
 }
 
@@ -293,13 +296,21 @@ void UpStreamWords::on_wake(Exec& ex, NodeId v,
       }
       continue;
     }
-    auto it = std::find_if(sources_[v].begin(), sources_[v].end(),
+    std::vector<Source>& srcs = sources_[v];
+    auto it = std::find_if(srcs.begin(), srcs.end(),
                            [&](const Source& s) { return s.port == in.port; });
-    if (it == sources_[v].end()) {
-      sources_[v].push_back({in.port, {}, 0});
-      it = sources_[v].end() - 1;
+    if (it == srcs.end()) {
+      srcs.push_back({in.port, {}});
+      it = srcs.end() - 1;
     }
-    it->buf.push_back(in.msg.w[0]);
+    // The committed source's word skips its buffer when that is empty:
+    // transfer() would move it to the out queue next anyway.
+    if (active_[v] == static_cast<std::uint32_t>(it - srcs.begin()) &&
+        it->buf.empty()) {
+      forward(v, in.msg.w[0]);
+    } else {
+      it->buf.words.push_back(in.msg.w[0]);
+    }
   }
   if (!is_root) {
     transfer(v);

@@ -89,11 +89,17 @@ class EdgeLabelStream : public congest::Program {
 };
 
 // Framed word streams up the trees: each frame is [payload_len, payload...].
-// Forwarding is cut-through with frame granularity: a node commits to one
-// input stream (a child port or its own injected frames) until that frame
-// completes, buffering the other inputs meanwhile -- so frames never
-// interleave, yet a frame crosses the tree pipelined (total rounds ~ depth
-// + total words, not depth * words).
+// Forwarding is cut-through with frame granularity: a node's own injected
+// frames are committed first; then it commits to the first child port (in
+// first-arrival order) with a buffered word until that frame completes,
+// buffering the other inputs meanwhile -- so frames never interleave, yet a
+// frame crosses the tree pipelined (total rounds ~ depth + total words, not
+// depth * words).
+//
+// Memory: a non-root node holds only the words it has received or injected
+// but not yet sent. Every queue drops its sent prefix once that prefix is
+// at least half of it, so a pass holds O(words in flight), not O(messages
+// sent); roots keep the reassembled frames, which are the result.
 class UpStreamWords : public congest::Program {
  public:
   explicit UpStreamWords(congest::TreeView tree);
@@ -111,22 +117,33 @@ class UpStreamWords : public congest::Program {
 
  private:
   static constexpr std::uint32_t kNoSource = static_cast<std::uint32_t>(-1);
-  static constexpr std::uint32_t kLocalSource = static_cast<std::uint32_t>(-2);
 
+  // FIFO of words. pop() drops the consumed prefix once it is at least half
+  // the storage, so the storage stays under twice the pending words and each
+  // word is moved O(1) times amortized.
+  struct WordQueue {
+    std::vector<std::int64_t> words;
+    std::size_t head = 0;  // first pending word
+
+    bool empty() const { return head == words.size(); }
+    std::int64_t pop();
+  };
+
+  // Appends a word of v's committed frame to its out queue; returns true
+  // (and uncommits) when that word ends the frame.
+  bool forward(NodeId v, std::int64_t word);
   void transfer(NodeId v);  // move buffered words to the out queue
   void pump(congest::Exec& ex, NodeId v);
 
-  // One input stream per source: each child port plus the node's own
-  // injected frames (port == kLocalSource).
+  // One input stream per child port that has sent.
   struct Source {
     std::uint32_t port;
-    std::vector<std::int64_t> buf;
-    std::size_t head = 0;  // first word not yet moved to the out queue
+    WordQueue buf;
   };
 
   congest::TreeView tree_;
-  std::vector<std::vector<std::int64_t>> out_q_;  // words to send upward
-  std::vector<std::size_t> cursor_;               // next word of out_q_
+  std::vector<std::uint32_t> parent_port_;  // per non-root node, set in begin
+  std::vector<WordQueue> out_q_;            // words to send upward
   std::vector<std::vector<Source>> sources_;
   std::vector<std::uint32_t> active_;           // index into sources_[v]
   std::vector<std::int64_t> active_remaining_;  // frame words left (-1: header next)

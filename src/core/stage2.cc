@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "congest/primitives.h"
 #include "core/labels.h"
@@ -39,7 +40,7 @@ std::vector<std::int64_t> encode_pair(const LabelPair& pair) {
   return words;
 }
 
-bool decode_pair(const std::vector<std::int64_t>& words, LabelPair& out) {
+bool decode_pair(std::span<const std::int64_t> words, LabelPair& out) {
   std::size_t i = 0;
   const auto read_label = [&](Label& label) {
     if (i >= words.size()) return false;
@@ -437,9 +438,7 @@ Stage2Result run_stage2(congest::Simulator& sim, const Graph& g,
         CPT_ASSERT(i + total <= flat.size());
         LabelPair pair;
         const bool ok = decode_pair(
-            std::vector<std::int64_t>(flat.begin() + static_cast<std::ptrdiff_t>(i),
-                                      flat.begin() + static_cast<std::ptrdiff_t>(i + total)),
-            pair);
+            std::span<const std::int64_t>(flat).subspan(i, total), pair);
         CPT_ASSERT(ok);
         samples.push_back(std::move(pair));
         i += total;

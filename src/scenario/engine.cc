@@ -511,8 +511,10 @@ BatchResult run_batch_impl(const Manifest& manifest,
   BatchResult out;
   const double t0 = now_seconds();
   out.jobs = expand_manifest(manifest);
-  util::TraceSession* const trace =
-      util::kTraceCompiled ? options.trace : nullptr;
+  // Nulled by assignment, not initialized to a constant null: g++ would
+  // warn (-Wnonnull) at every guarded call through a constant-null `trace`.
+  util::TraceSession* trace = options.trace;
+  if (!util::kTraceCompiled) trace = nullptr;
   if (options.progress != nullptr) {
     options.progress->jobs_total.store(out.jobs.size(),
                                        std::memory_order_relaxed);
@@ -525,9 +527,9 @@ BatchResult run_batch_impl(const Manifest& manifest,
   // Track 0 carries the batch phase spans. The resolved worker counts are
   // --threads dependent, so they go to runtime metrics, keeping the trace
   // stream byte-identical at every --threads value.
-  util::TraceBuffer* const batch_track =
-      trace != nullptr ? trace->make_track(0, "batch") : nullptr;
-  if (batch_track != nullptr) {
+  util::TraceBuffer* batch_track = nullptr;
+  if (util::kTraceCompiled && trace != nullptr) {
+    batch_track = trace->make_track(0, "batch");
     batch_track->instant("batch/start",
                          util::TraceArgs().add(
                              "jobs", static_cast<std::uint64_t>(out.jobs.size())));
@@ -704,7 +706,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
         }
       }
     };
-    if (batch_track != nullptr) {
+    if (util::kTraceCompiled && batch_track != nullptr) {
       const std::uint64_t mstart = batch_track->now_ns();
       pool.run(materialize);
       batch_track->complete_span(
@@ -943,7 +945,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
     out.completed_jobs = next_retire;
     out.cancelled = next_retire < out.jobs.size();
     if (stats != nullptr) stats->peak_pending_results = peak_pending;
-    if (trace != nullptr) {
+    if (util::kTraceCompiled && trace != nullptr) {
       trace->metrics().max_gauge("rt/batch/stream_window_peak",
                                  static_cast<double>(peak_pending));
     }
@@ -951,7 +953,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
 
   out.stage1_replayed_jobs = claims.replayed();
   out.wall_seconds = now_seconds() - t0;
-  if (trace != nullptr) {
+  if (util::kTraceCompiled && trace != nullptr) {
     // Deterministic batch counters: pure functions of the manifest, the
     // corpus state and the fault plan -- never of the schedule.
     util::MetricsRegistry& m = trace->metrics();

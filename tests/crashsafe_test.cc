@@ -970,6 +970,23 @@ TEST(CliParsing, CptCliRejectsBadArguments) {
   }
   EXPECT_EQ(status("gen grid 0 5"), 2);
   EXPECT_EQ(status("--threads=2 test " + cycle), 2);
+  // A missing file, a file without the "n m" header and an endpoint out of
+  // range are input errors for every subcommand: exit 2, not an abort.
+  const std::string headerless = dir + "/headerless.el";
+  write_file(headerless, "0 1\n1 2\n2 3\n3 0\n");
+  const std::string out_of_range = dir + "/range.el";
+  write_file(out_of_range, "3 3\n0 1\n1 5\n2 0\n");
+  for (const char* sub : {"test", "partition", "spanner", "witness"}) {
+    for (const std::string& bad :
+         {dir + "/missing.el", headerless, out_of_range}) {
+      EXPECT_EQ(status(std::string(sub) + " " + bad), 2) << sub << " " << bad;
+    }
+  }
+  const std::string why = "error: " + out_of_range + ": edge list: endpoint";
+  EXPECT_EQ(std::system((bin + " witness " + out_of_range +
+                         " 2>&1 >/dev/null | grep -qF '" + why + "'")
+                            .c_str()),
+            0);
 }
 
 #endif  // CPT_CLI_BIN

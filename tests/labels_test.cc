@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "congest/network.h"
 #include "congest/primitives.h"
@@ -230,6 +231,233 @@ TEST(UpStreamWords, RootOwnFramesGoStraightToResult) {
   EXPECT_EQ(r.messages, 0u);
   ASSERT_EQ(up.frames_at_root(0).size(), 1u);
   EXPECT_EQ(up.frames_at_root(0)[0][0], 42);
+}
+
+// The forwarding rule of UpStreamWords as first written, kept as the
+// reference for its schedule: every word a node receives is appended to a
+// per-source buffer and copied to an out queue, and neither is trimmed
+// until the pass ends.
+class ReferenceUpStreamWords : public congest::Program {
+ public:
+  explicit ReferenceUpStreamWords(TreeView tree) : tree_(tree) {
+    const std::size_t n = tree.parent_edge->size();
+    initial.resize(n);
+    out_q_.resize(n);
+    cursor_.assign(n, 0);
+    sources_.resize(n);
+    active_.assign(n, kNoSource);
+    active_remaining_.assign(n, -1);
+    partial_.resize(n);
+    frames_.resize(n);
+  }
+
+  std::vector<std::vector<std::vector<std::int64_t>>> initial;
+
+  void begin(congest::Exec& ex) override {
+    const NodeId n = static_cast<NodeId>(out_q_.size());
+    for (NodeId v = 0; v < n; ++v) {
+      if (!tree_.in(v)) continue;
+      if ((*tree_.parent_edge)[v] == kNoEdge) {
+        for (const auto& f : initial[v]) frames_[v].push_back(f);
+        continue;
+      }
+      if (!initial[v].empty()) {
+        Source local{kLocalSource, {}, 0};
+        for (const auto& f : initial[v]) {
+          local.buf.push_back(static_cast<std::int64_t>(f.size()));
+          local.buf.insert(local.buf.end(), f.begin(), f.end());
+        }
+        sources_[v].push_back(std::move(local));
+        transfer(v);
+        pump(ex, v);
+      }
+    }
+  }
+
+  void on_wake(congest::Exec& ex, NodeId v,
+               std::span<const congest::Inbound> inbox) override {
+    const bool is_root = (*tree_.parent_edge)[v] == kNoEdge;
+    for (const congest::Inbound& in : inbox) {
+      if (in.msg.tag != kTagWord) continue;
+      if (is_root) {
+        auto it = std::find_if(
+            partial_[v].begin(), partial_[v].end(),
+            [&](const Partial& p) { return p.port == in.port; });
+        if (it == partial_[v].end()) {
+          partial_[v].push_back({in.port, -1, {}});
+          it = partial_[v].end() - 1;
+        }
+        if (it->remaining < 0) {
+          it->remaining = in.msg.w[0];
+          it->payload.clear();
+        } else {
+          it->payload.push_back(in.msg.w[0]);
+          --it->remaining;
+        }
+        if (it->remaining == 0) {
+          frames_[v].push_back(std::move(it->payload));
+          it->remaining = -1;
+          it->payload.clear();
+        }
+        continue;
+      }
+      auto it = std::find_if(
+          sources_[v].begin(), sources_[v].end(),
+          [&](const Source& s) { return s.port == in.port; });
+      if (it == sources_[v].end()) {
+        sources_[v].push_back({in.port, {}, 0});
+        it = sources_[v].end() - 1;
+      }
+      it->buf.push_back(in.msg.w[0]);
+    }
+    if (!is_root) {
+      transfer(v);
+      pump(ex, v);
+    }
+  }
+
+  const std::vector<std::vector<std::int64_t>>& frames_at_root(NodeId r) const {
+    return frames_[r];
+  }
+
+ private:
+  static constexpr std::uint32_t kTagWord = 40;
+  static constexpr std::uint32_t kNoSource = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kLocalSource = static_cast<std::uint32_t>(-2);
+
+  void transfer(NodeId v) {
+    while (true) {
+      if (active_[v] == kNoSource) {
+        for (std::uint32_t i = 0; i < sources_[v].size(); ++i) {
+          if (sources_[v][i].head < sources_[v][i].buf.size()) {
+            active_[v] = i;
+            active_remaining_[v] = -1;
+            break;
+          }
+        }
+        if (active_[v] == kNoSource) return;
+      }
+      Source& src = sources_[v][active_[v]];
+      bool frame_done = false;
+      while (src.head < src.buf.size()) {
+        const std::int64_t w = src.buf[src.head++];
+        out_q_[v].push_back(w);
+        if (active_remaining_[v] < 0) {
+          active_remaining_[v] = w;
+        } else {
+          --active_remaining_[v];
+        }
+        if (active_remaining_[v] == 0) {
+          frame_done = true;
+          break;
+        }
+      }
+      if (!frame_done) return;
+      active_[v] = kNoSource;
+      active_remaining_[v] = -1;
+    }
+  }
+
+  void pump(congest::Exec& ex, NodeId v) {
+    if (cursor_[v] >= out_q_[v].size()) return;
+    const EdgeId pe = (*tree_.parent_edge)[v];
+    ex.send(v, ex.network().port_of_edge(v, pe),
+            congest::Msg::make(kTagWord, out_q_[v][cursor_[v]++]));
+    if (cursor_[v] < out_q_[v].size()) ex.wake_next_round(v);
+  }
+
+  struct Source {
+    std::uint32_t port;
+    std::vector<std::int64_t> buf;
+    std::size_t head = 0;
+  };
+  struct Partial {
+    std::uint32_t port;
+    std::int64_t remaining;
+    std::vector<std::int64_t> payload;
+  };
+
+  TreeView tree_;
+  std::vector<std::vector<std::int64_t>> out_q_;
+  std::vector<std::size_t> cursor_;
+  std::vector<std::vector<Source>> sources_;
+  std::vector<std::uint32_t> active_;
+  std::vector<std::int64_t> active_remaining_;
+  std::vector<std::vector<Partial>> partial_;
+  std::vector<std::vector<std::vector<std::int64_t>>> frames_;
+};
+
+// Runs UpStreamWords and the reference on the same forest and frames and
+// requires the same rounds, messages and frame order at every root.
+// Frames go to roots, interior nodes and leaves alike: each node gets 0-3
+// frames (every `heavy`-th node 12) of 0-5 words, so zero-length frames,
+// own frames queued behind each other and many converging streams all occur.
+void expect_same_schedule(const Graph& g, const PartForest& pf,
+                          const std::vector<std::uint8_t>* alive,
+                          std::uint64_t seed, NodeId heavy) {
+  const TreeView tree{&pf.parent_edge, &pf.children, alive};
+  UpStreamWords up(tree);
+  ReferenceUpStreamWords ref(tree);
+  Rng rng(seed);
+  std::size_t injected = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::uint64_t frames =
+        v % heavy == heavy - 1 ? 12 : rng.next_below(4);
+    for (std::uint64_t f = 0; f < frames; ++f) {
+      std::vector<std::int64_t> frame(rng.next_below(6));
+      for (auto& w : frame) w = rng.next_in(-1000, 1000);
+      up.initial[v].push_back(frame);
+      ref.initial[v].push_back(std::move(frame));
+      ++injected;
+    }
+  }
+  ASSERT_GT(injected, 0u);
+
+  Network net(g);
+  Simulator sim(net);
+  const auto got = sim.run(up);
+  const auto want = sim.run(ref);
+  EXPECT_TRUE(got.quiesced);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_GT(got.messages, 0u);
+  std::size_t collected = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(up.frames_at_root(v), ref.frames_at_root(v)) << "node " << v;
+    collected += up.frames_at_root(v).size();
+  }
+  EXPECT_GT(collected, 0u);
+}
+
+TEST(UpStreamWords, ScheduleMatchesReferenceOnTrees) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Graph tree = gen::random_tree(150, rng);
+    expect_same_schedule(tree, whole_graph_parts(tree), nullptr, seed, 9);
+    const Graph cat = gen::caterpillar(40, 60, rng);
+    expect_same_schedule(cat, whole_graph_parts(cat), nullptr, seed + 10, 7);
+  }
+  const Graph star = gen::star(40);
+  expect_same_schedule(star, whole_graph_parts(star), nullptr, 21, 5);
+  const Graph path = gen::path(200);
+  expect_same_schedule(path, whole_graph_parts(path), nullptr, 22, 13);
+}
+
+TEST(UpStreamWords, ScheduleMatchesReferenceOnMaskedForest) {
+  // Four copies of one tree, each its own part; the mask drops the whole
+  // second copy (as Stage II drops dead parts) plus every fifth node of the
+  // others -- roots, interior nodes and leaves -- whose own frames are then
+  // not injected, though they still relay what their children send.
+  Rng rng(31);
+  const Graph one = gen::random_tree(50, rng);
+  const Graph g = gen::disjoint_copies(one, 4);
+  const PartForest pf = whole_graph_parts(g);
+  std::vector<std::uint8_t> alive(g.num_nodes(), 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v / 50 == 1 || v % 5 == 0) alive[v] = 0;
+  }
+  expect_same_schedule(g, pf, &alive, 32, 6);
 }
 
 }  // namespace

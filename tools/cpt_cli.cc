@@ -6,13 +6,15 @@
 //   cpt_cli witness <file>                Kuratowski witness (exact, centralized)
 //
 // eps must be a number in (0, 1) (default 0.25) and seed a decimal
-// unsigned 64-bit integer (default 1); anything else exits 2. Generator
-// graphs come from `cpt_batch gen <family> key=value...`.
+// unsigned 64-bit integer (default 1); anything else exits 2, and so does
+// an edge-list file that cannot be opened or parsed. Generator graphs come
+// from `cpt_batch gen <family> key=value...`.
 // Edge-list format: "n m" header, then one "u v" pair per line; '#' comments.
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 #include "apps/spanner.h"
@@ -54,8 +56,17 @@ bool parse_seed(const char* text, std::uint64_t* out) {
   return ec == std::errc() && ptr == end;
 }
 
-int cmd_test(const std::string& path, double eps, std::uint64_t seed) {
-  const Graph g = load_edge_list_file(path);
+// Reads the edge list at `path`; on failure prints "error: <path>:
+// <reason>" and returns false.
+bool load_graph(const std::string& path, Graph* g) {
+  std::ifstream in(path);
+  std::string error = "cannot open file";
+  if (in.good() && try_read_edge_list(in, g, &error)) return true;
+  std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
+  return false;
+}
+
+int cmd_test(const Graph& g, double eps, std::uint64_t seed) {
   TesterOptions opt;
   opt.epsilon = eps;
   opt.seed = seed;
@@ -74,8 +85,7 @@ int cmd_test(const std::string& path, double eps, std::uint64_t seed) {
   return r.verdict == Verdict::kAccept ? 0 : 1;
 }
 
-int cmd_partition(const std::string& path, double eps) {
-  const Graph g = load_edge_list_file(path);
+int cmd_partition(const Graph& g, double eps) {
   congest::Network net(g);
   congest::Simulator sim(net);
   congest::RoundLedger ledger;
@@ -99,8 +109,7 @@ int cmd_partition(const std::string& path, double eps) {
   return 0;
 }
 
-int cmd_spanner(const std::string& path, double eps) {
-  const Graph g = load_edge_list_file(path);
+int cmd_spanner(const Graph& g, double eps) {
   MinorFreeOptions opt;
   opt.epsilon = eps;
   opt.adaptive_phases = true;
@@ -115,8 +124,7 @@ int cmd_spanner(const std::string& path, double eps) {
   return 0;
 }
 
-int cmd_witness(const std::string& path) {
-  const Graph g = load_edge_list_file(path);
+int cmd_witness(const Graph& g) {
   const auto w = find_kuratowski_subdivision(g);
   if (!w.has_value()) {
     std::printf("planar: no Kuratowski witness\n");
@@ -140,6 +148,7 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
   const bool takes_eps = cmd == "test" || cmd == "partition" || cmd == "spanner";
+  if (!takes_eps && cmd != "witness") return usage();
   double eps = 0.25;
   if (takes_eps && argc >= 4 && !parse_eps(argv[3], &eps)) {
     std::fprintf(stderr, "error: eps must be a number in (0, 1), got \"%s\"\n",
@@ -153,9 +162,10 @@ int main(int argc, char** argv) {
                  argv[4]);
     return usage();
   }
-  if (cmd == "test") return cmd_test(argv[2], eps, seed);
-  if (cmd == "partition") return cmd_partition(argv[2], eps);
-  if (cmd == "spanner") return cmd_spanner(argv[2], eps);
-  if (cmd == "witness") return cmd_witness(argv[2]);
-  return usage();
+  Graph g;
+  if (!load_graph(argv[2], &g)) return 2;
+  if (cmd == "test") return cmd_test(g, eps, seed);
+  if (cmd == "partition") return cmd_partition(g, eps);
+  if (cmd == "spanner") return cmd_spanner(g, eps);
+  return cmd_witness(g);
 }
