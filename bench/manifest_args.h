@@ -1,13 +1,13 @@
 // Shared argv handling for the manifest-driven experiment binaries
-// (E1/E3/E7): the --manifest=PATH / --threads=N flags plus manifest
-// loading, identical across the three harnesses.
+// (E1/E2/E3/E4/E6/E7): the --manifest=PATH / --threads=N flags plus
+// manifest loading, identical across the harnesses.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench/bench_common.h"
 #include "scenario/engine.h"
 #include "scenario/manifest.h"
 
@@ -15,6 +15,8 @@ namespace cpt::bench {
 
 // Returns 0 on success; otherwise the exit code the caller should return
 // (2 = bad usage, 1 = manifest load failure), with the message printed.
+// --threads takes what cpt_batch does: a decimal in [0, kMaxBatchThreads],
+// 0 meaning the CPT_TEST_THREADS environment value.
 inline int parse_manifest_args(int argc, char** argv,
                                const char* default_manifest,
                                scenario::Manifest* manifest,
@@ -25,7 +27,12 @@ inline int parse_manifest_args(int argc, char** argv,
     if (std::strncmp(argv[i], "--manifest=", 11) == 0) {
       *manifest_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      options->threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      unsigned long threads = 0;
+      if (!parse_count_flag("--threads", argv[i] + 10, 0,
+                            scenario::kMaxBatchThreads, &threads)) {
+        return 2;
+      }
+      options->threads = static_cast<unsigned>(threads);
     } else {
       std::fprintf(stderr, "usage: %s [--manifest=PATH] [--threads=N]\n",
                    argv[0]);

@@ -251,12 +251,12 @@ std::string render_timing_json(const Manifest& manifest,
   out += ",\n  \"threads\": " + json_render_uint(batch.threads_used);
   out += ",\n  \"jobs\": " + json_render_uint(batch.jobs.size());
   out += ",\n  \"wall_seconds\": " + json_render_double(batch.wall_seconds);
-  // Degradation counters live here, not in the aggregate document: a
-  // resumed run retries/resumes differently than an uninterrupted one, and
-  // the aggregate must stay byte-identical between the two.
+  // Degradation and cache counters live here, not in the aggregate
+  // document: a rerun served partly from the result cache retries
+  // differently than an uninterrupted one, and the aggregate must stay
+  // byte-identical between the two.
   out += ",\n  \"retried_jobs\": " + json_render_uint(batch.retried_jobs);
   out += ", \"total_retries\": " + json_render_uint(batch.total_retries);
-  out += ", \"resumed_jobs\": " + json_render_uint(batch.resumed_jobs);
   out += ", \"cache_hit_jobs\": " + json_render_uint(batch.cache_hit_jobs);
   out += ",\n  \"corpus\": {\"unique_instances\": " +
          json_render_uint(batch.corpus.unique_instances);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "scenario/faultinject.h"
+#include "scenario/registry.h"
 #include "util/fsio.h"
 
 namespace cpt::scenario {
@@ -51,18 +52,6 @@ constexpr std::uint64_t kMaxEdgesV3 = 0x7FFFFFFFULL;
 // CPT_CORPUS_VERIFY=full); larger files are admitted on the header +
 // exact-size cross-check so a multi-GB hit stays zero-copy.
 constexpr std::uint64_t kFullVerifyBytes = 64ULL << 20;
-
-constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t align64(std::uint64_t off) { return (off + 63) & ~63ULL; }
 
@@ -122,10 +111,10 @@ struct Mapping {
 std::uint64_t checksum_range_windowed(unsigned char* base, std::uint64_t lo,
                                       std::uint64_t hi, bool release) {
   constexpr std::uint64_t kWindow = 8ULL << 20;
-  std::uint64_t sum = kChecksumSeed;
+  std::uint64_t sum = kFnvOffsetBasis;
   for (std::uint64_t off = lo; off < hi; off += kWindow) {
     const std::uint64_t end = std::min(hi, off + kWindow);
-    sum = fnv_bytes(sum, base + off, end - off);
+    sum = fnv_fold(sum, base + off, end - off);
     if (release) {
       const std::uint64_t page_lo = off & ~4095ULL;
       const std::uint64_t page_hi = end & ~4095ULL;
@@ -146,7 +135,7 @@ void fill_header_v3(unsigned char* h, std::uint64_t n, std::uint64_t m,
   store_u64(h + 16, m);
   store_u64(h + 24, payload_sum);
   store_u64(h + kHeaderChecksumOff,
-            fnv_bytes(kChecksumSeed, h, kHeaderChecksumOff));
+            fnv_fold(kFnvOffsetBasis, h, kHeaderChecksumOff));
 }
 
 bool write_u32_f(std::FILE* f, std::uint32_t v) {
@@ -168,7 +157,7 @@ bool load_v3_mapped(int fd, std::uint64_t file_size, Graph* out) {
   auto* bytes = static_cast<unsigned char*>(mapping->base);
 
   if (load_u64(bytes + kHeaderChecksumOff) !=
-      fnv_bytes(kChecksumSeed, bytes, kHeaderChecksumOff)) {
+      fnv_fold(kFnvOffsetBasis, bytes, kHeaderChecksumOff)) {
     return false;
   }
   for (std::uint64_t i = kHeaderChecksumOff + 8; i < kHeaderBytes; ++i) {
@@ -321,10 +310,10 @@ bool CorpusStore::save(std::uint64_t hash, const Graph& g) const {
   // payload checksum folds over exactly the bytes written (gaps included),
   // matching the loader's flat [64, size) fold.
   std::uint64_t pos = kHeaderBytes;
-  std::uint64_t sum = kChecksumSeed;
+  std::uint64_t sum = kFnvOffsetBasis;
   const auto emit = [&](const void* data, std::uint64_t len) {
     if (len == 0) return true;
-    sum = fnv_bytes(sum, data, static_cast<std::size_t>(len));
+    sum = fnv_fold(sum, data, static_cast<std::size_t>(len));
     pos += len;
     return std::fwrite(data, 1, static_cast<std::size_t>(len), f) == len;
   };

@@ -293,13 +293,13 @@ std::optional<ShareKey> share_key(const Job& job, std::uint32_t slot) {
 
 // Job claiming by unit, with Stage I sharing. A unit is a maximal run of
 // consecutive jobs with one share key (a job without a key is a unit of
-// its own). When a unit holds two or more jobs that neither the resume map
-// nor the result cache serves, the first of them is its leader: it
-// captures its Stage I and publishes the record once its result is in.
-// The unit's other unserved jobs, its followers, replay that record -- or
-// simulate Stage I themselves when the leader captured none (it failed
-// before Stage I finished). Which jobs replay is therefore a function of
-// the job list and the served set alone, never of the schedule.
+// its own). When a unit holds two or more jobs that the result cache does
+// not serve, the first of them is its leader: it captures its Stage I and
+// publishes the record once its result is in. The unit's other unserved
+// jobs, its followers, replay that record -- or simulate Stage I
+// themselves when the leader captured none (it failed before Stage I
+// finished). Which jobs replay is therefore a function of the job list
+// and the served set alone, never of the schedule.
 //
 // A worker claims a whole unit and runs its jobs in order, so it never
 // waits for its own leader. Once every unit is claimed, idle workers help:
@@ -566,11 +566,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
     return options.cancel != nullptr &&
            options.cancel->load(std::memory_order_relaxed);
   };
-  const auto resumed_job = [&](std::uint32_t j) {
-    return options.completed != nullptr &&
-           options.completed->count(j) != 0;
-  };
-
   // Phase 0: consult the persistent result cache. Lookups are per-job
   // file reads, parallel across the pool; the hit set is a pure function
   // of the cache directory's state and the job list, never the schedule.
@@ -589,7 +584,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
         const std::uint32_t j =
             cursor.fetch_add(1, std::memory_order_relaxed);
         if (j >= out.jobs.size()) return;
-        if (resumed_job(j)) continue;  // journal replay wins; no I/O
         JobResult r;
         if (cache->load(out.jobs[j], &r) == ResultCache::LoadStatus::kHit) {
           cache_results[j] = std::move(r);
@@ -602,21 +596,14 @@ BatchResult run_batch_impl(const Manifest& manifest,
     return !cache_hit.empty() && cache_hit[j] != 0;
   };
 
-  // Instances whose every job is already served (resume map or result
-  // cache) never need their graph: skip materialization entirely, the
-  // big win of a warm cache. The skip set derives from phase 0, so it is
-  // schedule-deterministic like everything else.
-  std::vector<char> slot_needed(slots.size(),
-                                options.completed == nullptr &&
-                                        cache == nullptr
-                                    ? 1
-                                    : 0);
-  if (options.completed != nullptr || cache != nullptr) {
+  // Instances whose every job the result cache serves never need their
+  // graph: skip materialization entirely, the big win of a warm cache.
+  // The skip set derives from phase 0, so it is schedule-deterministic
+  // like everything else.
+  std::vector<char> slot_needed(slots.size(), cache == nullptr ? 1 : 0);
+  if (cache != nullptr) {
     for (std::size_t j = 0; j < out.jobs.size(); ++j) {
-      if (!resumed_job(static_cast<std::uint32_t>(j)) &&
-          !cache_hit_job(static_cast<std::uint32_t>(j))) {
-        slot_needed[job_slot[j]] = 1;
-      }
+      if (cache_hit[j] == 0) slot_needed[job_slot[j]] = 1;
     }
   }
 
@@ -737,19 +724,12 @@ BatchResult run_batch_impl(const Manifest& manifest,
   // Phase 2: run the jobs. Claiming order is racy; result placement is by
   // job slot, so the result array is schedule-independent. Jobs are claimed
   // by unit so each unit simulates Stage I once (see ClaimUnits).
-  ClaimUnits claims(
-      out.jobs, job_slot,
-      [&](std::uint32_t j) { return resumed_job(j) || cache_hit_job(j); },
-      workers, options.cancel);
-  const auto cached_result = [&](std::uint32_t j) -> const JobResult* {
-    if (options.completed == nullptr) return nullptr;
-    const auto it = options.completed->find(j);
-    return it == options.completed->end() ? nullptr : &it->second;
-  };
-  // One job's outcome: the resume cache, the result cache (phase 0), a
-  // materialization failure propagated to every dependent job, or an
-  // actual run (with retry).
-  const auto produce = [&](std::uint32_t j, bool* resumed, bool* from_cache,
+  ClaimUnits claims(out.jobs, job_slot, cache_hit_job, workers,
+                    options.cancel);
+  // One job's outcome: the result cache (phase 0), a materialization
+  // failure propagated to every dependent job, or an actual run (with
+  // retry).
+  const auto produce = [&](std::uint32_t j, bool* from_cache,
                            RunState* state) -> JobResult {
     // Job tracks follow the instance tracks in id space; the label is a
     // pure function of the expansion, so the layout is schedule-invariant.
@@ -761,13 +741,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
               std::to_string(out.jobs[j].instance_index) + " t" +
               std::to_string(out.jobs[j].trial));
     }
-    *resumed = false;
     *from_cache = false;
-    if (const JobResult* cached = cached_result(j)) {
-      *resumed = true;
-      if (job_track != nullptr) job_track->instant("job/resumed");
-      return *cached;
-    }
     if (cache_hit_job(j)) {
       *from_cache = true;
       if (job_track != nullptr) job_track->instant("job/cache_hit");
@@ -807,7 +781,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
       trace->metrics().record("rt/batch/worker_busy_ns", busy_ns[w]);
     }
   };
-  const auto tally = [&](const JobResult& r, bool resumed, bool from_cache) {
+  const auto tally = [&](const JobResult& r, bool from_cache) {
     if (r.timed_out) {
       ++out.timed_out_jobs;
     } else if (r.failed) {
@@ -817,16 +791,15 @@ BatchResult run_batch_impl(const Manifest& manifest,
       ++out.retried_jobs;
       out.total_retries += r.retries;
     }
-    if (resumed) ++out.resumed_jobs;
     if (from_cache) ++out.cache_hit_jobs;
   };
-  // Freshly executed results populate the cache on retire (hits and
-  // journal-replayed results are already there or equivalent; failures are
-  // rejected by store()). A store failure only costs the next run a
-  // re-execution, so it is not an error.
-  const auto publish = [&](std::uint32_t j, const JobResult& r, bool resumed,
+  // Freshly executed results populate the cache as soon as they are in
+  // (hits are already there; failures are rejected by store()). A store
+  // failure only costs the next run a re-execution, so it is not an
+  // error.
+  const auto publish = [&](std::uint32_t j, const JobResult& r,
                            bool from_cache) {
-    if (cache != nullptr && !resumed && !from_cache && !r.failed) {
+    if (cache != nullptr && !from_cache && !r.failed) {
       cache->store(out.jobs[j], r);
     }
   };
@@ -835,20 +808,17 @@ BatchResult run_batch_impl(const Manifest& manifest,
     // Per-index flags, each written by the one worker that claimed the
     // index and read only after the pool joins -- no atomics needed.
     std::vector<char> executed(out.jobs.size(), 0);
-    std::vector<char> resumed_flags(out.jobs.size(), 0);
     std::vector<char> cache_flags(out.jobs.size(), 0);
     auto execute = [&](unsigned w) {
       std::uint32_t j = 0;
       while (!cancelled() && claims.claim(w, &j)) {
-        bool resumed = false;
         bool from_cache = false;
         const std::uint64_t b0 =
             trace != nullptr ? util::trace_now_ns() : 0;
-        out.results[j] = produce(j, &resumed, &from_cache, &states[w]);
+        out.results[j] = produce(j, &from_cache, &states[w]);
         claims.finish(j);
         if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
-        publish(j, out.results[j], resumed, from_cache);
-        resumed_flags[j] = resumed ? 1 : 0;
+        publish(j, out.results[j], from_cache);
         cache_flags[j] = from_cache ? 1 : 0;
         executed[j] = 1;
         mark_done();
@@ -868,7 +838,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
       } else {
         ++out.completed_jobs;
       }
-      tally(out.results[j], resumed_flags[j] != 0, cache_flags[j] != 0);
+      tally(out.results[j], cache_flags[j] != 0);
     }
   } else {
     // Streaming: completed results park in `pending` until every earlier
@@ -880,7 +850,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
     // are abandoned (their index never lands in `pending`, so the frontier
     // simply stops there), in-flight jobs finish and retire if contiguous.
     // Every job below the final frontier went through the sink exactly
-    // once -- the journal written from the sink resumes from there.
+    // once.
     //
     // Unit claiming keeps the frontier moving: a unit's owner claims its
     // jobs in order and helpers only take jobs of claimed units, so the
@@ -890,7 +860,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
     std::condition_variable cv;
     struct Pending {
       JobResult result;
-      bool resumed;
       bool from_cache;
     };
     std::unordered_map<std::uint32_t, Pending> pending;
@@ -911,27 +880,25 @@ BatchResult run_batch_impl(const Manifest& manifest,
             cv.wait_for(lock, std::chrono::milliseconds(20));
           }
         }
-        bool resumed = false;
         bool from_cache = false;
         const std::uint64_t b0 =
             trace != nullptr ? util::trace_now_ns() : 0;
-        JobResult r = produce(j, &resumed, &from_cache, &states[w]);
+        JobResult r = produce(j, &from_cache, &states[w]);
         claims.finish(j);
         if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
         // Cache publish happens outside the retirement lock (it is file
         // I/O) and before the result is surfaced, so a crash after the
-        // sink ran never leaves a journaled-but-uncached fresh result.
-        publish(j, r, resumed, from_cache);
+        // sink ran never loses a fresh result the sink saw.
+        publish(j, r, from_cache);
         mark_done();
         {
           std::lock_guard<std::mutex> lock(mu);
-          pending.emplace(j, Pending{std::move(r), resumed, from_cache});
+          pending.emplace(j, Pending{std::move(r), from_cache});
           peak_pending = std::max(peak_pending, pending.size());
           while (true) {
             const auto it = pending.find(next_retire);
             if (it == pending.end()) break;
-            tally(it->second.result, it->second.resumed,
-                  it->second.from_cache);
+            tally(it->second.result, it->second.from_cache);
             (*sink)(out.jobs[next_retire], it->second.result);
             pending.erase(it);
             ++next_retire;
@@ -961,7 +928,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
     m.add_counter("batch/completed_jobs", out.completed_jobs);
     m.add_counter("batch/failed_jobs", out.failed_jobs);
     m.add_counter("batch/timed_out_jobs", out.timed_out_jobs);
-    m.add_counter("batch/resumed_jobs", out.resumed_jobs);
     m.add_counter("batch/retried_jobs", out.retried_jobs);
     m.add_counter("batch/total_retries", out.total_retries);
     m.add_counter("batch/cache_hit_jobs", out.cache_hit_jobs);

@@ -11,9 +11,9 @@
 // Stage I sharing: Stage I reads no random bits, so the trials of one
 // instance repeat it exactly. Jobs are claimed in *units* -- maximal runs
 // of consecutive jobs with one share key (graph, epsilon, alpha, adaptive,
-// pipelined, round budget). A unit's first job the resume map and the
-// result cache do not serve simulates Stage I and publishes a
-// Stage1Record; the unit's later jobs replay it (partition/partition.h).
+// pipelined, round budget). A unit's first job the result cache does not
+// serve simulates Stage I and publishes a Stage1Record; the unit's later
+// jobs replay it (partition/partition.h).
 // Replay is exact -- same results, ledgers and pass spans -- and which
 // jobs replay depends only on the job list and the served set.
 //
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "congest/simulator.h"  // SimMemory
@@ -86,8 +85,9 @@ struct JobResult {
   bool timed_out = false;
   // Transient-failure re-runs this result took (0 = first attempt stood).
   // Deterministic under an injected fault plan; excluded from the
-  // aggregate document (a resumed run retries differently than an
-  // uninterrupted one) and reported via the timing doc / CLI summary.
+  // aggregate document (a rerun served partly from the result cache
+  // retries differently than an uninterrupted one) and reported via the
+  // timing doc / CLI summary.
   std::uint32_t retries = 0;
   double wall_seconds = 0;  // nondeterministic; excluded from aggregates
 };
@@ -101,11 +101,10 @@ bool is_transient_error(const std::string& message);
 // Live progress counters the batch engine bumps as it goes (relaxed
 // atomics; read-only consumers like cpt_batch's --progress heartbeat poll
 // them from another thread). Purely observational: nothing in the engine
-// reads them back, so they cannot perturb results, aggregates or journal
-// bytes.
+// reads them back, so they cannot perturb results or aggregates.
 struct ProgressCounters {
   std::atomic<std::uint64_t> jobs_total{0};
-  std::atomic<std::uint64_t> jobs_done{0};      // executed, resumed or failed
+  std::atomic<std::uint64_t> jobs_done{0};      // executed, cached or failed
   std::atomic<std::uint64_t> corpus_hits{0};    // instances served from disk
   std::atomic<std::uint64_t> corpus_generated{0};
   std::atomic<std::uint64_t> retries{0};        // job + materialize re-runs
@@ -131,20 +130,18 @@ struct BatchOptions {
   // Cooperative cancellation (cpt_batch's SIGINT/SIGTERM path). When the
   // pointee flips true, workers stop claiming jobs, in-flight jobs drain,
   // and the streaming retirement frontier stops at the first unexecuted
-  // job -- everything retired before it reached the sink exactly once, so
-  // a journal written from the sink is resumable. BatchResult::cancelled
-  // reports the truncation.
+  // job -- everything retired before it reached the sink exactly once.
+  // BatchResult::cancelled reports the truncation. With a result cache,
+  // every result executed before the drain is already stored, so a rerun
+  // with the same cache resumes where this one stopped.
   const std::atomic<bool>* cancel = nullptr;
-  // Resume cache (journal replay): jobs present here are not re-executed;
-  // the cached result is fed through the sink / result slot unchanged.
-  // Counted in BatchResult::resumed_jobs.
-  const std::unordered_map<std::uint32_t, JobResult>* completed = nullptr;
   // Persistent result cache (scenario/result_cache.h). Consulted before
   // execution -- hits flow through the sink / result slot exactly like
-  // resumed jobs, so aggregates stay byte-identical to uncached runs --
-  // and populated as freshly executed jobs retire. Instances whose every
-  // job is served from the cache (or the resume map) are not materialized
-  // at all. Counted in BatchResult::cache_hit_jobs. nullptr = off.
+  // fresh results, so aggregates stay byte-identical to uncached runs --
+  // and populated as freshly executed jobs finish, before the sink sees
+  // them. Instances whose every job is served from the cache are not
+  // materialized at all. Counted in BatchResult::cache_hit_jobs.
+  // nullptr = off.
   ResultCache* result_cache = nullptr;
   // Optional trace session (util/trace.h). The engine lays out tracks
   // deterministically -- 0 = batch phases, 1+slot = instance
@@ -164,8 +161,8 @@ struct CorpusCounters {
   std::uint64_t generated = 0;   // built by the registry (disk misses)
   std::uint64_t corrupt_files = 0;  // rejected .cpg files (regenerated)
   // Instances never materialized because every dependent job was served
-  // from the result cache / resume map (disk_hits + generated + skipped
-  // == unique_instances).
+  // from the result cache (disk_hits + generated + skipped ==
+  // unique_instances).
   std::uint64_t skipped = 0;
 };
 
@@ -179,10 +176,9 @@ struct BatchResult {
   // the timing doc and the CLI summary, never the aggregate document).
   std::uint32_t retried_jobs = 0;    // jobs needing >= 1 re-run
   std::uint32_t total_retries = 0;   // re-runs across all jobs
-  std::uint32_t resumed_jobs = 0;    // served from the resume cache
   // Served from the persistent result cache (BatchOptions::result_cache).
-  // Like resumed_jobs, reported via the timing doc / CLI summary only:
-  // the aggregate document is byte-identical either way.
+  // Reported via the timing doc / CLI summary only: the aggregate
+  // document is byte-identical either way.
   std::uint32_t cache_hit_jobs = 0;
   // Jobs that replayed another job's Stage I instead of simulating it
   // (see "Stage I sharing" above). Never part of the aggregate document.

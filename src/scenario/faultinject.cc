@@ -66,7 +66,6 @@ bool parse_site(std::string_view s, FaultSite* out) {
   else if (s == "materialize") *out = FaultSite::kMaterialize;
   else if (s == "run_job") *out = FaultSite::kRunJob;
   else if (s == "stream_write") *out = FaultSite::kStreamWrite;
-  else if (s == "journal_write") *out = FaultSite::kJournalWrite;
   else return false;
   return true;
 }
@@ -81,7 +80,6 @@ const char* fault_site_name(FaultSite site) {
     case FaultSite::kMaterialize: return "materialize";
     case FaultSite::kRunJob: return "run_job";
     case FaultSite::kStreamWrite: return "stream_write";
-    case FaultSite::kJournalWrite: return "journal_write";
   }
   return "?";
 }

@@ -3,15 +3,15 @@
 // A FaultPlan is parsed from a small spec string (cpt_batch --fault-plan,
 // or the CPT_FAULT_PLAN environment variable) and installed globally;
 // instrumented sites in the corpus store, the registry's file loader, the
-// engine's materialization/execution loops and the stream/journal writers
+// engine's materialization/execution loops and cpt_batch's stream writer
 // then ask the plan whether to fail. With no plan installed every check is
 // a single relaxed atomic load returning kNone -- production runs pay
 // nothing.
 //
 // Determinism contract: every site is keyed by a schedule-independent
-// 64-bit key (job index for run_job / journal records, instance hash for
-// corpus and materialization, FNV of the path for edge-list reads, the
-// emit ordinal for the in-order stream writer) -- never by a global hit
+// 64-bit key (job index for run_job, instance hash for corpus and
+// materialization, FNV of the path for edge-list reads, the emit ordinal
+// for the in-order stream writer) -- never by a global hit
 // counter -- so the same plan fires on the same work items at every
 // --threads value. `rate` rules derive their coin from splitmix64 over
 // (plan seed, rule index, site, key): reproducible pseudo-random sweeps.
@@ -23,7 +23,7 @@
 //           | action '@' site (':' cond)*
 //   action := throw | badalloc | corrupt | shortwrite | exit
 //   site   := corpus_load | corpus_save | edge_list | materialize
-//           | run_job | stream_write | journal_write
+//           | run_job | stream_write
 //   cond   := 'key='   K   -- fire only for site key K
 //           | 'every=' N   -- fire when key % N == 0
 //           | 'rate='  R   -- fire with probability R (seeded, per key)
@@ -42,9 +42,9 @@
 //   shortwrite -- returned to the caller: writers simulate a failed or
 //                 half-completed write (corpus_save leaves its .tmp file
 //                 behind, exercising the orphan sweep)
-//   exit       -- hard ::_exit(kFaultExitCode) at the site, after writers
-//                 tear their in-progress record -- the kill-anywhere
-//                 resume tests
+//   exit       -- hard ::_exit(kFaultExitCode) at the site, after the
+//                 stream writer tears its in-progress chunk -- the
+//                 kill-anywhere resume tests
 #pragma once
 
 #include <cstdint>
@@ -64,7 +64,6 @@ enum class FaultSite {
   kMaterialize,
   kRunJob,
   kStreamWrite,
-  kJournalWrite,
 };
 const char* fault_site_name(FaultSite site);
 

@@ -1,8 +1,8 @@
-// Minimal JSON reader/writer for the scenario engine (manifests,
-// journals and result-cache entries in -- aggregates out). No
-// third-party dependency, mirroring bench/bench_json's approach on the
-// write side. The reader is a strict recursive-descent parser for the
-// JSON subset manifests need: objects (insertion order preserved --
+// Minimal JSON reader/writer for the scenario engine (manifests and
+// result-cache entries in -- aggregates out). No third-party dependency,
+// mirroring bench/bench_json's approach on the write side. The reader is
+// a strict recursive-descent parser for the JSON subset manifests need:
+// objects (insertion order preserved --
 // sweep-axis order is load-bearing, see manifest.h), arrays, strings,
 // numbers, booleans and null. String escapes cover the full JSON set
 // (\" \\ \/ \n \t \r \b \f \uXXXX): \u escapes decode to UTF-8 for every

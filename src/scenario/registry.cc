@@ -108,15 +108,6 @@ std::string ScenarioInstance::label_with_seed() const {
   return label() + buf;
 }
 
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t ScenarioInstance::hash() const {
   std::uint64_t state = fnv1a64(label());
   state ^= seed;

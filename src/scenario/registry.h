@@ -198,6 +198,23 @@ Graph build_instance(const ScenarioInstance& instance);
 std::unique_ptr<gen::EdgeStream> make_edge_stream(
     const ScenarioInstance& instance);
 
-std::uint64_t fnv1a64(std::string_view s);
+// FNV-1a-64, the one copy of the loop: fnv_fold continues hash `h` over
+// n more bytes, fnv1a64 hashes a string from the offset basis. Instance
+// hashes, .cpg checksums and result-cache keys all fold through it.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+inline std::uint64_t fnv_fold(std::uint64_t h, const void* data,
+                              std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+inline std::uint64_t fnv1a64(std::string_view s) {
+  return fnv_fold(kFnvOffsetBasis, s.data(), s.size());
+}
 
 }  // namespace cpt::scenario

@@ -5,9 +5,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
-#include "scenario/journal.h"
 #include "scenario/json.h"
 #include "scenario/registry.h"
 #include "util/fsio.h"
@@ -20,6 +20,175 @@ namespace {
 // the cache dir shareable with the corpus (.cpg) without the two sweeps
 // or globs ever matching each other's files.
 constexpr const char* kEntrySuffix = ".cpr";
+
+// Entry line layout: {"sum": "<16hex>", "rec": <object>}\n, where sum is
+// FNV-1a-64 over the exact byte text of <object>. The record text starts
+// at byte kRecOffset and ends 2 bytes before the line's end, so
+// validation never needs to re-render JSON.
+constexpr std::size_t kRecOffset = 35;
+constexpr const char* kLinePrefix = "{\"sum\": \"";   // 9 bytes
+constexpr const char* kLineInfix = "\", \"rec\": ";   // 10 bytes, at 25
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Inverse of hex16: exactly 16 lowercase hex digits. Hex strings are how
+// full-range u64 identities (hashes, seeds) round-trip through JSON
+// records -- a bare integer above INT64_MAX falls back to double in the
+// parser and silently loses low bits.
+bool parse_hex16(std::string_view s, std::uint64_t* out) {
+  if (s.size() != 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    v <<= 4;
+    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
+    else return false;
+  }
+  *out = v;
+  return true;
+}
+
+// Folds v's 8 bytes, least significant first.
+std::uint64_t fnv_fold_u64(std::uint64_t h, std::uint64_t v) {
+  unsigned char le[8];
+  for (int i = 0; i < 8; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
+  return fnv_fold(h, le, sizeof le);
+}
+
+std::string record_sum(std::string_view rec) {
+  return hex16(fnv_fold(kFnvOffsetBasis, rec.data(), rec.size()));
+}
+
+// Wraps `rec`'s exact byte text as {"sum": "<16hex>", "rec": <rec>}\n.
+std::string checksummed_record_line(const std::string& rec) {
+  std::string line = kLinePrefix;
+  line += record_sum(rec);
+  line += kLineInfix;
+  line += rec;
+  line += "}\n";
+  return line;
+}
+
+// Validates one line's shape and checksum (no trailing newline); on
+// success points *rec_text at the record substring inside `line`.
+bool split_checksummed_line(std::string_view line,
+                            std::string_view* rec_text) {
+  if (line.size() < kRecOffset + 2) return false;
+  if (line.substr(0, 9) != kLinePrefix) return false;
+  if (line.substr(25, 10) != kLineInfix) return false;
+  if (line.back() != '}') return false;
+  const std::string_view rec = line.substr(kRecOffset,
+                                           line.size() - kRecOffset - 1);
+  if (record_sum(rec) != line.substr(9, 16)) return false;
+  *rec_text = rec;
+  return true;
+}
+
+const char* verdict_name(Verdict v) {
+  switch (v) {
+    case Verdict::kAccept: return "accept";
+    case Verdict::kReject: return "reject";
+    case Verdict::kFail: return "fail";
+  }
+  return "?";
+}
+
+bool parse_verdict(const std::string& s, Verdict* out) {
+  if (s == "accept") *out = Verdict::kAccept;
+  else if (s == "reject") *out = Verdict::kReject;
+  else if (s == "fail") *out = Verdict::kFail;
+  else return false;
+  return true;
+}
+
+std::uint64_t get_u64(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_number()) return 0;
+  if (v->is_integer()) return static_cast<std::uint64_t>(v->as_int64());
+  return static_cast<std::uint64_t>(v->as_double());
+}
+
+bool get_flag(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_bool() && v->as_bool();
+}
+
+// The JobResult body of an entry: every field the aggregate document is
+// a function of (verdict, rounds, messages, n/m, timed-out state) plus
+// retries and wall_seconds for the timing report. Starts with ", "
+// (store() opens the object and writes the identity first). Failed
+// results are never stored, so there is no failure state to write.
+void append_result_fields(std::string& rec, const JobResult& r) {
+  rec += ", \"n\": " + json_render_uint(r.n);
+  rec += ", \"m\": " + json_render_uint(r.m);
+  if (r.timed_out) {
+    rec += ", \"timed_out\": true, \"error\": ";
+    json_append_escaped(rec, r.error);
+  } else {
+    rec += ", \"verdict\": \"";
+    rec += verdict_name(r.verdict);
+    rec += "\", \"rounds\": " + json_render_uint(r.rounds);
+    rec += ", \"messages\": " + json_render_uint(r.messages);
+    rec += ", \"num_parts\": " + json_render_uint(r.num_parts);
+    rec += ", \"cut_edges\": " + json_render_uint(r.cut_edges);
+    rec += ", \"max_part_ecc\": " + json_render_uint(r.max_part_ecc);
+    rec += ", \"max_tree_depth\": " + json_render_uint(r.max_tree_depth);
+    rec += ", \"stage1_phases\": " + json_render_uint(r.stage1_phases);
+    rec += ", \"stage1_phases_total\": " +
+           json_render_uint(r.stage1_phases_total);
+    if (r.trials_per_phase > 0) {
+      rec += ", \"trials_per_phase\": " +
+             json_render_uint(r.trials_per_phase);
+    }
+  }
+  if (r.retries > 0) rec += ", \"retries\": " + json_render_uint(r.retries);
+  rec += ", \"wall_seconds\": " + json_render_double(r.wall_seconds);
+}
+
+// Reads append_result_fields' fields back; fails only on a missing or
+// unknown verdict.
+bool parse_result_fields(const JsonValue& rec, JobResult* out) {
+  JobResult r;
+  r.n = static_cast<NodeId>(get_u64(rec, "n"));
+  r.m = static_cast<EdgeId>(get_u64(rec, "m"));
+  r.timed_out = get_flag(rec, "timed_out");
+  if (r.timed_out) {
+    if (const JsonValue* e = rec.find("error")) {
+      if (e->is_string()) r.error = e->as_string();
+    }
+  } else {
+    const JsonValue* verdict = rec.find("verdict");
+    if (verdict == nullptr || !verdict->is_string() ||
+        !parse_verdict(verdict->as_string(), &r.verdict)) {
+      return false;
+    }
+    r.rounds = get_u64(rec, "rounds");
+    r.messages = get_u64(rec, "messages");
+    r.num_parts = static_cast<NodeId>(get_u64(rec, "num_parts"));
+    r.cut_edges = get_u64(rec, "cut_edges");
+    r.max_part_ecc =
+        static_cast<std::uint32_t>(get_u64(rec, "max_part_ecc"));
+    r.max_tree_depth =
+        static_cast<std::uint32_t>(get_u64(rec, "max_tree_depth"));
+    r.stage1_phases =
+        static_cast<std::uint32_t>(get_u64(rec, "stage1_phases"));
+    r.stage1_phases_total =
+        static_cast<std::uint32_t>(get_u64(rec, "stage1_phases_total"));
+    r.trials_per_phase =
+        static_cast<std::uint32_t>(get_u64(rec, "trials_per_phase"));
+  }
+  r.retries = static_cast<std::uint32_t>(get_u64(rec, "retries"));
+  if (const JsonValue* w = rec.find("wall_seconds")) {
+    if (w->is_number()) r.wall_seconds = w->as_double();
+  }
+  *out = std::move(r);
+  return true;
+}
 
 }  // namespace
 
@@ -42,14 +211,14 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
 std::uint64_t ResultCache::key_for(const Job& job) {
   std::uint64_t h = fnv1a64("cpt_result_v1");
   const std::string key = job.cell_key();
-  h = fnv_fold_bytes(h, key.data(), key.size());
+  h = fnv_fold(h, key.data(), key.size());
   h = fnv_fold_u64(h, job.instance.hash());
   h = fnv_fold_u64(h, job.tester_seed);
   return h;
 }
 
 std::string ResultCache::path_for(std::uint64_t key) const {
-  return dir_ + "/" + fnv_hex16(key) + kEntrySuffix;
+  return dir_ + "/" + hex16(key) + kEntrySuffix;
 }
 
 ResultCache::LoadStatus ResultCache::load(const Job& job,
@@ -100,8 +269,7 @@ ResultCache::LoadStatus ResultCache::load(const Job& job,
     return LoadStatus::kMiss;
   }
   JobResult r;
-  std::string perr;
-  if (!parse_result_fields(rec, &r, &perr)) return corrupt();
+  if (!parse_result_fields(rec, &r)) return corrupt();
   *out = std::move(r);
   return LoadStatus::kHit;
 }
@@ -113,8 +281,8 @@ bool ResultCache::store(const Job& job, const JobResult& result) const {
   // Hex16, not bare integers: instance hashes and derived seeds use the
   // full u64 range, and the JSON parser demotes integers above INT64_MAX
   // to double -- the low bits the identity check depends on would vanish.
-  rec += ", \"instance\": \"" + fnv_hex16(job.instance.hash()) + "\"";
-  rec += ", \"seed\": \"" + fnv_hex16(job.tester_seed) + "\"";
+  rec += ", \"instance\": \"" + hex16(job.instance.hash()) + "\"";
+  rec += ", \"seed\": \"" + hex16(job.tester_seed) + "\"";
   append_result_fields(rec, result);
   rec += "}";
   const std::string line = checksummed_record_line(rec);

@@ -1,24 +1,25 @@
 // Persistent content-addressed result cache, living next to the corpus
 // store: one file per cached JobResult, keyed by the job's content
 // address. Repeated sweeps, from one cpt_batch process or several at
-// once, re-simulate only what changed.
+// once, re-simulate only what changed -- and a killed or interrupted run
+// resumes by re-running the same command with the same cache directory.
 //
-// Key derivation reuses the journal fingerprint's FNV-1a-64 chain over
-// exactly the identity a result is a function of: the cell_key string
-// (family, params, perturbation, epsilon, tester, mode flags), the
+// Key derivation is an FNV-1a-64 chain (scenario/registry.h's fnv_fold)
+// over exactly the identity a result is a function of: the cell_key
+// string (family, params, perturbation, epsilon, tester, mode flags), the
 // instance hash (pins the exact graph incl. its seed chain) and the
 // tester seed. Deliberately *not* folded: job_index (the same cell can
 // appear at different indices across manifests and must still hit).
 //
-// Entries are single checksummed lines in the journal's record format
-// ({"sum": "<16hex>", "rec": {...}}, FNV over the record bytes -- the
-// same validate-before-trust discipline as corpus v3), written via
-// unique-tmp + fsync + durable_rename so concurrent writers (threads or
-// processes) can never publish a torn entry: a reader sees the old
-// complete entry, the new complete entry, or a miss. The record carries
-// the full identity (cell_key text, instance hash, seed), and load()
-// verifies all three against the requesting job -- a 64-bit filename
-// collision degrades to a miss, never to a wrong result.
+// Entries are single checksummed lines ({"sum": "<16hex>", "rec": {...}},
+// FNV over the record bytes -- the same validate-before-trust discipline
+// as corpus v3), written via unique-tmp + fsync + durable_rename so
+// concurrent writers (threads or processes) can never publish a torn
+// entry: a reader sees the old complete entry, the new complete entry, or
+// a miss. The record carries the full identity (cell_key text, instance
+// hash, seed), and load() verifies all three against the requesting job
+// -- a 64-bit filename collision degrades to a miss, never to a wrong
+// result.
 //
 // Corrupt entries (bit rot, torn by a mid-write power cut) are removed
 // and reported as kCorrupt; the engine re-executes and re-stores, so the
@@ -49,9 +50,10 @@ class ResultCache {
   enum class LoadStatus { kMiss, kHit, kCorrupt };
 
   // kHit fills *out with a result byte-equivalent to re-running the job
-  // (same round-trip as journal replay). kCorrupt means an entry existed
-  // but failed validation and was removed -- callers re-execute, exactly
-  // like a miss. Thread- and process-safe against concurrent store()s.
+  // (phase_stats aside: entries do not carry it). kCorrupt means an entry
+  // existed but failed validation and was removed -- callers re-execute,
+  // exactly like a miss. Thread- and process-safe against concurrent
+  // store()s.
   LoadStatus load(const Job& job, JobResult* out) const;
 
   // Publishes the result under the job's key (atomic replace; last writer

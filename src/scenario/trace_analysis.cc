@@ -100,15 +100,11 @@ void split_lines(const std::string& text, std::vector<std::string>* out) {
   }
 }
 
-}  // namespace
-
-bool load_trace_file(const std::string& path, TraceFile* out,
-                     std::string* error) {
-  std::string text;
-  if (!read_text_file(path, &text)) {
-    *error = "cannot read " + path;
-    return false;
-  }
+// Parses a cpt_trace_v1 document: the header on line 1, then one JSON
+// object per line (blank lines after the header are skipped). `path`
+// only labels the error.
+bool parse_trace_text(const std::string& text, const std::string& path,
+                      TraceFile* out, std::string* error) {
   std::vector<std::string> lines;
   split_lines(text, &lines);
   if (lines.empty()) {
@@ -117,20 +113,22 @@ bool load_trace_file(const std::string& path, TraceFile* out,
   }
   *out = TraceFile();
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
+    if (i > 0 && lines[i].empty()) continue;
     JsonValue v;
     std::string perr;
-    if (!JsonValue::parse(lines[i], &v, &perr)) {
-      *error = path + ":" + std::to_string(i + 1) + ": " + perr;
-      return false;
-    }
+    const bool parsed = JsonValue::parse(lines[i], &v, &perr);
     if (i == 0) {
-      if (member_str(v, "schema") != "cpt_trace_v1") {
-        *error = path + ": not a cpt_trace_v1 stream";
+      if (!parsed || member_str(v, "schema") != "cpt_trace_v1") {
+        *error = path + ": not a cpt_trace_v1 stream (line 1 is not its "
+                        "header)";
         return false;
       }
       out->name = member_str(v, "name");
       continue;
+    }
+    if (!parsed) {
+      *error = path + ":" + std::to_string(i + 1) + ": " + perr;
+      return false;
     }
     if (v.find("label") != nullptr && v.find("seq") == nullptr) {
       TraceTrack t;
@@ -153,6 +151,18 @@ bool load_trace_file(const std::string& path, TraceFile* out,
     out->events.push_back(std::move(e));
   }
   return true;
+}
+
+}  // namespace
+
+bool load_trace_file(const std::string& path, TraceFile* out,
+                     std::string* error) {
+  std::string text;
+  if (!read_text_file(path, &text)) {
+    *error = "cannot read " + path;
+    return false;
+  }
+  return parse_trace_text(text, path, out, error);
 }
 
 std::string trace_summary(const TraceFile& t, bool include_wall) {
@@ -325,6 +335,15 @@ bool trace_diff_files(const std::string& path_a, const std::string& path_b,
       return false;
     }
   } else {
+    // Both sides must be traces, as the metrics side must be metrics:
+    // two empty or garbage files would otherwise compare "identical".
+    TraceFile parsed;
+    std::string err;
+    if (!parse_trace_text(a, path_a, &parsed, &err) ||
+        !parse_trace_text(b, path_b, &parsed, &err)) {
+      *report = err;
+      return false;
+    }
     std::vector<std::string> la, lb;
     split_lines(a, &la);
     split_lines(b, &lb);

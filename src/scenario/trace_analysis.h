@@ -46,8 +46,9 @@ struct TraceFile {
   std::vector<TraceEventRec> events;  // file order = (track, seq) order
 };
 
-// Parses a cpt_trace_v1 JSONL document. Returns false and fills *error
-// (with a line number) on malformed input or a wrong schema tag.
+// Parses a cpt_trace_v1 JSONL document, whose line 1 must be the header.
+// Returns false and fills *error (with a line number) on malformed input,
+// a missing header or a wrong schema tag.
 bool load_trace_file(const std::string& path, TraceFile* out,
                      std::string* error);
 
@@ -74,7 +75,8 @@ bool metrics_deterministic_view(const std::string& text, std::string* out,
 
 // Compares the deterministic views of two artifacts (both cpt_trace_v1
 // or both cpt_metrics_v1, detected from the content). Returns true when
-// they match; otherwise fills *report with the first divergence.
+// they match; otherwise fills *report with the first divergence, or with
+// why a file is not a valid artifact of its kind.
 bool trace_diff_files(const std::string& path_a, const std::string& path_b,
                       std::string* report);
 

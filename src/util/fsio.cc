@@ -12,6 +12,9 @@
 
 namespace cpt {
 
+namespace {
+
+// fsync the directory containing `path` ("." when path has no slash).
 bool fsync_parent_dir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
@@ -21,6 +24,8 @@ bool fsync_parent_dir(const std::string& path) {
   ::close(fd);
   return ok;
 }
+
+}  // namespace
 
 bool durable_rename(const std::string& tmp_path, const std::string& final_path) {
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) return false;

@@ -1,24 +1,21 @@
 // Durable file-system plumbing shared by everything that publishes a file
-// via the tmp+rename pattern (corpus saves, manifest/aggregate writers,
-// journal creation). rename() makes the *data* of a previously fsync'd
-// file durable under its new name, but the directory entry itself lives in
-// the parent directory's metadata: without an fsync of the parent, a crash
-// right after rename() can roll the directory back and lose the entry the
-// resume machinery depends on.
+// via the tmp+rename pattern (corpus saves, result-cache entries,
+// manifest/aggregate writers). rename() makes the *data* of a previously
+// fsync'd file durable under its new name, but the directory entry itself
+// lives in the parent directory's metadata: without an fsync of the
+// parent, a crash right after rename() can roll the directory back and
+// lose the entry a resumed run depends on.
 #pragma once
 
 #include <string>
 
 namespace cpt {
 
-// fsync the directory containing `path` ("." when path has no slash).
-// Returns false on open/fsync failure (callers treat it like any other
-// I/O failure on the publish path).
-bool fsync_parent_dir(const std::string& path);
-
 // rename(tmp_path, final_path) followed by an fsync of final_path's parent
 // directory. The caller must have already flushed and fsync'd the file
-// contents; this makes the *name* durable too.
+// contents; this makes the *name* durable too. Returns false on a failed
+// rename, or a failed open/fsync of the directory (callers treat it like
+// any other I/O failure on the publish path).
 bool durable_rename(const std::string& tmp_path, const std::string& final_path);
 
 // A collision-free temporary name for publishing `final_path`:

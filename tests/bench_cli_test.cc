@@ -1,7 +1,9 @@
-// Input and output checks for the BENCH_*.json emitters: E0 and E11
-// reject a bad --reps, --grid or --threads with exit 2 instead of running
-// zero repetitions (which made every count 0 and E11's determinism check
-// vacuous), and BenchJson refuses to write a metric JSON cannot spell.
+// Input and output checks for the bench binaries: E0 and E11 reject a bad
+// --reps, --grid or --threads with exit 2 instead of running zero
+// repetitions (which made every count 0 and E11's determinism check
+// vacuous), the manifest-driven E3 rejects a --threads cpt_batch would
+// refuse instead of running anyway, and BenchJson refuses to write a
+// metric JSON cannot spell.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -17,8 +19,8 @@
 
 #include "bench/bench_json.h"
 
-#if !defined(CPT_E0_BIN) || !defined(CPT_E11_BIN)
-#error "CPT_E0_BIN and CPT_E11_BIN must name the E0 and E11 binaries"
+#if !defined(CPT_E0_BIN) || !defined(CPT_E3_BIN) || !defined(CPT_E11_BIN)
+#error "CPT_E0_BIN, CPT_E3_BIN and CPT_E11_BIN must name the bench binaries"
 #endif
 
 namespace cpt {
@@ -78,6 +80,16 @@ TEST(BenchCli, BadFlagValuesExitTwo) {
       }
     }
     EXPECT_FALSE(file_exists(out)) << b.bin;
+  }
+
+  // E3 writes no BENCH_*.json. Its --threads is a batch width, as in
+  // cpt_batch: 0 means the environment's, and 33 and up are refused.
+  const std::string e3 =
+      std::string(CPT_E3_BIN) + " --manifest=" CPT_MANIFEST_DIR "/ci_smoke.json";
+  EXPECT_EQ(run_command(e3 + " --threads=1 >/dev/null 2>&1"), 0);
+  for (const char* value : {"abc", "-1", "40"}) {
+    EXPECT_EQ(run_command(e3 + " --threads=" + value + " >/dev/null 2>&1"), 2)
+        << value;
   }
 }
 

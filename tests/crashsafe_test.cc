@@ -1,11 +1,12 @@
-// Crash-safety suite for the resumable batch stack (PR 6): the fault-plan
+// Crash-safety suite for the resumable batch stack: the fault-plan
 // grammar and its determinism contract, bounded transient retry, corrupt-
-// corpus regeneration, the orphan-tmp sweep, the journal's round-trip /
-// torn-tail / bit-rot semantics, in-process resume (cached jobs provably
-// not re-executed), the round-budget timeout classification, cooperative
-// cancellation -- and a subprocess kill/resume harness that hard-kills the
-// real cpt_batch binary at injected job indices and pins the recovered
-// aggregate byte-identical to an uninterrupted run at --threads 1 and 4.
+// corpus regeneration, the orphan-tmp sweep, in-process resume from a
+// result cache (cached jobs provably not re-executed), the round-budget
+// timeout classification, cooperative cancellation -- and a subprocess
+// kill/resume harness that hard-kills the real cpt_batch binary at
+// injected job indices and pins the aggregate of the rerun over the same
+// --cache directory byte-identical to an uninterrupted run at --threads 1
+// and 4.
 //
 // Every test that installs a fault plan uninstalls it on exit (the plan is
 // process-global); plans are re-parsed per run because check() consumes
@@ -22,7 +23,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,10 +33,10 @@
 #include "scenario/corpus.h"
 #include "scenario/engine.h"
 #include "scenario/faultinject.h"
-#include "scenario/journal.h"
 #include "scenario/json.h"
 #include "scenario/manifest.h"
 #include "scenario/registry.h"
+#include "scenario/result_cache.h"
 #include "util/rng.h"
 
 namespace cpt::scenario {
@@ -113,7 +113,7 @@ TEST(FaultPlan, ParsesGrammar) {
   EXPECT_TRUE(plan.empty());
   EXPECT_TRUE(FaultPlan::parse(
       "seed=9,throw@run_job:every=7,corrupt@corpus_load:key=42,"
-      "exit@journal_write:key=3,badalloc@materialize:rate=0.5:times=2",
+      "exit@stream_write:key=3,badalloc@materialize:rate=0.5:times=2",
       &plan, &err))
       << err;
   EXPECT_EQ(plan.seed(), 9u);
@@ -427,185 +427,6 @@ TEST(CrashSafe, RoundBudgetTimesOutWithoutPoisoningSiblings) {
   EXPECT_NE(json.find("\"timed_out_jobs\""), std::string::npos);
 }
 
-// ---- Journal round-trip, torn tail, bit rot, fingerprint -----------------
-
-TEST(Journal, RoundTripsEveryRecordBitExactly) {
-  const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/run.journal";
-
-  // Journal a real streamed run.
-  std::vector<JobResult> results(jobs.size());
-  {
-    JournalWriter writer;
-    ASSERT_TRUE(writer.create(path, m, jobs));
-    BatchOptions opt;
-    opt.threads = 2;
-    run_batch(m, opt, [&](const Job& job, const JobResult& result) {
-      results[job.job_index] = result;
-      EXPECT_TRUE(writer.append(job, result));
-    });
-    EXPECT_TRUE(writer.close());
-  }
-
-  JournalReplay replay;
-  std::string err;
-  ASSERT_TRUE(load_journal(path, &replay, &err)) << err;
-  EXPECT_EQ(replay.manifest_name, m.name);
-  EXPECT_EQ(replay.base_seed, m.base_seed);
-  EXPECT_EQ(replay.fingerprint, journal_fingerprint(m, jobs));
-  EXPECT_EQ(replay.jobs, jobs.size());
-  EXPECT_EQ(replay.dropped_bytes, 0u);
-  ASSERT_EQ(replay.completed.size(), jobs.size());
-  for (const Job& job : jobs) {
-    const auto it = replay.completed.find(job.job_index);
-    ASSERT_NE(it, replay.completed.end());
-    // Rendering the loaded record must reproduce the original bytes:
-    // every journaled field survived the round trip exactly.
-    EXPECT_EQ(render_journal_record(job, it->second),
-              render_journal_record(job, results[job.job_index]));
-  }
-}
-
-TEST(Journal, TornTailIsDroppedAndResumeTruncatesIt) {
-  const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/torn.journal";
-
-  JournalWriter writer;
-  ASSERT_TRUE(writer.create(path, m, jobs));
-  JobResult r;
-  r.verdict = Verdict::kAccept;
-  r.rounds = 11;
-  r.messages = 42;
-  for (std::uint32_t j = 0; j < 4; ++j) ASSERT_TRUE(writer.append(jobs[j], r));
-  ASSERT_TRUE(writer.close());
-
-  // Simulate a crash mid-line: append half a record.
-  const std::string torn = render_journal_record(jobs[4], r);
-  {
-    std::FILE* f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(torn.data(), 1, torn.size() / 2, f),
-              torn.size() / 2);
-    std::fclose(f);
-  }
-  JournalReplay replay;
-  std::string err;
-  ASSERT_TRUE(load_journal(path, &replay, &err)) << err;
-  EXPECT_EQ(replay.completed.size(), 4u);
-  EXPECT_EQ(replay.dropped_bytes, torn.size() / 2);
-
-  // open_resume cuts the torn tail before appending, so the file parses
-  // cleanly afterwards with the new record in place.
-  JournalWriter resumed;
-  ASSERT_TRUE(resumed.open_resume(path, replay.valid_bytes));
-  ASSERT_TRUE(resumed.append(jobs[4], r));
-  ASSERT_TRUE(resumed.close());
-  JournalReplay after;
-  ASSERT_TRUE(load_journal(path, &after, &err)) << err;
-  EXPECT_EQ(after.completed.size(), 5u);
-  EXPECT_EQ(after.dropped_bytes, 0u);
-}
-
-TEST(Journal, CorruptionBeforeValidRecordsIsRefused) {
-  const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/rot.journal";
-
-  JournalWriter writer;
-  ASSERT_TRUE(writer.create(path, m, jobs));
-  JobResult r;
-  for (std::uint32_t j = 0; j < 4; ++j) ASSERT_TRUE(writer.append(jobs[j], r));
-  ASSERT_TRUE(writer.close());
-
-  // Flip one byte inside record 1's checksum hex: a damaged *middle* line
-  // followed by intact records is bit rot, not a crash.
-  std::string text;
-  ASSERT_TRUE(read_text_file(path, &text));
-  std::size_t line_start = text.find('\n') + 1;        // skip header
-  line_start = text.find('\n', line_start) + 1;        // skip record 0
-  text[line_start + 10] = text[line_start + 10] == '0' ? '1' : '0';
-  ASSERT_TRUE(write_text_file(path, text));
-
-  JournalReplay replay;
-  std::string err;
-  EXPECT_FALSE(load_journal(path, &replay, &err));
-  EXPECT_NE(err.find("corrupt"), std::string::npos);
-}
-
-TEST(Journal, FingerprintPinsTheJobList) {
-  Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
-  const std::uint64_t fp = journal_fingerprint(m, jobs);
-  // Same manifest, same fingerprint (pure function)...
-  EXPECT_EQ(fp, journal_fingerprint(m, expand_manifest(m)));
-  // ...any change to the expansion breaks it.
-  m.base_seed += 1;
-  EXPECT_NE(fp, journal_fingerprint(m, expand_manifest(m)));
-
-  std::vector<Job> truncated(jobs.begin(), jobs.end() - 1);
-  Manifest orig = small_manifest();
-  EXPECT_NE(fp, journal_fingerprint(orig, truncated));
-}
-
-TEST(Journal, ShortWriteFaultKeepsResumablePrefix) {
-  const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/short.journal";
-
-  JournalWriter writer;
-  ASSERT_TRUE(writer.create(path, m, jobs));
-  JobResult r;
-  ASSERT_TRUE(writer.append(jobs[0], r));
-  ASSERT_TRUE(writer.append(jobs[1], r));
-  {
-    ScopedFaultPlan plan("shortwrite@journal_write:key=2");
-    EXPECT_FALSE(writer.append(jobs[2], r));
-    EXPECT_FALSE(writer.ok());
-  }
-  writer.close();
-  // The torn record is a normal crash tail: records 0-1 stay loadable.
-  JournalReplay replay;
-  std::string err;
-  ASSERT_TRUE(load_journal(path, &replay, &err)) << err;
-  EXPECT_EQ(replay.completed.size(), 2u);
-  EXPECT_GT(replay.dropped_bytes, 0u);
-}
-
-TEST(Journal, FinishMakesThePartialTailGroupDurable) {
-  const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
-  const std::string dir = temp_dir();
-  const std::string path = dir + "/tail.journal";
-
-  JournalWriter writer;
-  ASSERT_TRUE(writer.create(path, m, jobs));
-  JobResult r;
-  r.verdict = Verdict::kAccept;
-  r.rounds = 3;
-  r.messages = 9;
-  // Strictly inside one fsync group: append() alone leaves these records
-  // in the stdio buffer until the group fills.
-  const std::uint32_t n = JournalWriter::kSyncEvery - 9;
-  static_assert(JournalWriter::kSyncEvery > 9);
-  for (std::uint32_t j = 0; j < n; ++j) ASSERT_TRUE(writer.append(jobs[j], r));
-  ASSERT_TRUE(writer.finish());
-
-  // The writer is still open -- no close() yet -- but every appended
-  // record must already be parseable from disk, with nothing torn.
-  JournalReplay replay;
-  std::string err;
-  ASSERT_TRUE(load_journal(path, &replay, &err)) << err;
-  EXPECT_EQ(replay.completed.size(), n);
-  EXPECT_EQ(replay.dropped_bytes, 0u);
-  EXPECT_TRUE(writer.close());
-}
-
 // ---- Resume and cancellation (in-process) --------------------------------
 
 TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
@@ -614,27 +435,33 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
   BatchOptions opt;
   opt.threads = 4;
 
+  // The uninterrupted run; its first half goes into a cache, as a run
+  // killed halfway would have left it.
+  ResultCache cache(temp_dir());
   std::string clean_jsonl;
-  std::unordered_map<std::uint32_t, JobResult> completed;
+  std::uint32_t stored = 0;
   {
     StreamingAggregator agg(jobs);
     agg.set_cell_sink([&](const CellAggregate& cell) {
       clean_jsonl += render_stream_cell(cell);
     });
     run_batch(m, opt, [&](const Job& job, const JobResult& result) {
-      if (job.job_index < jobs.size() / 2) completed[job.job_index] = result;
+      if (job.job_index < jobs.size() / 2) {
+        EXPECT_TRUE(cache.store(job, result));
+        ++stored;
+      }
       agg.consume(job, result);
     });
     agg.finish();
   }
-  ASSERT_GT(completed.size(), 2u);
+  ASSERT_GT(stored, 2u);
 
-  // Replay the first half from the cache; prove cached jobs never execute
-  // by arming a would-fail fault on one of them.
+  // Resume through the cache; prove cached jobs never execute by arming a
+  // would-fail fault on one of them.
   BatchOptions resume_opt = opt;
   resume_opt.threads = 1;  // different schedule, same bytes
   resume_opt.max_retries = 0;
-  resume_opt.completed = &completed;
+  resume_opt.result_cache = &cache;
   std::string resumed_jsonl;
   BatchResult batch;
   {
@@ -650,7 +477,7 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
     agg.finish();
   }
   EXPECT_EQ(batch.failed_jobs, 0u);  // job 1 came from the cache
-  EXPECT_EQ(batch.resumed_jobs, static_cast<std::uint32_t>(completed.size()));
+  EXPECT_EQ(batch.cache_hit_jobs, stored);
   EXPECT_EQ(resumed_jsonl, clean_jsonl);
 }
 
@@ -690,6 +517,15 @@ std::string slurp(const std::string& path) {
   return text;
 }
 
+// The hits H and job count N of the "# cache: H of N jobs ..." line in a
+// cpt_batch summary; false when the line is missing.
+bool cache_line(const std::string& summary, unsigned* hits, unsigned* jobs) {
+  const std::size_t at = summary.find("# cache: ");
+  return at != std::string::npos &&
+         std::sscanf(summary.c_str() + at, "# cache: %u of %u", hits, jobs) ==
+             2;
+}
+
 TEST(KillResumeHarness, HardKillThenResumeIsByteIdentical) {
   const std::string manifest = std::string(CPT_MANIFEST_DIR) +
                                "/batch_sweep.json";
@@ -710,43 +546,42 @@ TEST(KillResumeHarness, HardKillThenResumeIsByteIdentical) {
     const std::uint32_t kill_at =
         10 + static_cast<std::uint32_t>(splitmix64(state) % 150);
     const std::string tag = dir + "/t" + std::to_string(threads);
-    const std::string journal = tag + ".journal";
+    const std::string cache = tag + ".cache";
     const std::string out = tag + ".json";
     const std::string base = std::string(CPT_BATCH_BIN) + " run " + manifest +
                              " --threads=" + std::to_string(threads) +
-                             " --quiet --journal=" + journal +
-                             " --out=" + out;
+                             " --cache=" + cache + " --out=" + out;
     const std::string kill_plan =
-        " --fault-plan=exit@run_job:key=" + std::to_string(kill_at);
+        " --quiet --fault-plan=exit@run_job:key=" + std::to_string(kill_at) +
+        " 2>/dev/null";
+    const std::string where = "threads=" + std::to_string(threads) +
+                              " kill_at=" + std::to_string(kill_at);
 
     // First run dies mid-sweep with the SIGKILL-alike status.
-    EXPECT_EQ(run_command(base + kill_plan + " 2>/dev/null"),
-              kFaultExitCode);
-    // Double kill: the resume re-runs job kill_at (it never retired), and
-    // the same key-based plan fires again -- proving both that the plan is
-    // schedule-independent and that completed jobs are the only skips.
-    EXPECT_EQ(run_command(base + " --resume" + kill_plan + " 2>/dev/null"),
-              kFaultExitCode);
-    // Final resume, no faults: completes and reproduces the clean bytes.
-    ASSERT_EQ(run_command(base + " --resume"), 0);
-    EXPECT_EQ(slurp(out), clean) << "threads=" << threads
-                                 << " kill_at=" << kill_at;
-
-    // The journal is now a complete, loadable record of the sweep.
-    Manifest m;
-    std::string err;
-    ASSERT_TRUE(load_manifest_file(manifest, &m, &err)) << err;
-    JournalReplay replay;
-    ASSERT_TRUE(load_journal(journal, &replay, &err)) << err;
-    EXPECT_EQ(replay.completed.size(), expand_manifest(m).size());
+    EXPECT_EQ(run_command(base + kill_plan), kFaultExitCode) << where;
+    // Double kill: job kill_at never finished, so it is not in the cache;
+    // the rerun executes it and the same key-based plan fires again --
+    // proving both that the plan is schedule-independent and that cached
+    // jobs are the only skips.
+    EXPECT_EQ(run_command(base + kill_plan), kFaultExitCode) << where;
+    // Final rerun, no faults: completes from the cache plus the remainder
+    // and reproduces the clean bytes.
+    ASSERT_EQ(run_command(base + " > " + tag + ".log"), 0) << where;
+    EXPECT_EQ(slurp(out), clean) << where;
+    unsigned hits = 0, jobs = 0;
+    ASSERT_TRUE(cache_line(slurp(tag + ".log"), &hits, &jobs)) << where;
+    EXPECT_EQ(jobs, 208u) << where;
+    EXPECT_GT(hits, 0u) << where;
+    EXPECT_LT(hits, jobs) << where;
+    // Temps the kills orphaned were swept when the rerun opened the cache.
+    EXPECT_EQ(count_files_containing(cache, ".cpr.tmp"), 0u) << where;
   }
 }
 
-TEST(KillResumeHarness, FaultPlanEnvFallbackAndResumeOnFreshJournal) {
+TEST(KillResumeHarness, FaultPlanEnvFallbackResumesFromCache) {
   const std::string manifest = std::string(CPT_MANIFEST_DIR) +
                                "/metamorphic_smoke.json";
   const std::string dir = temp_dir();
-  const std::string journal = dir + "/env.journal";
   const std::string out = dir + "/env.json";
   const std::string clean_out = dir + "/clean.json";
 
@@ -754,11 +589,11 @@ TEST(KillResumeHarness, FaultPlanEnvFallbackAndResumeOnFreshJournal) {
                         " --threads=2 --quiet --out=" + clean_out),
             0);
 
-  // --resume with no journal on disk is a fresh start (same command line
-  // retries to success); the kill plan arrives via the environment.
+  // A fresh cache directory is a fresh start, so the same command line
+  // retries to success; the kill plan arrives via the environment.
   const std::string base = std::string(CPT_BATCH_BIN) + " run " + manifest +
-                           " --threads=2 --quiet --resume --journal=" +
-                           journal + " --out=" + out;
+                           " --threads=2 --quiet --cache=" + dir +
+                           "/cache --out=" + out;
   EXPECT_EQ(run_command("CPT_FAULT_PLAN=exit@run_job:key=5 " + base +
                         " 2>/dev/null"),
             kFaultExitCode);
@@ -770,8 +605,9 @@ TEST(KillResumeHarness, SigtermDrainsFlushesAndExitsResumable) {
   const std::string manifest = std::string(CPT_MANIFEST_DIR) +
                                "/batch_sweep.json";
   const std::string dir = temp_dir();
-  const std::string journal = dir + "/sig.journal";
+  const std::string cache = dir + "/cache";
   const std::string out = dir + "/sig.json";
+  const std::string err = dir + "/sig.err";
   const std::string clean_out = dir + "/clean.json";
 
   ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
@@ -781,73 +617,73 @@ TEST(KillResumeHarness, SigtermDrainsFlushesAndExitsResumable) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Quiet the child: the "interrupted" notice is expected.
-    std::freopen("/dev/null", "w", stderr);
+    // Keep the child's "interrupted" notice for the check below.
+    std::freopen(err.c_str(), "w", stderr);
     execl(CPT_BATCH_BIN, CPT_BATCH_BIN, "run", manifest.c_str(),
-          "--threads=2", "--quiet", ("--journal=" + journal).c_str(),
+          "--threads=2", "--quiet", ("--cache=" + cache).c_str(),
           ("--out=" + out).c_str(), static_cast<char*>(nullptr));
     _exit(127);
   }
-  // batch_sweep takes >1s at 2 threads; 300ms lands mid-sweep.
-  usleep(300 * 1000);
+  // Signal as soon as the first result lands in the cache: the handler is
+  // installed by then, and the rest of the sweep (~0.3 s at 2 threads) is
+  // still ahead, so the signal always arrives mid-sweep.
+  for (int waited_ms = 0; count_files_containing(cache, ".cpr") == 0;
+       waited_ms += 1) {
+    ASSERT_LT(waited_ms, 20000) << "no result was ever stored";
+    usleep(1000);
+  }
   ASSERT_EQ(kill(pid, SIGTERM), 0);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 75);  // EX_TEMPFAIL: resumable
 
-  // The drained run left a loadable journal and a partial aggregate.
-  JournalReplay replay;
-  std::string err;
-  ASSERT_TRUE(load_journal(journal, &replay, &err)) << err;
+  // The drained run left stored results, a partial aggregate, and a
+  // notice that names the cache to resume from.
+  EXPECT_GT(count_files_containing(cache, ".cpr"), 0u);
   EXPECT_NE(slurp(out).find("\"partial\": true"), std::string::npos);
+  const std::string notice = slurp(err);
+  EXPECT_NE(notice.find("--cache=" + cache), std::string::npos) << notice;
 
-  // Resume completes and reproduces the uninterrupted bytes.
+  // The rerun over the same cache completes and reproduces the
+  // uninterrupted bytes.
   ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
-                        " --threads=4 --quiet --resume --journal=" + journal +
+                        " --threads=4 --quiet --cache=" + cache +
                         " --out=" + out),
             0);
   EXPECT_EQ(slurp(out), slurp(clean_out));
+  EXPECT_EQ(count_files_containing(cache, ".cpr.tmp"), 0u);
 }
 
-// ---- CLI flag parsing (the bare-atoi regression) --------------------------
-
-TEST(KillResumeHarness, KillAtFooterWriteLosesNoJournaledRecords) {
-  // Regression for the journal fsync ordering in cmd_run: the buffered
-  // tail group is made durable (JournalWriter::finish) *before* the
-  // stream footer is emitted. A process killed exactly at the footer
-  // write -- after every job retired -- must leave a journal that already
-  // holds every record; before the fix, up to kSyncEvery-1 records
-  // evaporated with the stdio buffer even though the sweep had finished.
+TEST(KillResumeHarness, KillAtFooterWriteLosesNoStoredResults) {
+  // Every fresh result is stored before the streaming sink sees it, so a
+  // process killed exactly at the stream footer write -- after every job
+  // retired -- leaves a cache that already holds the whole sweep.
   const std::string dir = temp_dir();
   const std::string manifest_path = dir + "/footer.json";
-  // 7 jobs: strictly inside one fsync group, so the whole tail is at
-  // stake. One cell -> stream emit ordinals: header=0, cell=1, footer=2.
+  // One cell -> stream emit ordinals: header=0, cell=1, footer=2.
   write_file(manifest_path, R"({
     "name": "footer", "base_seed": 3,
     "defaults": {"trials": 7, "epsilon": 0.15, "tester": "planarity"},
     "cells": [{"scenario": "grid", "params": {"rows": 8, "cols": 8}}]})");
-  const std::string journal = dir + "/footer.journal";
   const std::string base = std::string(CPT_BATCH_BIN) + " run " +
-                           manifest_path + " --threads=2 --quiet --journal=" +
-                           journal + " --stream=" + dir + "/footer.jsonl";
+                           manifest_path + " --threads=2 --cache=" + dir +
+                           "/cache --stream=" + dir + "/footer.jsonl";
 
-  EXPECT_EQ(run_command(base + " --fault-plan=exit@stream_write:key=2"
+  EXPECT_EQ(run_command(base + " --quiet --fault-plan=exit@stream_write:key=2"
                                " 2>/dev/null"),
             kFaultExitCode);
 
-  Manifest m;
-  JournalReplay replay;
-  std::string err;
-  ASSERT_TRUE(load_manifest_file(manifest_path, &m, &err)) << err;
-  ASSERT_TRUE(load_journal(journal, &replay, &err)) << err;
-  EXPECT_EQ(replay.dropped_bytes, 0u);
-  EXPECT_EQ(replay.completed.size(), expand_manifest(m).size());
-
-  // And the resume completes without re-running anything: exit 0 with the
-  // full job set already journaled.
-  EXPECT_EQ(run_command(base + " --resume"), 0);
+  // The rerun executes nothing: every job is served from the cache.
+  ASSERT_EQ(run_command(base + " > " + dir + "/footer.log"), 0);
+  unsigned hits = 0, jobs = 0;
+  ASSERT_TRUE(cache_line(slurp(dir + "/footer.log"), &hits, &jobs));
+  EXPECT_EQ(jobs, 7u);
+  EXPECT_EQ(hits, jobs);
+  EXPECT_EQ(count_files_containing(dir + "/cache", ".cpr.tmp"), 0u);
 }
+
+// ---- CLI flag parsing (the bare-atoi regression) --------------------------
 
 TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
   const std::string manifest =
@@ -865,6 +701,17 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
       "--base-seed=seven",  "--index=0.5",
   };
   for (const char* flag : bad) {
+    EXPECT_EQ(run_command(base + " " + flag), 2) << flag;
+  }
+}
+
+TEST(CliParsing, JournalFlagsAreUnknown) {
+  // A killed run resumes from its --cache directory; the journal flags
+  // that used to do that are gone, so they are usage errors now.
+  const std::string base = std::string(CPT_BATCH_BIN) + " run " +
+                           std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json" +
+                           " --quiet 2>/dev/null";
+  for (const char* flag : {"--journal=sweep.journal", "--resume"}) {
     EXPECT_EQ(run_command(base + " " + flag), 2) << flag;
   }
 }

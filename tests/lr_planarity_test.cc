@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "planar/lr_planarity.h"
@@ -23,6 +25,46 @@ Graph subdivide(const Graph& g, int times) {
   return std::move(b).build();
 }
 
+// networkx's barbell_graph(k, p): two K_k joined through a p-node path;
+// with one clique, its lollipop_graph(k, p): a K_k with a p-node tail.
+Graph cliques_on_a_path(NodeId k, NodeId p, int cliques) {
+  std::vector<Graph> parts = {gen::complete(k), gen::path(p)};
+  std::vector<Endpoints> joins = {{k - 1, k}};
+  if (cliques == 2) {
+    parts.push_back(gen::complete(k));
+    joins.push_back({k + p - 1, k + p});
+  }
+  return add_edges(disjoint_union(parts), joins);
+}
+
+// Two n-cycles joined rung by rung (networkx circular_ladder_graph(n)).
+Graph circular_ladder(NodeId n) {
+  const std::vector<Graph> rims = {gen::cycle(n), gen::cycle(n)};
+  std::vector<Endpoints> rungs;
+  for (NodeId i = 0; i < n; ++i) rungs.push_back({i, n + i});
+  return add_edges(disjoint_union(rims), rungs);
+}
+
+// Dorogovtsev-Goltsev-Mendes pseudofractal graph: start from one edge;
+// each generation adds, for every edge, a node adjacent to both of its
+// ends. Generation g has 3^g edges and (3^g + 3) / 2 nodes.
+Graph dorogovtsev_goltsev_mendes(int generations) {
+  std::vector<Endpoints> edges = {{0, 1}};
+  NodeId n = 2;
+  for (int g = 0; g < generations; ++g) {
+    const std::size_t old = edges.size();
+    for (std::size_t i = 0; i < old; ++i) {
+      const Endpoints e = edges[i];
+      edges.push_back({e.u, n});
+      edges.push_back({e.v, n});
+      ++n;
+    }
+  }
+  GraphBuilder b(n);
+  for (const Endpoints e : edges) b.add_edge(e.u, e.v);
+  return std::move(b).build();
+}
+
 TEST(LrPlanarity, SmallKnownGraphs) {
   EXPECT_TRUE(is_planar(Graph{}));
   EXPECT_TRUE(is_planar(gen::path(1)));
@@ -33,6 +75,16 @@ TEST(LrPlanarity, SmallKnownGraphs) {
   EXPECT_TRUE(is_planar(gen::complete_bipartite(2, 7)));
   EXPECT_TRUE(is_planar(gen::hypercube(3)));
   EXPECT_FALSE(is_planar(gen::hypercube(4)));
+  // Expected verdicts as in networkx's planarity tests.
+  EXPECT_TRUE(is_planar(cliques_on_a_path(4, 4, 2)));    // barbell(4, 4)
+  EXPECT_FALSE(is_planar(cliques_on_a_path(5, 2, 2)));   // barbell(5, 2)
+  EXPECT_FALSE(is_planar(cliques_on_a_path(5, 3, 1)));   // lollipop(5, 3)
+  EXPECT_TRUE(is_planar(cliques_on_a_path(4, 33, 1)));   // lollipop(4, 33)
+  EXPECT_TRUE(is_planar(circular_ladder(15)));
+  const Graph dgm = dorogovtsev_goltsev_mendes(7);
+  EXPECT_EQ(dgm.num_edges(), 2187u);
+  EXPECT_EQ(dgm.num_nodes(), 1095u);
+  EXPECT_TRUE(is_planar(dgm));
 }
 
 TEST(LrPlanarity, PetersenIsNonPlanar) {

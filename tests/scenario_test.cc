@@ -885,9 +885,9 @@ std::vector<JobResult> direct_results(const std::vector<Job>& jobs) {
 // options before every run.
 std::uint32_t expect_batches_match(
     const Manifest& m, const std::vector<JobResult>& want,
-    BatchOptions opt = {},
     const std::function<void(BatchOptions*)>& prepare = {}) {
   std::uint32_t replayed = 0;
+  BatchOptions opt;
   for (const unsigned threads : {1u, 4u}) {
     opt.threads = threads;
     const std::string at = " at --threads=" + std::to_string(threads);
@@ -960,9 +960,8 @@ TEST(StageISharing, RoundBudgetsTripAtTheSameRound) {
   }
 }
 
-// A trial the resume map or the result cache serves neither simulates nor
-// leads: the unit's first unserved trial computes Stage I and the rest
-// replay it.
+// A trial the result cache serves neither simulates nor leads: the unit's
+// first unserved trial computes Stage I and the rest replay it.
 TEST(StageISharing, ServedTrialsHandTheLeadToTheNextTrial) {
   const Manifest m = parse_or_die(
       R"({"name": "served", "base_seed": 9,
@@ -971,32 +970,25 @@ TEST(StageISharing, ServedTrialsHandTheLeadToTheNextTrial) {
   const std::vector<Job> jobs = expand_manifest(m);
   const std::vector<JobResult> want = direct_results(jobs);
 
-  // Resumed first or middle trial: one of the two others replays.
-  for (const std::uint32_t served : {0u, 1u}) {
-    const std::unordered_map<std::uint32_t, JobResult> completed = {
-        {served, want[served]}};
-    BatchOptions opt;
-    opt.completed = &completed;
-    EXPECT_EQ(expect_batches_match(m, want, opt), 1u) << "resumed " << served;
-  }
-  // Two served trials leave one job: nothing to share.
-  const std::unordered_map<std::uint32_t, JobResult> two = {{0, want[0]},
-                                                            {2, want[2]}};
-  BatchOptions opt;
-  opt.completed = &two;
-  EXPECT_EQ(expect_batches_match(m, want, opt), 0u);
-
-  // A result-cache hit on the first trial: the second computes. Every run
-  // gets a fresh cache, since each run stores what it executes.
+  // Every run gets a fresh cache holding just the served trials, since
+  // each run stores what it executes.
   std::vector<std::unique_ptr<ResultCache>> caches;
-  const auto first_trial_cached = [&](BatchOptions* o) {
-    std::string dir = testing::TempDir() + "cpt_share_XXXXXX";
-    ASSERT_NE(mkdtemp(dir.data()), nullptr);
-    caches.push_back(std::make_unique<ResultCache>(dir));
-    ASSERT_TRUE(caches.back()->store(jobs[0], want[0]));
-    o->result_cache = caches.back().get();
+  const auto cached = [&](std::vector<std::uint32_t> served) {
+    return [&, served](BatchOptions* o) {
+      std::string dir = testing::TempDir() + "cpt_share_XXXXXX";
+      ASSERT_NE(mkdtemp(dir.data()), nullptr);
+      caches.push_back(std::make_unique<ResultCache>(dir));
+      for (const std::uint32_t j : served) {
+        ASSERT_TRUE(caches.back()->store(jobs[j], want[j]));
+      }
+      o->result_cache = caches.back().get();
+    };
   };
-  EXPECT_EQ(expect_batches_match(m, want, {}, first_trial_cached), 1u);
+  // A cached first or middle trial: one of the two others replays.
+  EXPECT_EQ(expect_batches_match(m, want, cached({0})), 1u);
+  EXPECT_EQ(expect_batches_match(m, want, cached({1})), 1u);
+  // Two cached trials leave one job: nothing to share.
+  EXPECT_EQ(expect_batches_match(m, want, cached({0, 2})), 0u);
 }
 
 // Replay appends the recorded passes through the job's ledger, so a

@@ -2,7 +2,8 @@
 // determinism contract (non-timestamp trace bytes identical at every
 // --threads value), the
 // tracing-disabled fast path (zero allocations), and the cpt_trace
-// analyses (golden summary, diff divergence detection).
+// analyses (golden summary, diff divergence detection, refusal of inputs
+// that are not traces).
 //
 // Regenerating the summary golden: run with CPT_PRINT_GOLDENS=1 and
 // paste the printed hash over kSummaryGolden below.
@@ -272,6 +273,34 @@ TEST(TraceAnalysisTest, GoldenSummaryAndDiffOnCiSmoke) {
   ASSERT_TRUE(scenario::write_text_file(path_b, body));
   EXPECT_FALSE(scenario::trace_diff_files(path_a, path_b, &report));
   EXPECT_NE(report.find("first divergence"), std::string::npos);
+}
+
+// What is not a trace is an error, never "identical": an empty file, a
+// garbage file, and a trace whose line 1 is not its header. Otherwise a
+// --trace that wrote nothing would pass the determinism diff.
+TEST(TraceAnalysisTest, RejectsInputsThatAreNotTraces) {
+  const std::string dir = ::testing::TempDir();
+  const auto write = [&dir](const std::string& name, const std::string& body) {
+    const std::string path = dir + "/" + name;
+    EXPECT_TRUE(scenario::write_text_file(path, body));
+    return path;
+  };
+  const std::string minimal_trace =
+      "{\"schema\":\"cpt_trace_v1\",\"name\":\"t\",\"tracks\":1}\n"
+      "{\"track\":0,\"label\":\"batch\"}\n";
+  const std::string valid = write("valid.jsonl", minimal_trace);
+  std::string error, report;
+  TraceFile t;
+  ASSERT_TRUE(scenario::load_trace_file(valid, &t, &error)) << error;
+  EXPECT_TRUE(scenario::trace_diff_files(valid, valid, &report)) << report;
+
+  for (const std::string& bad :
+       {write("empty.jsonl", ""), write("garbage.jsonl", "not a trace\n"),
+        write("blank_first.jsonl", "\n" + minimal_trace)}) {
+    EXPECT_FALSE(scenario::load_trace_file(bad, &t, &error)) << bad;
+    EXPECT_FALSE(scenario::trace_diff_files(bad, bad, &report)) << bad;
+    EXPECT_NE(report.find(bad), std::string::npos) << report;
+  }
 }
 
 TEST(ProgressCountersTest, CountsJobsAndCorpusActivity) {

@@ -14,7 +14,10 @@
 //                                           and freshly executed results
 //                                           are stored; the aggregate stays
 //                                           byte-identical either way;
-//                                           concurrent runs may share DIR
+//                                           concurrent runs may share DIR,
+//                                           and a killed or interrupted run
+//                                           resumes by re-running the same
+//                                           command with the same DIR
 //       [--out=FILE]                        aggregate JSON (deterministic:
 //                                           bit-identical at every --threads)
 //       [--csv=FILE]                        aggregate CSV
@@ -24,15 +27,6 @@
 //                                           each sweep cell flushed as it
 //                                           completes; per-job results are
 //                                           never held in memory
-//       [--journal=FILE]                    append a checksummed JSONL record
-//                                           per retired job (schema
-//                                           cpt_batch_journal_v1); implies the
-//                                           streaming execution path
-//       [--resume]                          replay --journal, skip completed
-//                                           jobs, re-run only the remainder;
-//                                           the final aggregate is
-//                                           bit-identical to an uninterrupted
-//                                           run at any --threads
 //       [--fault-plan=SPEC]                 deterministic fault injection
 //                                           (also via CPT_FAULT_PLAN env; the
 //                                           flag wins) -- see
@@ -53,8 +47,7 @@
 //       [--progress]                        ~1 Hz stderr heartbeat (jobs
 //                                           done/total, rate, ETA, corpus
 //                                           hits, retries); stderr only,
-//                                           never perturbs aggregates or
-//                                           journal bytes
+//                                           never perturbs aggregates
 //       [--quiet]                           suppress the summary table
 //   cpt_batch materialize <manifest.json>   resolve every unique instance
 //       --corpus=DIR [--threads=N]          into the corpus store without
@@ -71,11 +64,12 @@
 //    0  every job ran (timed-out jobs are reported, not fatal)
 //    1  hard failure: bad usage/manifest, unwritable output, a --corpus or
 //       --cache path that cannot be a directory, failed jobs (the
-//       aggregate covers only the jobs that ran), fingerprint mismatch
+//       aggregate covers only the jobs that ran)
 //    2  usage error
 //   75  resumable interruption (EX_TEMPFAIL): SIGINT/SIGTERM drained the
-//       in-flight jobs and flushed the journal + partial aggregate, or the
-//       journal itself could not be written -- re-run with --resume
+//       in-flight jobs and flushed the partial aggregate; with --cache=DIR
+//       every result so far is stored, so re-running the same command
+//       resumes (failed jobs are not stored and run again)
 //  137  injected hard kill (fault plan `exit` action; mimics SIGKILL)
 #include <sys/stat.h>
 #include <unistd.h>
@@ -102,7 +96,6 @@
 #include "scenario/aggregate.h"
 #include "scenario/engine.h"
 #include "scenario/faultinject.h"
-#include "scenario/journal.h"
 #include "scenario/json.h"
 #include "scenario/manifest.h"
 #include "scenario/registry.h"
@@ -114,7 +107,7 @@ using namespace cpt::scenario;
 
 namespace {
 
-// EX_TEMPFAIL: the run was interrupted but left a resumable journal.
+// EX_TEMPFAIL: the run was interrupted; with --cache it resumes on rerun.
 constexpr int kExitResumable = 75;
 
 std::atomic<bool> g_cancel{false};
@@ -128,8 +121,8 @@ extern "C" void on_cancel_signal(int) {
 // --progress heartbeat: one stderr line per second with jobs done/total,
 // throughput, ETA, corpus hits and retries, read from the engine's relaxed
 // ProgressCounters. Writes stderr only -- by construction it cannot touch
-// aggregates, journal bytes or the trace stream. On a tty the line
-// redraws in place; piped, it prints one line per tick.
+// aggregates or the trace stream. On a tty the line redraws in place;
+// piped, it prints one line per tick.
 class ProgressMeter {
  public:
   explicit ProgressMeter(const ProgressCounters* counters)
@@ -206,10 +199,9 @@ int usage() {
                " [--cache=DIR]\n"
                "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]"
                " [--stream=FILE]\n"
-               "                [--journal=FILE] [--resume]"
-               " [--fault-plan=SPEC]\n"
-               "                [--max-retries=N] [--trace=FILE]"
-               " [--metrics=FILE] [--progress] [--quiet]\n"
+               "                [--fault-plan=SPEC] [--max-retries=N]"
+               " [--trace=FILE]\n"
+               "                [--metrics=FILE] [--progress] [--quiet]\n"
                "  cpt_batch materialize <manifest.json> --corpus=DIR"
                " [--threads=N] [--quiet]\n"
                "  cpt_batch gen <scenario> [key=value ...] [--base-seed=S]"
@@ -261,9 +253,8 @@ int cmd_expand(const std::string& path) {
 int cmd_run(const std::string& path, BatchOptions options,
             const std::string& out_path, const std::string& csv_path,
             const std::string& timing_path, const std::string& stream_path,
-            const std::string& journal_path, const std::string& trace_path,
-            const std::string& metrics_path, bool progress, bool resume,
-            bool quiet) {
+            const std::string& trace_path, const std::string& metrics_path,
+            bool progress, bool quiet) {
   Manifest manifest;
   std::string error;
   if (!load_manifest_file(path, &manifest, &error)) {
@@ -271,15 +262,14 @@ int cmd_run(const std::string& path, BatchOptions options,
     return 1;
   }
 
-  // SIGINT/SIGTERM drain in-flight jobs, flush the journal and the partial
-  // aggregate, and exit kExitResumable. Installed only for `run`: the other
-  // subcommands have nothing to flush.
+  // SIGINT/SIGTERM drain in-flight jobs, flush the partial aggregate, and
+  // exit kExitResumable. Installed only for `run`: the other subcommands
+  // have nothing to flush.
   std::signal(SIGINT, on_cancel_signal);
   std::signal(SIGTERM, on_cancel_signal);
   options.cancel = &g_cancel;
 
   std::unique_ptr<util::TraceSession> session;
-  util::TraceBuffer* cli_track = nullptr;
   if (!trace_path.empty() || !metrics_path.empty()) {
     if (!util::kTraceCompiled) {
       std::fprintf(stderr,
@@ -289,9 +279,6 @@ int cmd_run(const std::string& path, BatchOptions options,
     }
     session = std::make_unique<util::TraceSession>();
     options.trace = session.get();
-    // CLI-side events (journal lifecycle) get the highest track id so the
-    // engine's deterministic batch/instance/job layout stays untouched.
-    cli_track = session->make_track(~std::uint64_t{0}, "cli");
   }
   ProgressCounters progress_counters;
   std::unique_ptr<ProgressMeter> meter;
@@ -303,8 +290,7 @@ int cmd_run(const std::string& path, BatchOptions options,
   BatchResult batch;
   std::vector<CellAggregate> cells;
   std::vector<std::string> job_errors;  // first few, for the failure report
-  bool journal_ok = true;
-  if (stream_path.empty() && journal_path.empty()) {
+  if (stream_path.empty()) {
     batch = run_batch(manifest, options);
     cells = aggregate_cells(batch);
     for (std::size_t j = 0; j < batch.results.size(); ++j) {
@@ -320,21 +306,15 @@ int cmd_run(const std::string& path, BatchOptions options,
     // run_batch re-expands internally -- expansion is pure and golden-
     // pinned (scenario_test.cc), so both lists are identical by contract,
     // and finish() flushes defensively even if they ever were not.
-    // --journal rides this path too (it needs the in-order sink), with or
-    // without a stream file.
-    std::FILE* stream = nullptr;
-    if (!stream_path.empty()) {
-      stream = std::fopen(stream_path.c_str(), "w");
-      if (stream == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
-        return 1;
-      }
+    std::FILE* stream = std::fopen(stream_path.c_str(), "w");
+    if (stream == nullptr) {
+      std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
+      return 1;
     }
     bool write_ok = true;
     std::uint64_t emit_ordinal = 0;  // schedule-independent fault key: the
                                      // sink runs in job-index order
     const auto emit = [&](const std::string& chunk) {
-      if (stream == nullptr) return;
       const FaultAction fault =
           fault_check(FaultSite::kStreamWrite, emit_ordinal++);
       if (fault != FaultAction::kNone) {
@@ -354,69 +334,6 @@ int cmd_run(const std::string& path, BatchOptions options,
                                             // finished cell
     };
     const std::vector<Job> jobs = expand_manifest(manifest);
-
-    JournalWriter journal;
-    JournalReplay replay;
-    if (!journal_path.empty()) {
-      bool fresh = true;
-      if (resume) {
-        std::FILE* probe = std::fopen(journal_path.c_str(), "rb");
-        if (probe != nullptr) {
-          std::fclose(probe);
-          std::string jerr;
-          if (!load_journal(journal_path, &replay, &jerr)) {
-            std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                         journal_path.c_str(), jerr.c_str());
-            return 1;
-          }
-          const std::uint64_t want = journal_fingerprint(manifest, jobs);
-          if (replay.fingerprint != want ||
-              replay.jobs != static_cast<std::uint64_t>(jobs.size())) {
-            std::fprintf(stderr,
-                         "error: journal %s was written for a different job "
-                         "list (fingerprint %016" PRIx64 ", want %016" PRIx64
-                         "; %" PRIu64 " jobs, want %zu); refusing to resume\n",
-                         journal_path.c_str(), replay.fingerprint, want,
-                         replay.jobs, jobs.size());
-            return 1;
-          }
-          if (replay.dropped_bytes > 0 && !quiet) {
-            std::fprintf(stderr,
-                         "# journal: dropped %zu torn tail byte(s) from %s\n",
-                         replay.dropped_bytes, journal_path.c_str());
-          }
-          if (!journal.open_resume(journal_path, replay.valid_bytes)) {
-            std::fprintf(stderr, "error: cannot append to journal %s\n",
-                         journal_path.c_str());
-            return 1;
-          }
-          options.completed = &replay.completed;
-          fresh = false;
-          if (cli_track != nullptr) {
-            cli_track->instant(
-                "journal/resume",
-                util::TraceArgs().add(
-                    "completed",
-                    static_cast<std::uint64_t>(replay.completed.size())));
-          }
-        }
-        // --resume with no journal file yet is a fresh start: the
-        // "retry until exit 0" loop shape needs the first attempt and
-        // every later one to be the same command line.
-      }
-      if (fresh && !journal.create(journal_path, manifest, jobs)) {
-        std::fprintf(stderr, "error: cannot write journal %s\n",
-                     journal_path.c_str());
-        return 1;
-      }
-      if (fresh && cli_track != nullptr) {
-        cli_track->instant(
-            "journal/create",
-            util::TraceArgs().add("jobs",
-                                  static_cast<std::uint64_t>(jobs.size())));
-      }
-    }
-
     emit(render_stream_header(manifest, jobs.size()));
     StreamingAggregator agg(jobs);
     agg.set_cell_sink(
@@ -426,36 +343,14 @@ int cmd_run(const std::string& path, BatchOptions options,
           if (result.failed && job_errors.size() < 3) {
             job_errors.push_back(job.instance.label() + ": " + result.error);
           }
-          // Journal only freshly executed jobs: replayed ones are already
-          // in the intact prefix we appended after.
-          if (journal.ok() &&
-              (options.completed == nullptr ||
-               options.completed->count(job.job_index) == 0)) {
-            if (!journal.append(job, result)) journal_ok = false;
-            if (cli_track != nullptr) {
-              // The sink runs serialized and in job-index order, so these
-              // instants are deterministic like the journal bytes they
-              // mirror.
-              cli_track->instant("journal/append",
-                                 util::TraceArgs().add("job", job.job_index));
-            }
-          }
           agg.consume(job, result);
         });
-    // The journal's buffered tail is flushed and fsynced *before* the
-    // footer and aggregate writes: a crash while emitting the footer (the
-    // classic kStreamWrite exit fault) must not lose the final partial
-    // record group that the stream file's footer already implies retired.
-    journal_ok = journal.finish() && journal_ok;
     cells = agg.finish();
     emit(render_stream_footer(batch, cells.size()));
-    journal_ok = journal.close() && journal_ok;
-    if (stream != nullptr) {
-      write_ok = (std::fclose(stream) == 0) && write_ok;
-      if (!write_ok) {
-        std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
-        if (!batch.cancelled) return 1;
-      }
+    write_ok = (std::fclose(stream) == 0) && write_ok;
+    if (!write_ok) {
+      std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
+      if (!batch.cancelled) return 1;
     }
   }
 
@@ -476,12 +371,11 @@ int cmd_run(const std::string& path, BatchOptions options,
                   batch.cache_hit_jobs, batch.jobs.size(),
                   options.result_cache->dir().c_str());
     }
-    if (batch.retried_jobs > 0 || batch.timed_out_jobs > 0 ||
-        batch.resumed_jobs > 0) {
+    if (batch.retried_jobs > 0 || batch.timed_out_jobs > 0) {
       std::printf("# degraded: %u job(s) retried (%u retries), %u timed out "
-                  "at the round budget, %u resumed from journal\n",
+                  "at the round budget\n",
                   batch.retried_jobs, batch.total_retries,
-                  batch.timed_out_jobs, batch.resumed_jobs);
+                  batch.timed_out_jobs);
     }
     std::printf("%-44s %-10s %-6s %-10s %-12s %-12s\n", "scenario", "tester",
                 "eps", "detect", "rounds p50", "messages p50");
@@ -527,18 +421,20 @@ int cmd_run(const std::string& path, BatchOptions options,
     return 1;
   }
   if (batch.cancelled) {
-    std::fprintf(stderr,
-                 "interrupted: %u of %zu jobs completed; %s and the partial "
-                 "aggregate are flushed -- re-run with --resume\n",
-                 batch.completed_jobs, batch.jobs.size(),
-                 journal_path.empty() ? "finished cells" : "the journal");
-    return kExitResumable;
-  }
-  if (!journal_ok) {
-    std::fprintf(stderr,
-                 "error: journal %s could not be fully written; its intact "
-                 "prefix is still resumable\n",
-                 journal_path.c_str());
+    if (options.result_cache != nullptr) {
+      std::fprintf(stderr,
+                   "interrupted: %u of %zu jobs completed; the partial "
+                   "aggregate is flushed and the results so far are stored "
+                   "in --cache=%s -- re-run the same command to resume\n",
+                   batch.completed_jobs, batch.jobs.size(),
+                   options.result_cache->dir().c_str());
+    } else {
+      std::fprintf(stderr,
+                   "interrupted: %u of %zu jobs completed; the partial "
+                   "aggregate is flushed -- run with --cache=DIR so that a "
+                   "rerun resumes instead of starting over\n",
+                   batch.completed_jobs, batch.jobs.size());
+    }
     return kExitResumable;
   }
   if (batch.failed_jobs > 0) {
@@ -687,13 +583,13 @@ int cmd_gen(const std::vector<std::string>& args, std::uint64_t base_seed,
 
 int main(int argc, char** argv) {
   BatchOptions options;
-  std::string out_path, csv_path, timing_path, stream_path, journal_path;
+  std::string out_path, csv_path, timing_path, stream_path;
   std::string trace_path, metrics_path;
   std::string fault_spec;
   std::string cache_dir;
   bool have_fault_spec = false;
   std::uint64_t base_seed = 1, index = 0;
-  bool quiet = false, resume = false, progress = false;
+  bool quiet = false, progress = false;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -715,16 +611,12 @@ int main(int argc, char** argv) {
       timing_path = a + 13;
     } else if (std::strncmp(a, "--stream=", 9) == 0) {
       stream_path = a + 9;
-    } else if (std::strncmp(a, "--journal=", 10) == 0) {
-      journal_path = a + 10;
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       trace_path = a + 8;
     } else if (std::strncmp(a, "--metrics=", 10) == 0) {
       metrics_path = a + 10;
     } else if (std::strcmp(a, "--progress") == 0) {
       progress = true;
-    } else if (std::strcmp(a, "--resume") == 0) {
-      resume = true;
     } else if (std::strncmp(a, "--fault-plan=", 13) == 0) {
       fault_spec = a + 13;
       have_fault_spec = true;
@@ -766,10 +658,6 @@ int main(int argc, char** argv) {
     }
     install_fault_plan(std::move(plan));
   }
-  if (resume && journal_path.empty()) {
-    std::fprintf(stderr, "error: --resume requires --journal=FILE\n");
-    return usage();
-  }
   if (args.empty()) return usage();
   const std::string cmd = args[0];
   if (cmd == "list") return cmd_list();
@@ -786,8 +674,7 @@ int main(int argc, char** argv) {
       options.result_cache = &*cache;
     }
     return cmd_run(args[1], options, out_path, csv_path, timing_path,
-                   stream_path, journal_path, trace_path, metrics_path,
-                   progress, resume, quiet);
+                   stream_path, trace_path, metrics_path, progress, quiet);
   }
   if (cmd == "materialize" && args.size() == 2) {
     return cmd_materialize(args[1], options, quiet);
