@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "scenario/faultinject.h"
 #include "scenario/registry.h"
 #include "util/fsio.h"
 
@@ -138,12 +137,6 @@ void fill_header_v3(unsigned char* h, std::uint64_t n, std::uint64_t m,
             fnv_fold(kFnvOffsetBasis, h, kHeaderChecksumOff));
 }
 
-bool write_u32_f(std::FILE* f, std::uint32_t v) {
-  unsigned char b[4];
-  store_u32(b, v);
-  return std::fwrite(b, 1, 4, f) == 4;
-}
-
 // ---- v3 loading ------------------------------------------------------------
 
 // Validates and maps a v3 file; the fd stays owned by the caller.
@@ -239,16 +232,6 @@ CorpusStore::LoadStatus CorpusStore::load(std::uint64_t hash,
                  path.c_str());
     return LoadStatus::kCorrupt;
   };
-  // Injected read faults: corrupt-on-read exercises the regenerate path
-  // without touching the file; throw/badalloc surface as transient
-  // materialization failures.
-  const FaultAction fault = fault_check(FaultSite::kCorpusLoad, hash);
-  if (fault == FaultAction::kCorrupt) return corrupt(true);
-  if (fault != FaultAction::kNone) {
-    ::close(fd);
-    fault_raise(fault, FaultSite::kCorpusLoad, hash);
-  }
-
   struct stat st {};
   if (::fstat(fd, &st) != 0 || st.st_size < 8) return corrupt(true);
   const auto file_size = static_cast<std::uint64_t>(st.st_size);
@@ -288,23 +271,6 @@ bool CorpusStore::save(std::uint64_t hash, const Graph& g) const {
   const std::string tmp_path = unique_tmp_path(final_path);
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) return false;
-  // Injected save faults: shortwrite abandons a half-written temp file
-  // *without* cleaning it up (the constructor's orphan sweep is the test
-  // subject); exit kills the process mid-save the same way.
-  const FaultAction fault = fault_check(FaultSite::kCorpusSave, hash);
-  if (fault == FaultAction::kShortWrite || fault == FaultAction::kExit) {
-    write_u32_f(f, kMagic);
-    write_u32_f(f, kVersionV3);
-    std::fflush(f);
-    if (fault == FaultAction::kExit) ::_exit(kFaultExitCode);
-    std::fclose(f);
-    return false;
-  }
-  if (fault != FaultAction::kNone) {
-    std::fclose(f);
-    std::remove(tmp_path.c_str());
-    fault_raise(fault, FaultSite::kCorpusSave, hash);
-  }
 
   // Sections are written sequentially with explicit alignment padding; the
   // payload checksum folds over exactly the bytes written (gaps included),
@@ -367,23 +333,6 @@ bool CorpusStore::save_stream(std::uint64_t hash,
   const std::string tmp_path = unique_tmp_path(final_path);  // see save()
   const int fd = ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  // Same injected-fault surface as save(): the streaming writer is just
-  // another producer of corpus files.
-  const FaultAction fault = fault_check(FaultSite::kCorpusSave, hash);
-  if (fault == FaultAction::kShortWrite || fault == FaultAction::kExit) {
-    unsigned char head[8];
-    store_u32(head, kMagic);
-    store_u32(head + 4, kVersionV3);
-    [[maybe_unused]] const auto written = ::write(fd, head, 8);
-    if (fault == FaultAction::kExit) ::_exit(kFaultExitCode);
-    ::close(fd);
-    return false;
-  }
-  if (fault != FaultAction::kNone) {
-    ::close(fd);
-    std::remove(tmp_path.c_str());
-    fault_raise(fault, FaultSite::kCorpusSave, hash);
-  }
 
   const auto fail = [&](void* base, std::size_t len) {
     if (base != MAP_FAILED) ::munmap(base, len);

@@ -9,7 +9,6 @@
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "apps/bipartite.h"
@@ -48,11 +47,6 @@ unsigned resolve_batch_threads(unsigned requested) {
 
 }  // namespace
 
-bool is_transient_error(const std::string& message) {
-  return message.find("transient") != std::string::npos ||
-         message.find("bad_alloc") != std::string::npos;
-}
-
 JobResult run_job(const Job& job, const Graph& g, RunState* state,
                   util::TraceBuffer* trace, Stage1Record* stage1_record,
                   const Stage1Record* stage1_replay) {
@@ -67,7 +61,7 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
   if (trace != nullptr) job_span = trace->begin_span("job");
   const double t0 = now_seconds();
   try {
-    fault_point(FaultSite::kRunJob, job.job_index);
+    if (fault_fires(FaultSite::kRunJob, job.job_index)) fault_exit();
     switch (job.tester) {
       case TesterKind::kPlanarity: {
         TesterOptions opt;
@@ -188,8 +182,8 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
     }
   } catch (const congest::RoundBudgetExceeded& e) {
     // A refused job, not a failed one: deterministic (same instance, same
-    // budget, same round count), so never retried, and counted apart from
-    // failures so callers can render it distinctly.
+    // budget, same round count), so the result cache stores it, and it is
+    // counted apart from failures so callers can render it distinctly.
     r = JobResult{};
     r.n = g.num_nodes();
     r.m = g.num_edges();
@@ -223,39 +217,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
 }
 
 namespace {
-
-// Bounded retry around run_job: transient failures (is_transient_error)
-// re-run up to max_retries times with linear backoff; the returned
-// result's `retries` counts the re-runs it took. Deterministic failures
-// and timeouts return immediately -- re-running them cannot change the
-// outcome.
-JobResult run_job_retrying(const Job& job, const Graph& g,
-                           const BatchOptions& options, RunState* state,
-                           util::TraceBuffer* trace,
-                           Stage1Record* stage1_record,
-                           const Stage1Record* stage1_replay) {
-  JobResult r = run_job(job, g, state, trace, stage1_record, stage1_replay);
-  std::uint32_t attempts = 0;
-  while (r.failed && is_transient_error(r.error) &&
-         attempts < options.max_retries) {
-    ++attempts;
-    if (options.progress != nullptr) {
-      options.progress->retries.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (util::kTraceCompiled && trace != nullptr) {
-      trace->instant("job/retry", util::TraceArgs()
-                                      .add("attempt", attempts)
-                                      .add("error", r.error));
-    }
-    if (options.retry_backoff_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options.retry_backoff_ms * attempts));
-    }
-    r = run_job(job, g, state, trace, stage1_record, stage1_replay);
-    r.retries = attempts;
-  }
-  return r;
-}
 
 // Jobs whose Stage I is one computation (see Stage1Record): the graph
 // slot, every input of the Stage1Options run_job builds, and the round
@@ -465,7 +426,6 @@ class ClaimUnits {
 bool materialize_instance(const CorpusStore& store,
                           const ScenarioInstance& instance, bool cacheable,
                           Graph* out, bool* corrupt_file) {
-  fault_point(FaultSite::kMaterialize, instance.hash());
   CorpusStore::LoadStatus status = CorpusStore::LoadStatus::kMiss;
   if (cacheable) {
     status = store.load(instance.hash(), out);
@@ -609,11 +569,9 @@ BatchResult run_batch_impl(const Manifest& manifest,
 
   // Phase 1: materialize every needed unique instance (corpus load or
   // generate), embarrassingly parallel, one slot per instance. Generation
-  // failures are captured per slot -- worker callables must not throw.
-  // Transient failures (memory spikes, injected io faults) get the same
-  // bounded retry as job execution; a corrupt corpus file is not an error
+  // failures are captured per slot -- worker callables must not throw --
+  // and fail every job of the slot; a corrupt corpus file is not an error
   // at all (kCorrupt regenerates).
-  std::atomic<std::uint32_t> materialize_retries{0};
   {
     std::atomic<std::uint32_t> cursor{0};
     auto materialize = [&](unsigned) {
@@ -642,37 +600,15 @@ BatchResult run_batch_impl(const Manifest& manifest,
         // copy would silently survive edits to the edge-list file, so it
         // never touches the disk corpus (loading it is already cheap).
         const bool cacheable = slot.instance.family != "file";
-        for (std::uint32_t attempt = 0;; ++attempt) {
-          try {
-            slot.error.clear();
-            slot.from_disk = materialize_instance(
-                store, slot.instance, cacheable, &slot.graph,
-                &slot.corrupt_file);
-          } catch (const std::exception& e) {
-            slot.error = e.what();
-          }
-          if (slot.error.empty() || !is_transient_error(slot.error) ||
-              attempt >= options.max_retries) {
-            break;
-          }
-          materialize_retries.fetch_add(1, std::memory_order_relaxed);
-          if (options.progress != nullptr) {
-            options.progress->retries.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (slot_track != nullptr) {
-            slot_track->instant("corpus/retry", util::TraceArgs()
-                                                    .add("attempt", attempt + 1)
-                                                    .add("error", slot.error));
-          }
-          if (options.retry_backoff_ms > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                options.retry_backoff_ms * (attempt + 1)));
-          }
+        try {
+          slot.from_disk = materialize_instance(store, slot.instance, cacheable,
+                                                &slot.graph, &slot.corrupt_file);
+        } catch (const std::exception& e) {
+          slot.error = e.what();
         }
-        if (options.progress != nullptr) {
-          auto& counter = slot.from_disk && slot.error.empty()
-                              ? options.progress->corpus_hits
-                              : options.progress->corpus_generated;
+        if (options.progress != nullptr && slot.error.empty()) {
+          auto& counter = slot.from_disk ? options.progress->corpus_hits
+                                         : options.progress->corpus_generated;
           counter.fetch_add(1, std::memory_order_relaxed);
         }
         if (slot_track != nullptr) {
@@ -710,16 +646,14 @@ BatchResult run_batch_impl(const Manifest& manifest,
       ++out.corpus.skipped;
       continue;
     }
+    if (slots[i].corrupt_file) ++out.corpus.corrupt_files;
+    if (!slots[i].error.empty()) continue;  // failed: neither hit nor built
     if (slots[i].from_disk) {
       ++out.corpus.disk_hits;
     } else {
       ++out.corpus.generated;
     }
-    if (slots[i].corrupt_file) ++out.corpus.corrupt_files;
   }
-  // Materialization re-runs count toward the degradation totals (no
-  // retried_jobs tick: that counter is per job, not per instance).
-  out.total_retries += materialize_retries.load(std::memory_order_relaxed);
 
   // Phase 2: run the jobs. Claiming order is racy; result placement is by
   // job slot, so the result array is schedule-independent. Jobs are claimed
@@ -727,8 +661,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
   ClaimUnits claims(out.jobs, job_slot, cache_hit_job, workers,
                     options.cancel);
   // One job's outcome: the result cache (phase 0), a materialization
-  // failure propagated to every dependent job, or an actual run (with
-  // retry).
+  // failure propagated to every dependent job, or an actual run.
   const auto produce = [&](std::uint32_t j, bool* from_cache,
                            RunState* state) -> JobResult {
     // Job tracks follow the instance tracks in id space; the label is a
@@ -760,8 +693,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
     }
     Stage1Record* const record = claims.capture_into(j);
     const Stage1Record* const replay = claims.replay_from(j);
-    return run_job_retrying(out.jobs[j], slot.graph, options, state,
-                            job_track, record, replay);
+    return run_job(out.jobs[j], slot.graph, state, job_track, record, replay);
   };
   // One pooled RunState per batch worker, reused across every job that
   // worker claims (never shared concurrently: worker w touches states[w]
@@ -786,10 +718,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
       ++out.timed_out_jobs;
     } else if (r.failed) {
       ++out.failed_jobs;
-    }
-    if (r.retries > 0) {
-      ++out.retried_jobs;
-      out.total_retries += r.retries;
     }
     if (from_cache) ++out.cache_hit_jobs;
   };
@@ -922,14 +850,12 @@ BatchResult run_batch_impl(const Manifest& manifest,
   out.wall_seconds = now_seconds() - t0;
   if (util::kTraceCompiled && trace != nullptr) {
     // Deterministic batch counters: pure functions of the manifest, the
-    // corpus state and the fault plan -- never of the schedule.
+    // corpus state and the result cache -- never of the schedule.
     util::MetricsRegistry& m = trace->metrics();
     m.add_counter("batch/jobs", out.jobs.size());
     m.add_counter("batch/completed_jobs", out.completed_jobs);
     m.add_counter("batch/failed_jobs", out.failed_jobs);
     m.add_counter("batch/timed_out_jobs", out.timed_out_jobs);
-    m.add_counter("batch/retried_jobs", out.retried_jobs);
-    m.add_counter("batch/total_retries", out.total_retries);
     m.add_counter("batch/cache_hit_jobs", out.cache_hit_jobs);
     m.add_counter("batch/stage1_replayed_jobs", out.stage1_replayed_jobs);
     m.add_counter("corpus/unique_instances", out.corpus.unique_instances);
@@ -986,26 +912,15 @@ MaterializeResult materialize_manifest(const Manifest& manifest,
       std::string error;
       bool from_disk = false;
       bool corrupt = false;
-      for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-          error.clear();
-          // The graph dies at scope exit: materialize-only never keeps an
-          // instance resident, so peak RSS is one instance (and streamed
-          // families never build one at all).
-          Graph g;
-          from_disk =
-              materialize_instance(store, instance, cacheable, &g, &corrupt);
-        } catch (const std::exception& e) {
-          error = e.what();
-        }
-        if (error.empty() || !is_transient_error(error) ||
-            attempt >= options.max_retries) {
-          break;
-        }
-        if (options.retry_backoff_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              options.retry_backoff_ms * (attempt + 1)));
-        }
+      try {
+        // The graph dies at scope exit: materialize-only never keeps an
+        // instance resident, so peak RSS is one instance (and streamed
+        // families never build one at all).
+        Graph g;
+        from_disk =
+            materialize_instance(store, instance, cacheable, &g, &corrupt);
+      } catch (const std::exception& e) {
+        error = e.what();
       }
       std::lock_guard<std::mutex> lock(mu);
       if (!error.empty()) {

@@ -36,7 +36,11 @@
 // generation or simulation) are captured per job: the slot's JobResult
 // carries failed=true plus the message, BatchResult::failed_jobs counts
 // them, and aggregation excludes them -- callers must check (cpt_batch
-// exits nonzero) instead of trusting a silently partial aggregate.
+// exits nonzero) instead of trusting a silently partial aggregate. A
+// failure is final for the run: a job is a deterministic function of its
+// inputs, so running it again in the same process fails the same way.
+// Failed results are never stored in the result cache, so a rerun with
+// the same cache re-executes them.
 #pragma once
 
 #include <atomic>
@@ -79,24 +83,12 @@ struct JobResult {
   bool failed = false;
   std::string error;
   // Round budget violation (SimOptions::max_rounds via Job::max_rounds):
-  // deterministic, never retried, excluded from aggregate cells but
-  // counted separately (BatchResult::timed_out_jobs) -- a timed-out job
-  // is not a *failed* job, it is a refused one.
+  // deterministic, excluded from aggregate cells but counted separately
+  // (BatchResult::timed_out_jobs) -- a timed-out job is not a *failed*
+  // job, it is a refused one.
   bool timed_out = false;
-  // Transient-failure re-runs this result took (0 = first attempt stood).
-  // Deterministic under an injected fault plan; excluded from the
-  // aggregate document (a rerun served partly from the result cache
-  // retries differently than an uninterrupted one) and reported via the
-  // timing doc / CLI summary.
-  std::uint32_t retries = 0;
   double wall_seconds = 0;  // nondeterministic; excluded from aggregates
 };
-
-// Transient failures (worth retrying: injected transient faults, memory
-// pressure) vs deterministic ones (same input -> same failure: parse
-// errors, contract violations, budget timeouts). Classification is by
-// message: "transient" or "bad_alloc" substrings mark a retryable error.
-bool is_transient_error(const std::string& message);
 
 // Live progress counters the batch engine bumps as it goes (relaxed
 // atomics; read-only consumers like cpt_batch's --progress heartbeat poll
@@ -107,7 +99,6 @@ struct ProgressCounters {
   std::atomic<std::uint64_t> jobs_done{0};      // executed, cached or failed
   std::atomic<std::uint64_t> corpus_hits{0};    // instances served from disk
   std::atomic<std::uint64_t> corpus_generated{0};
-  std::atomic<std::uint64_t> retries{0};        // job + materialize re-runs
 };
 
 // Widest batch: BatchOptions::threads is clamped to it, and the CLIs
@@ -120,13 +111,6 @@ struct BatchOptions {
   unsigned threads = 1;
   // Corpus directory ("" = in-memory dedup only).
   std::string corpus_dir;
-  // Bounded per-job retry for transient failures (is_transient_error):
-  // up to max_retries re-runs with linear backoff (attempt *
-  // retry_backoff_ms). Deterministic failures -- and round-budget
-  // timeouts -- are never retried: re-running them yields the same
-  // outcome by the determinism contract.
-  unsigned max_retries = 2;
-  unsigned retry_backoff_ms = 10;
   // Cooperative cancellation (cpt_batch's SIGINT/SIGTERM path). When the
   // pointee flips true, workers stop claiming jobs, in-flight jobs drain,
   // and the streaming retirement frontier stops at the first unexecuted
@@ -161,8 +145,9 @@ struct CorpusCounters {
   std::uint64_t generated = 0;   // built by the registry (disk misses)
   std::uint64_t corrupt_files = 0;  // rejected .cpg files (regenerated)
   // Instances never materialized because every dependent job was served
-  // from the result cache (disk_hits + generated + skipped ==
-  // unique_instances).
+  // from the result cache. An instance that failed to materialize counts
+  // in none of disk_hits, generated and skipped, so disk_hits + generated
+  // + skipped + (failed instances) == unique_instances.
   std::uint64_t skipped = 0;
 };
 
@@ -172,10 +157,10 @@ struct BatchResult {
   CorpusCounters corpus;
   std::uint32_t failed_jobs = 0;     // excludes timed_out jobs
   std::uint32_t timed_out_jobs = 0;  // round-budget violations
-  // Degradation counters (deterministic under a fault plan; reported via
-  // the timing doc and the CLI summary, never the aggregate document).
-  std::uint32_t retried_jobs = 0;    // jobs needing >= 1 re-run
-  std::uint32_t total_retries = 0;   // re-runs across all jobs
+  // Always 0: no job is ever re-run. Kept only because
+  // perfbench/src/layers.cc still reads it; it goes with the benchmark
+  // change of ROADMAP item 7(a).
+  std::uint32_t total_retries = 0;
   // Served from the persistent result cache (BatchOptions::result_cache).
   // Reported via the timing doc / CLI summary only: the aggregate
   // document is byte-identical either way.

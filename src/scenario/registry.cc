@@ -9,7 +9,6 @@
 
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "scenario/faultinject.h"
 #include "util/contracts.h"
 
 namespace cpt::scenario {
@@ -134,8 +133,8 @@ std::uint64_t derive_instance_seed(std::string_view scenario,
 namespace {
 
 // Out-of-domain params throw instead of reaching a generator contract:
-// materialization turns the throw into a failed, non-retried job. Each
-// check mirrors the preconditions of the generator it guards.
+// materialization turns the throw into a failed job. Each check mirrors
+// the preconditions of the generator it guards.
 void require(bool ok, std::string_view owner, const std::string& what) {
   if (!ok) throw std::invalid_argument(std::string(owner) + ": " + what);
 }
@@ -284,18 +283,6 @@ Graph f_file(const ScenarioParams& p, Rng&) {
   if (path.empty()) {
     throw std::runtime_error("file scenario requires path=");
   }
-  // Fault site for external input reads (keyed by path hash -- stable
-  // across schedules and job orders): corrupt simulates a malformed
-  // edge list, throw/badalloc a transient read failure. The hook lives
-  // here rather than in graph/io because the graph layer must not depend
-  // on the scenario layer.
-  const FaultAction fault =
-      fault_check(FaultSite::kEdgeListRead, fnv1a64(path));
-  if (fault == FaultAction::kCorrupt) {
-    throw std::runtime_error("file scenario: " + path +
-                             ": malformed edge list (injected corruption)");
-  }
-  fault_raise(fault, FaultSite::kEdgeListRead, fnv1a64(path));
   std::ifstream in(path);
   if (!in.good()) {
     throw std::runtime_error("file scenario: cannot open " + path);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -106,11 +107,18 @@ bool parse_verdict(const std::string& s, Verdict* out) {
   return true;
 }
 
-std::uint64_t get_u64(const JsonValue& obj, const char* key) {
+// Reads obj[key] into *out only as a non-negative JSON integer that fits
+// T. A missing key, a negative, fractional or non-numeric value, and one
+// too wide for T all fail (integers above INT64_MAX parse as doubles, so
+// they fail too; no stored count comes near that).
+template <typename T>
+bool get_uint(const JsonValue& obj, const char* key, T* out) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return 0;
-  if (v->is_integer()) return static_cast<std::uint64_t>(v->as_int64());
-  return static_cast<std::uint64_t>(v->as_double());
+  if (v == nullptr || !v->is_integer() || v->as_int64() < 0) return false;
+  const auto u = static_cast<std::uint64_t>(v->as_int64());
+  if (u > std::numeric_limits<T>::max()) return false;
+  *out = static_cast<T>(u);
+  return true;
 }
 
 bool get_flag(const JsonValue& obj, const char* key) {
@@ -120,7 +128,7 @@ bool get_flag(const JsonValue& obj, const char* key) {
 
 // The JobResult body of an entry: every field the aggregate document is
 // a function of (verdict, rounds, messages, n/m, timed-out state) plus
-// retries and wall_seconds for the timing report. Starts with ", "
+// wall_seconds for the timing report. Starts with ", "
 // (store() opens the object and writes the identity first). Failed
 // results are never stored, so there is no failure state to write.
 void append_result_fields(std::string& rec, const JobResult& r) {
@@ -146,16 +154,16 @@ void append_result_fields(std::string& rec, const JobResult& r) {
              json_render_uint(r.trials_per_phase);
     }
   }
-  if (r.retries > 0) rec += ", \"retries\": " + json_render_uint(r.retries);
   rec += ", \"wall_seconds\": " + json_render_double(r.wall_seconds);
 }
 
-// Reads append_result_fields' fields back; fails only on a missing or
-// unknown verdict.
+// Reads append_result_fields' fields back. Fails on a missing or unknown
+// verdict, and on any written count that get_uint refuses; the optional
+// trials_per_phase is checked when present. Keys the writer no longer
+// writes (an old entry's "retries") are ignored.
 bool parse_result_fields(const JsonValue& rec, JobResult* out) {
   JobResult r;
-  r.n = static_cast<NodeId>(get_u64(rec, "n"));
-  r.m = static_cast<EdgeId>(get_u64(rec, "m"));
+  if (!get_uint(rec, "n", &r.n) || !get_uint(rec, "m", &r.m)) return false;
   r.timed_out = get_flag(rec, "timed_out");
   if (r.timed_out) {
     if (const JsonValue* e = rec.find("error")) {
@@ -167,22 +175,21 @@ bool parse_result_fields(const JsonValue& rec, JobResult* out) {
         !parse_verdict(verdict->as_string(), &r.verdict)) {
       return false;
     }
-    r.rounds = get_u64(rec, "rounds");
-    r.messages = get_u64(rec, "messages");
-    r.num_parts = static_cast<NodeId>(get_u64(rec, "num_parts"));
-    r.cut_edges = get_u64(rec, "cut_edges");
-    r.max_part_ecc =
-        static_cast<std::uint32_t>(get_u64(rec, "max_part_ecc"));
-    r.max_tree_depth =
-        static_cast<std::uint32_t>(get_u64(rec, "max_tree_depth"));
-    r.stage1_phases =
-        static_cast<std::uint32_t>(get_u64(rec, "stage1_phases"));
-    r.stage1_phases_total =
-        static_cast<std::uint32_t>(get_u64(rec, "stage1_phases_total"));
-    r.trials_per_phase =
-        static_cast<std::uint32_t>(get_u64(rec, "trials_per_phase"));
+    if (!get_uint(rec, "rounds", &r.rounds) ||
+        !get_uint(rec, "messages", &r.messages) ||
+        !get_uint(rec, "num_parts", &r.num_parts) ||
+        !get_uint(rec, "cut_edges", &r.cut_edges) ||
+        !get_uint(rec, "max_part_ecc", &r.max_part_ecc) ||
+        !get_uint(rec, "max_tree_depth", &r.max_tree_depth) ||
+        !get_uint(rec, "stage1_phases", &r.stage1_phases) ||
+        !get_uint(rec, "stage1_phases_total", &r.stage1_phases_total)) {
+      return false;
+    }
+    if (rec.find("trials_per_phase") != nullptr &&
+        !get_uint(rec, "trials_per_phase", &r.trials_per_phase)) {
+      return false;
+    }
   }
-  r.retries = static_cast<std::uint32_t>(get_u64(rec, "retries"));
   if (const JsonValue* w = rec.find("wall_seconds")) {
     if (w->is_number()) r.wall_seconds = w->as_double();
   }

@@ -21,11 +21,14 @@
 // -- a 64-bit filename collision degrades to a miss, never to a wrong
 // result.
 //
-// Corrupt entries (bit rot, torn by a mid-write power cut) are removed
-// and reported as kCorrupt; the engine re-executes and re-stores, so the
-// cache self-heals exactly like the corpus. Failed results are never
-// stored (they may be transient); timed-out results are (a round-budget
-// refusal is deterministic). The directory has no size cap.
+// Corrupt entries (bit rot, torn by a mid-write power cut, or a record
+// whose checksum holds but whose fields do not: a missing field, or a
+// number that is negative, fractional or too wide for its JobResult
+// field) are removed and reported as kCorrupt; the engine re-executes
+// and re-stores, so the cache self-heals exactly like the corpus. Failed
+// results are never stored, so a rerun re-executes them; timed-out
+// results are (a round-budget refusal is deterministic). The directory
+// has no size cap.
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,10 @@
 // Crash-safety suite for the resumable batch stack: the fault-plan
-// grammar and its determinism contract, bounded transient retry, corrupt-
-// corpus regeneration, the orphan-tmp sweep, in-process resume from a
-// result cache (cached jobs provably not re-executed), the round-budget
-// timeout classification, cooperative cancellation -- and a subprocess
-// kill/resume harness that hard-kills the real cpt_batch binary at
-// injected job indices and pins the aggregate of the rerun over the same
-// --cache directory byte-identical to an uninterrupted run at --threads 1
-// and 4.
-//
-// Every test that installs a fault plan uninstalls it on exit (the plan is
-// process-global); plans are re-parsed per run because check() consumes
-// per-key budgets.
+// grammar, in-process resume from a result cache (cached jobs provably not
+// re-executed), the round-budget timeout classification, cooperative
+// cancellation -- and a subprocess kill/resume harness that hard-kills the
+// real cpt_batch binary at injected job indices and pins the aggregate of
+// the rerun over the same --cache directory byte-identical to an
+// uninterrupted run at --threads 1 and 4.
 #include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,26 +12,21 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "graph/io.h"
 #include "scenario/aggregate.h"
-#include "scenario/corpus.h"
 #include "scenario/engine.h"
 #include "scenario/faultinject.h"
 #include "scenario/json.h"
 #include "scenario/manifest.h"
-#include "scenario/registry.h"
 #include "scenario/result_cache.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace cpt::scenario {
 namespace {
@@ -61,30 +50,11 @@ Manifest small_manifest() {
   return m;
 }
 
-// Parses and installs a plan; uninstalls on scope exit.
-class ScopedFaultPlan {
- public:
-  explicit ScopedFaultPlan(const std::string& spec) {
-    auto plan = std::make_shared<FaultPlan>();
-    std::string err;
-    EXPECT_TRUE(FaultPlan::parse(spec, plan.get(), &err)) << err;
-    install_fault_plan(std::move(plan));
-  }
-  ~ScopedFaultPlan() { install_fault_plan(nullptr); }
-};
-
 std::string temp_dir() {
   std::string t = testing::TempDir() + "cpt_crashsafe_XXXXXX";
   const char* made = mkdtemp(t.data());
   EXPECT_NE(made, nullptr);
   return t;
-}
-
-bool file_exists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
 }
 
 void write_file(const std::string& path, const std::string& body) {
@@ -104,277 +74,58 @@ std::size_t count_files_containing(const std::string& dir,
   return count;
 }
 
-// ---- Fault-plan grammar and determinism ---------------------------------
+// ---- Fault-plan grammar ---------------------------------------------------
 
 TEST(FaultPlan, ParsesGrammar) {
   FaultPlan plan;
   std::string err;
-  EXPECT_TRUE(FaultPlan::parse("", &plan, &err)) << err;
-  EXPECT_TRUE(plan.empty());
-  EXPECT_TRUE(FaultPlan::parse(
-      "seed=9,throw@run_job:every=7,corrupt@corpus_load:key=42,"
-      "exit@stream_write:key=3,badalloc@materialize:rate=0.5:times=2",
-      &plan, &err))
+  ASSERT_TRUE(FaultPlan::parse("exit@run_job:key=13", &plan, &err)) << err;
+  EXPECT_EQ(plan.site, FaultSite::kRunJob);
+  EXPECT_EQ(plan.key, 13u);
+  ASSERT_TRUE(FaultPlan::parse("exit@stream_write:key=0", &plan, &err)) << err;
+  EXPECT_EQ(plan.site, FaultSite::kStreamWrite);
+  EXPECT_EQ(plan.key, 0u);
+  ASSERT_TRUE(FaultPlan::parse("exit@run_job:key=18446744073709551615", &plan,
+                               &err))
       << err;
-  EXPECT_EQ(plan.seed(), 9u);
-  EXPECT_FALSE(plan.empty());
+  EXPECT_EQ(plan.key, ~0ULL);
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
   FaultPlan plan;
   std::string err;
   const char* bad[] = {
-      "bogus@run_job",           // unknown action
-      "throw@nowhere",           // unknown site
-      "throw",                   // missing @site
-      "throw@run_job:rate=2",    // rate out of [0, 1]
-      "throw@run_job:every=0",   // modulus must be positive
-      "throw@run_job:times=0",   // budget must be positive
-      "throw@run_job:frobnicate=1",
-      "seed=abc",
-      "throw@run_job,,corrupt@corpus_load",  // empty rule
+      "",
+      "exit",
+      "exit@run_job",                  // key is required
+      "exit@run_job:key=",
+      "exit@run_job:key=abc",
+      "exit@run_job:key=-1",
+      "exit@run_job:key=1x",
+      "exit@run_job:key=18446744073709551616",  // 2^64
+      "exit@nowhere:key=1",
+      "exit@run_job:key=1,exit@run_job:key=2",  // one rule per plan
+      "exit@run_job:key=1:times=2",
+      // Retired actions, sites and conditions.
+      "throw@run_job:key=1",
+      "badalloc@run_job:key=1",
+      "corrupt@run_job:key=1",
+      "shortwrite@stream_write:key=1",
+      "exit@corpus_load:key=1",
+      "exit@corpus_save:key=1",
+      "exit@edge_list:key=1",
+      "exit@materialize:key=1",
+      "exit@run_job:every=5",
+      "exit@run_job:rate=0.5",
+      "exit@run_job:times=2",
+      "seed=3",
+      "seed=3,exit@run_job:key=1",
   };
   for (const char* spec : bad) {
     err.clear();
     EXPECT_FALSE(FaultPlan::parse(spec, &plan, &err)) << spec;
     EXPECT_FALSE(err.empty()) << spec;
   }
-}
-
-TEST(FaultPlan, KeyEveryTimesSemantics) {
-  FaultPlan plan;
-  std::string err;
-  ASSERT_TRUE(FaultPlan::parse("throw@run_job:key=5:times=2", &plan, &err));
-  EXPECT_EQ(plan.check(FaultSite::kRunJob, 4), FaultAction::kNone);
-  EXPECT_EQ(plan.check(FaultSite::kMaterialize, 5), FaultAction::kNone);
-  EXPECT_EQ(plan.check(FaultSite::kRunJob, 5), FaultAction::kThrow);
-  EXPECT_EQ(plan.check(FaultSite::kRunJob, 5), FaultAction::kThrow);
-  // times=2 budget exhausted for key 5.
-  EXPECT_EQ(plan.check(FaultSite::kRunJob, 5), FaultAction::kNone);
-
-  ASSERT_TRUE(FaultPlan::parse("corrupt@corpus_load:every=3", &plan, &err));
-  EXPECT_EQ(plan.check(FaultSite::kCorpusLoad, 6), FaultAction::kCorrupt);
-  EXPECT_EQ(plan.check(FaultSite::kCorpusLoad, 7), FaultAction::kNone);
-  // Default times=1: key 6 fired once already.
-  EXPECT_EQ(plan.check(FaultSite::kCorpusLoad, 6), FaultAction::kNone);
-  EXPECT_EQ(plan.check(FaultSite::kCorpusLoad, 9), FaultAction::kCorrupt);
-}
-
-TEST(FaultPlan, RateRulesAreSeededAndReproducible) {
-  // The same (seed, site, key) draws the same coin in two plan instances;
-  // a different seed draws a different subset.
-  FaultPlan a, b, c;
-  std::string err;
-  ASSERT_TRUE(FaultPlan::parse("seed=3,throw@run_job:rate=0.4:times=1000000",
-                               &a, &err));
-  ASSERT_TRUE(FaultPlan::parse("seed=3,throw@run_job:rate=0.4:times=1000000",
-                               &b, &err));
-  ASSERT_TRUE(FaultPlan::parse("seed=4,throw@run_job:rate=0.4:times=1000000",
-                               &c, &err));
-  int fired_a = 0, fired_c = 0, diverged = 0;
-  for (std::uint64_t key = 0; key < 256; ++key) {
-    const FaultAction fa = a.check(FaultSite::kRunJob, key);
-    EXPECT_EQ(fa, b.check(FaultSite::kRunJob, key));
-    fired_a += fa != FaultAction::kNone;
-    const FaultAction fc = c.check(FaultSite::kRunJob, key);
-    fired_c += fc != FaultAction::kNone;
-    diverged += fa != fc;
-  }
-  // ~40% of 256 keys fire, under either seed, on different key subsets.
-  EXPECT_GT(fired_a, 60);
-  EXPECT_LT(fired_a, 150);
-  EXPECT_GT(fired_c, 60);
-  EXPECT_GT(diverged, 20);
-}
-
-TEST(FaultPlan, ClassifierSeparatesTransientFromDeterministic) {
-  EXPECT_TRUE(is_transient_error("injected transient fault at run_job key=3"));
-  EXPECT_TRUE(is_transient_error("std::bad_alloc"));
-  EXPECT_FALSE(is_transient_error("file scenario: x: malformed edge list"));
-  EXPECT_FALSE(is_transient_error("simulated round budget exceeded"));
-}
-
-// ---- Graceful degradation: retry, regeneration, classification ----------
-
-TEST(CrashSafe, TransientFaultsRetryToBitIdenticalAggregate) {
-  const Manifest m = small_manifest();
-  BatchOptions opt;
-  opt.threads = 4;
-  const BatchResult clean = run_batch(m, opt);
-  ASSERT_EQ(clean.failed_jobs, 0u);
-  const std::string clean_json =
-      render_aggregate_json(m, clean, aggregate_cells(clean));
-
-  BatchResult faulty;
-  {
-    // times=1 per key: every third job fails once, the retry succeeds.
-    ScopedFaultPlan plan("throw@run_job:every=3");
-    faulty = run_batch(m, opt);
-  }
-  EXPECT_EQ(faulty.failed_jobs, 0u);
-  EXPECT_GT(faulty.retried_jobs, 0u);
-  EXPECT_EQ(faulty.retried_jobs, faulty.total_retries);
-  EXPECT_EQ(render_aggregate_json(m, faulty, aggregate_cells(faulty)),
-            clean_json);
-}
-
-TEST(CrashSafe, RetryBudgetExhaustionFailsTheJob) {
-  const Manifest m = small_manifest();
-  BatchOptions opt;
-  opt.threads = 2;
-  opt.max_retries = 2;
-  BatchResult batch;
-  {
-    // Fires on every attempt of job 3: initial + 2 retries all fail.
-    ScopedFaultPlan plan("throw@run_job:key=3:times=1000");
-    batch = run_batch(m, opt);
-  }
-  EXPECT_EQ(batch.failed_jobs, 1u);
-  EXPECT_EQ(batch.total_retries, 2u);
-  ASSERT_GT(batch.results.size(), 3u);
-  EXPECT_TRUE(batch.results[3].failed);
-  EXPECT_EQ(batch.results[3].retries, 2u);
-  EXPECT_NE(batch.results[3].error.find("injected transient"),
-            std::string::npos);
-}
-
-TEST(CrashSafe, DeterministicFailuresAreNotRetried) {
-  // A corrupted edge-list read is a deterministic failure: the whole
-  // cell fails with zero retries (re-reading the same bytes cannot help).
-  const std::string dir = temp_dir();
-  const std::string edge_path = dir + "/input.edges";
-  {
-    ScenarioParams params;
-    params.set_int("rows", 6);
-    params.set_int("cols", 6);
-    const Graph g = build_instance(resolve_scenario("grid", params, 1, 0));
-    std::ofstream out(edge_path);
-    write_edge_list(g, out);
-  }
-  Manifest m;
-  std::string err;
-  const std::string text = std::string(R"({
-    "name": "filecell", "base_seed": 3,
-    "defaults": {"trials": 2, "epsilon": 0.15, "tester": "planarity"},
-    "cells": [{"scenario": "file", "params": {"path": ")") +
-                           edge_path + R"("}}]})";
-  ASSERT_TRUE(parse_manifest(text, &m, &err)) << err;
-
-  BatchOptions opt;
-  opt.threads = 2;
-  const BatchResult clean = run_batch(m, opt);
-  EXPECT_EQ(clean.failed_jobs, 0u);
-
-  BatchResult corrupt;
-  {
-    ScopedFaultPlan plan("corrupt@edge_list:key=" +
-                         std::to_string(fnv1a64(edge_path)) + ":times=1000");
-    corrupt = run_batch(m, opt);
-  }
-  EXPECT_EQ(corrupt.failed_jobs, static_cast<std::uint32_t>(
-                                     corrupt.jobs.size()));
-  EXPECT_EQ(corrupt.total_retries, 0u);
-  ASSERT_FALSE(corrupt.results.empty());
-  EXPECT_NE(corrupt.results[0].error.find("malformed edge list"),
-            std::string::npos);
-}
-
-TEST(CrashSafe, MaterializeRetriesTransientFaults) {
-  const Manifest m = small_manifest();
-  BatchOptions opt;
-  opt.threads = 2;
-  const BatchResult clean = run_batch(m, opt);
-  const std::string clean_json =
-      render_aggregate_json(m, clean, aggregate_cells(clean));
-  BatchResult batch;
-  {
-    // every=1 fires once per instance hash: every materialization fails
-    // on its first attempt and succeeds on retry.
-    ScopedFaultPlan plan("badalloc@materialize:every=1");
-    batch = run_batch(m, opt);
-  }
-  EXPECT_EQ(batch.failed_jobs, 0u);
-  EXPECT_GT(batch.total_retries, 0u);
-  EXPECT_EQ(render_aggregate_json(m, batch, aggregate_cells(batch)),
-            clean_json);
-}
-
-TEST(CrashSafe, CorruptCorpusReadRegeneratesInstances) {
-  const Manifest m = small_manifest();
-  const std::string dir = temp_dir();
-  BatchOptions opt;
-  opt.threads = 2;
-  opt.corpus_dir = dir;
-  const BatchResult first = run_batch(m, opt);  // populates the corpus
-  ASSERT_EQ(first.failed_jobs, 0u);
-  ASSERT_GT(first.corpus.generated, 0u);
-  const std::string clean_json =
-      render_aggregate_json(m, first, aggregate_cells(first));
-
-  BatchResult second;
-  {
-    ScopedFaultPlan plan("corrupt@corpus_load:every=1");
-    second = run_batch(m, opt);
-  }
-  EXPECT_EQ(second.failed_jobs, 0u);
-  // Every load was declared corrupt; every instance regenerated.
-  EXPECT_EQ(second.corpus.corrupt_files, second.corpus.unique_instances);
-  EXPECT_EQ(second.corpus.disk_hits, 0u);
-  EXPECT_EQ(render_aggregate_json(m, second, aggregate_cells(second)),
-            clean_json);
-}
-
-TEST(CrashSafe, ShortWriteLeavesTmpAndConstructorSweepsIt) {
-  const std::string dir = temp_dir();
-  ScenarioParams params;
-  params.set_int("rows", 6);
-  params.set_int("cols", 6);
-  const ScenarioInstance inst = resolve_scenario("grid", params, 1, 0);
-  const Graph g = build_instance(inst);
-
-  char name[64];
-  std::snprintf(name, sizeof name, "%016llx.cpg",
-                static_cast<unsigned long long>(inst.hash()));
-  const std::string final_path = dir + "/" + name;
-
-  {
-    CorpusStore store(dir);
-    ScopedFaultPlan plan("shortwrite@corpus_save:key=" +
-                         std::to_string(inst.hash()));
-    EXPECT_FALSE(store.save(inst.hash(), g));
-  }
-  // The half-written temp file (now pid+counter suffixed so concurrent
-  // writers never collide) was deliberately left behind...
-  EXPECT_EQ(count_files_containing(dir, ".cpg.tmp"), 1u);
-  EXPECT_FALSE(file_exists(final_path));
-  // ...and opening the corpus again sweeps true orphans -- legacy
-  // fixed-name temps and dead-pid temps -- but keeps ours: its suffix
-  // carries this (live) process's pid, so for all the sweep can tell a
-  // sibling thread is still mid-save.
-  write_file(dir + "/" + name + ".tmp", "legacy orphan");
-  write_file(dir + "/" + name + ".tmp.999999999.0", "dead-pid orphan");
-  CorpusStore swept(dir);
-  EXPECT_EQ(count_files_containing(dir, ".cpg.tmp"), 1u);
-  // Once the owner is gone (simulated by renaming to a dead pid), the
-  // next sweep collects it too.
-  {
-    DIR* d = opendir(dir.c_str());
-    ASSERT_NE(d, nullptr);
-    while (const dirent* entry = readdir(d)) {
-      if (std::strstr(entry->d_name, ".cpg.tmp") != nullptr) {
-        std::rename((dir + "/" + entry->d_name).c_str(),
-                    (dir + "/" + name + ".tmp.999999999.1").c_str());
-      }
-    }
-    closedir(d);
-  }
-  CorpusStore swept_again(dir);
-  EXPECT_EQ(count_files_containing(dir, ".cpg.tmp"), 0u);
-  // The store still works after the sweep.
-  EXPECT_TRUE(swept.save(inst.hash(), g));
-  Graph loaded;
-  EXPECT_EQ(swept.load(inst.hash(), &loaded), CorpusStore::LoadStatus::kHit);
-  EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
 }
 
 // ---- Round budget (max_rounds -> timed_out) ------------------------------
@@ -413,7 +164,6 @@ TEST(CrashSafe, RoundBudgetTimesOutWithoutPoisoningSiblings) {
   for (std::size_t j = ra.jobs.size(); j < rb.results.size(); ++j) {
     EXPECT_TRUE(rb.results[j].timed_out);
     EXPECT_FALSE(rb.results[j].failed);
-    EXPECT_EQ(rb.results[j].retries, 0u);  // deterministic: never retried
   }
   // Sibling jobs are untouched by the new cell.
   for (std::size_t j = 0; j < ra.results.size(); ++j) {
@@ -456,29 +206,42 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
   }
   ASSERT_GT(stored, 2u);
 
-  // Resume through the cache; prove cached jobs never execute by arming a
-  // would-fail fault on one of them.
+  // Resume through the cache; prove cached jobs never execute by the
+  // resumed batch's trace: a "job" span for each executed job, and a
+  // job/cache_hit instant, but no span, for each served one.
   BatchOptions resume_opt = opt;
   resume_opt.threads = 1;  // different schedule, same bytes
-  resume_opt.max_retries = 0;
   resume_opt.result_cache = &cache;
+  util::TraceSession session;
+  resume_opt.trace = &session;
   std::string resumed_jsonl;
-  BatchResult batch;
-  {
-    ScopedFaultPlan plan("throw@run_job:key=1:times=1000000");
-    StreamingAggregator agg(jobs);
-    agg.set_cell_sink([&](const CellAggregate& cell) {
-      resumed_jsonl += render_stream_cell(cell);
-    });
-    batch = run_batch(m, resume_opt,
-                      [&](const Job& job, const JobResult& result) {
-                        agg.consume(job, result);
-                      });
-    agg.finish();
-  }
-  EXPECT_EQ(batch.failed_jobs, 0u);  // job 1 came from the cache
+  StreamingAggregator agg(jobs);
+  agg.set_cell_sink([&](const CellAggregate& cell) {
+    resumed_jsonl += render_stream_cell(cell);
+  });
+  const BatchResult batch =
+      run_batch(m, resume_opt, [&](const Job& job, const JobResult& result) {
+        agg.consume(job, result);
+      });
+  agg.finish();
+  EXPECT_EQ(batch.failed_jobs, 0u);
   EXPECT_EQ(batch.cache_hit_jobs, stored);
   EXPECT_EQ(resumed_jsonl, clean_jsonl);
+  if (util::kTraceCompiled) {
+    const std::string trace = session.render_jsonl(m.name);
+    const auto count = [&trace](const std::string& needle) {
+      std::size_t n = 0;
+      for (std::size_t at = trace.find(needle); at != std::string::npos;
+           at = trace.find(needle, at + 1)) {
+        ++n;
+      }
+      return n;
+    };
+    EXPECT_EQ(count("\"kind\":\"span\",\"name\":\"job\","),
+              jobs.size() - stored);
+    EXPECT_EQ(count("\"kind\":\"instant\",\"name\":\"job/cache_hit\","),
+              stored);
+  }
 }
 
 TEST(CrashSafe, CancelFlagDrainsToAResumablePrefix) {
@@ -578,29 +341,6 @@ TEST(KillResumeHarness, HardKillThenResumeIsByteIdentical) {
   }
 }
 
-TEST(KillResumeHarness, FaultPlanEnvFallbackResumesFromCache) {
-  const std::string manifest = std::string(CPT_MANIFEST_DIR) +
-                               "/metamorphic_smoke.json";
-  const std::string dir = temp_dir();
-  const std::string out = dir + "/env.json";
-  const std::string clean_out = dir + "/clean.json";
-
-  ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
-                        " --threads=2 --quiet --out=" + clean_out),
-            0);
-
-  // A fresh cache directory is a fresh start, so the same command line
-  // retries to success; the kill plan arrives via the environment.
-  const std::string base = std::string(CPT_BATCH_BIN) + " run " + manifest +
-                           " --threads=2 --quiet --cache=" + dir +
-                           "/cache --out=" + out;
-  EXPECT_EQ(run_command("CPT_FAULT_PLAN=exit@run_job:key=5 " + base +
-                        " 2>/dev/null"),
-            kFaultExitCode);
-  ASSERT_EQ(run_command(base), 0);
-  EXPECT_EQ(slurp(out), slurp(clean_out));
-}
-
 TEST(KillResumeHarness, SigtermDrainsFlushesAndExitsResumable) {
   const std::string manifest = std::string(CPT_MANIFEST_DIR) +
                                "/batch_sweep.json";
@@ -696,8 +436,6 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
       "--threads=abc",      "--threads=",      "--threads=-1",
       "--threads=2x",       "--threads=1e3",   "--threads=99999999999",
       "--threads=33",
-      "--max-retries=abc",  "--max-retries=-2",
-      "--max-retries=999999999999999999999",
       "--base-seed=seven",  "--index=0.5",
   };
   for (const char* flag : bad) {
@@ -706,12 +444,16 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
 }
 
 TEST(CliParsing, JournalFlagsAreUnknown) {
-  // A killed run resumes from its --cache directory; the journal flags
-  // that used to do that are gone, so they are usage errors now.
+  // A killed or failed run re-runs from its --cache directory; the journal
+  // and retry flags that used to recover in other ways are gone, so they
+  // are usage errors now, and so is every retired fault action and site.
   const std::string base = std::string(CPT_BATCH_BIN) + " run " +
                            std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json" +
                            " --quiet 2>/dev/null";
-  for (const char* flag : {"--journal=sweep.journal", "--resume"}) {
+  for (const char* flag :
+       {"--journal=sweep.journal", "--resume", "--max-retries=2",
+        "--fault-plan=throw@run_job:key=1",
+        "--fault-plan=exit@corpus_load:key=1"}) {
     EXPECT_EQ(run_command(base + " " + flag), 2) << flag;
   }
 }

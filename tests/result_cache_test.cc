@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "scenario/engine.h"
 #include "scenario/json.h"
 #include "scenario/manifest.h"
+#include "scenario/registry.h"
 #include "scenario/result_cache.h"
 
 namespace cpt::scenario {
@@ -68,7 +70,7 @@ bool same_result(const JobResult& a, const JobResult& b) {
          a.stage1_phases_total == b.stage1_phases_total &&
          a.trials_per_phase == b.trials_per_phase && a.failed == b.failed &&
          a.error == b.error && a.timed_out == b.timed_out &&
-         a.retries == b.retries && a.wall_seconds == b.wall_seconds;
+         a.wall_seconds == b.wall_seconds;
 }
 
 std::size_t count_entries(const std::string& dir, const char* infix) {
@@ -103,7 +105,6 @@ TEST(ResultCache, RoundTripsResultsByContentAddress) {
   r.stage1_phases = 3;
   r.stage1_phases_total = 9;
   r.trials_per_phase = 2;
-  r.retries = 1;
   r.wall_seconds = 0.1;
   ASSERT_TRUE(cache.store(jobs[0], r));
 
@@ -124,7 +125,7 @@ TEST(ResultCache, FailedResultsAreNeverStoredTimedOutAre) {
 
   JobResult failed;
   failed.failed = true;
-  failed.error = "transient something";
+  failed.error = "file scenario: cannot open x.el";
   EXPECT_FALSE(cache.store(jobs[0], failed));
   JobResult probe;
   EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kMiss);
@@ -178,6 +179,63 @@ TEST(ResultCache, CorruptEntriesAreRemovedOnLoad) {
   // Re-storing self-heals.
   ASSERT_TRUE(cache.store(jobs[0], r));
   EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kHit);
+
+  // Forged records whose checksum is recomputed, so only the field checks
+  // can catch them: every stored count must be a non-negative JSON integer
+  // that fits its JobResult field, and every written field must be there.
+  r.n = 16;
+  r.m = 24;
+  r.messages = 77;
+  r.trials_per_phase = 3;
+  ASSERT_TRUE(cache.store(jobs[0], r));
+  std::string text;
+  ASSERT_TRUE(read_text_file(path, &text));
+  // {"sum": "<16hex>", "rec": <rec>}\n
+  const std::string rec = text.substr(35, text.size() - 35 - 2);
+  const auto forge = [&](std::vector<std::pair<std::string, std::string>> edits) {
+    std::string forged = rec;
+    for (const auto& [from, to] : edits) {
+      const std::size_t at = forged.find(from);
+      EXPECT_NE(at, std::string::npos) << from << " in " << rec;
+      if (at != std::string::npos) forged.replace(at, from.size(), to);
+    }
+    char sum[17];
+    std::snprintf(sum, sizeof sum, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(forged)));
+    EXPECT_TRUE(write_text_file(
+        path, "{\"sum\": \"" + std::string(sum) + "\", \"rec\": " + forged + "}\n"));
+    return forged;
+  };
+  // The forger writes valid entries: an unchanged record, and one with the
+  // "retries" key older entries carry, both still hit.
+  for (const auto& edits :
+       std::vector<std::vector<std::pair<std::string, std::string>>>{
+           {}, {{"\"wall_seconds\"", "\"retries\": 1, \"wall_seconds\""}}}) {
+    const std::string forged = forge(edits);
+    ASSERT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kHit)
+        << forged;
+    EXPECT_EQ(probe.rounds, 5u);
+    EXPECT_EQ(probe.n, 16u);
+    EXPECT_EQ(probe.trials_per_phase, 3u);
+  }
+  const std::vector<std::vector<std::pair<std::string, std::string>>> bad = {
+      {{"\"rounds\": 5", "\"rounds\": -7"}, {"\"n\": 16", "\"n\": 1e300"}},
+      {{"\"rounds\": 5", "\"rounds\": -7"}},
+      {{"\"n\": 16", "\"n\": 1e300"}},
+      {{"\"rounds\": 5", "\"rounds\": 5.5"}},
+      {{"\"rounds\": 5", "\"rounds\": \"5\""}},
+      {{"\"m\": 24", "\"m\": 4294967296"}},  // EdgeId is 32 bits
+      {{"\"messages\": 77", "\"messages\": 18446744073709551616"}},
+      {{", \"messages\": 77", ""}},
+      {{", \"n\": 16", ""}},
+      {{"\"trials_per_phase\": 3", "\"trials_per_phase\": -1"}},
+  };
+  for (const auto& edits : bad) {
+    const std::string forged = forge(edits);
+    EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kCorrupt)
+        << forged;
+    EXPECT_EQ(count_entries(dir, ".cpr"), 0u) << forged;
+  }
 }
 
 // ---- Engine integration: hits, byte-identity, skip-materialize -----------

@@ -1,3 +1,10 @@
+#include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/tester.h"
@@ -147,6 +154,120 @@ TEST_P(RejectSoundness, RejectImpliesNonPlanar) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RejectSoundness, ::testing::Range(0, 20));
+
+// ---- Every graph on up to six nodes ---------------------------------------
+
+// The graph on n nodes whose edges are the set bits of `mask`, over the
+// node pairs (u, v), u < v, in lexicographic order.
+Graph graph_of(NodeId n, std::uint32_t mask) {
+  GraphBuilder b(n);
+  std::uint32_t bit = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v, ++bit) {
+      if ((mask >> bit) & 1) b.add_edge(u, v);
+    }
+  }
+  return std::move(b).build();
+}
+
+// One edge mask per isomorphism class of graphs on n nodes: its canonical
+// form, the least mask over all n! relabelings. Masks are visited in
+// increasing order, so the first mask of an orbit is its least; the whole
+// orbit is marked seen when that mask is reached.
+std::vector<std::uint32_t> graph_classes(NodeId n) {
+  std::vector<std::vector<std::uint32_t>> bit(n, std::vector<std::uint32_t>(n));
+  std::uint32_t pairs = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) bit[u][v] = bit[v][u] = pairs++;
+  }
+  std::vector<std::vector<NodeId>> perms;
+  std::vector<NodeId> perm(n);
+  std::iota(perm.begin(), perm.end(), NodeId{0});
+  do {
+    perms.push_back(perm);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  std::vector<char> seen(std::size_t{1} << pairs, 0);
+  std::vector<std::uint32_t> classes;
+  for (std::uint32_t mask = 0; mask < seen.size(); ++mask) {
+    if (seen[mask] != 0) continue;
+    classes.push_back(mask);
+    for (const std::vector<NodeId>& p : perms) {
+      std::uint32_t image = 0;
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = u + 1; v < n; ++v) {
+          if ((mask >> bit[u][v]) & 1) image |= 1u << bit[p[u]][p[v]];
+        }
+      }
+      seen[image] = 1;
+    }
+  }
+  return classes;
+}
+
+// Exact distance to planarity: the fewest edges whose deletion leaves a
+// planar graph, by brute force over the edge subsets of growing size.
+std::uint32_t planarity_distance(NodeId n, std::uint32_t mask) {
+  for (int k = 0;; ++k) {
+    for (std::uint32_t cut = mask;; cut = (cut - 1) & mask) {
+      if (std::popcount(cut) == k && is_planar(graph_of(n, mask & ~cut))) {
+        return static_cast<std::uint32_t>(k);
+      }
+      if (cut == 0) break;
+    }
+  }
+}
+
+// Every graph on n = 1..6 nodes up to isomorphism, with its exact distance
+// to planarity, through the full tester at four epsilons and three seeds.
+// One-sidedness is exact: no planar graph is rejected at any (epsilon,
+// seed). Detection is asserted at the paper's bound: at least 2 of 3 seeds
+// reject every (graph, epsilon) pair whose distance exceeds epsilon * m.
+TEST(TesterE2e, EveryGraphOnUpToSixNodes) {
+  // OEIS A000088 (graphs) and A005470 (planar graphs), n = 1..6.
+  const std::size_t kClasses[] = {1, 2, 4, 11, 34, 156};
+  const std::uint32_t kPlanar[] = {1, 2, 4, 11, 33, 142};
+  // (graph, epsilon) pairs with distance > epsilon * m.
+  const std::uint32_t kFarPairs[] = {0, 0, 0, 0, 1, 17};
+  const std::uint32_t kEpsilonPercent[] = {5, 10, 20, 30};
+  constexpr std::uint32_t kSeeds = 3;
+  for (NodeId n = 1; n <= 6; ++n) {
+    const std::vector<std::uint32_t> classes = graph_classes(n);
+    EXPECT_EQ(classes.size(), kClasses[n - 1]) << "n=" << n;
+    std::uint32_t planar = 0, far_pairs = 0, far_rejects = 0;
+    for (const std::uint32_t mask : classes) {
+      const Graph g = graph_of(n, mask);
+      const std::uint32_t distance = planarity_distance(n, mask);
+      if (distance == 0) ++planar;
+      for (const std::uint32_t percent : kEpsilonPercent) {
+        std::uint32_t rejects = 0;
+        for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+          if (test_planarity(g, opts(percent / 100.0, seed)).verdict ==
+              Verdict::kReject) {
+            ++rejects;
+          }
+        }
+        const std::string where =
+            "n=" + std::to_string(n) + " mask=" + std::to_string(mask) +
+            " eps=" + std::to_string(percent / 100.0) +
+            " distance=" + std::to_string(distance);
+        if (distance == 0) {
+          EXPECT_EQ(rejects, 0u) << where;
+        }
+        if (100 * distance > percent * g.num_edges()) {
+          ++far_pairs;
+          far_rejects += rejects;
+          EXPECT_GE(3 * rejects, 2 * kSeeds) << where;
+        }
+      }
+    }
+    EXPECT_EQ(planar, kPlanar[n - 1]) << "n=" << n;
+    EXPECT_EQ(far_pairs, kFarPairs[n - 1]) << "n=" << n;
+    std::printf("n=%u: %zu classes, %u planar, %u far (graph, eps) pairs, "
+                "%u of %u far runs rejected\n",
+                n, classes.size(), planar, far_pairs, far_rejects,
+                far_pairs * kSeeds);
+  }
+}
 
 TEST(TesterE2e, EmptyAndTinyGraphs) {
   EXPECT_EQ(test_planarity(gen::path(1), opts(0.2, 1)).verdict,

@@ -319,7 +319,6 @@ TEST(ProgressCountersTest, CountsJobsAndCorpusActivity) {
   EXPECT_EQ(progress.jobs_done.load(), r.jobs.size());
   EXPECT_EQ(progress.corpus_generated.load(), r.corpus.generated);
   EXPECT_EQ(progress.corpus_hits.load(), r.corpus.disk_hits);
-  EXPECT_EQ(progress.retries.load(), r.total_retries);
 }
 
 }  // namespace

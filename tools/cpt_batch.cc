@@ -27,12 +27,11 @@
 //                                           each sweep cell flushed as it
 //                                           completes; per-job results are
 //                                           never held in memory
-//       [--fault-plan=SPEC]                 deterministic fault injection
-//                                           (also via CPT_FAULT_PLAN env; the
-//                                           flag wins) -- see
-//                                           scenario/faultinject.h
-//       [--max-retries=N]                   transient-failure retry budget
-//                                           per job (default 2)
+//       [--fault-plan=SPEC]                 deterministic hard kill for
+//                                           resume tests:
+//                                           exit@run_job:key=K or
+//                                           exit@stream_write:key=K (see
+//                                           scenario/faultinject.h)
 //       [--trace=FILE]                      structured span stream
 //                                           (cpt_trace_v1 JSONL; every
 //                                           non-timestamp field is
@@ -46,7 +45,7 @@
 //                                           "runtime" section does not)
 //       [--progress]                        ~1 Hz stderr heartbeat (jobs
 //                                           done/total, rate, ETA, corpus
-//                                           hits, retries); stderr only,
+//                                           hits); stderr only,
 //                                           never perturbs aggregates
 //       [--quiet]                           suppress the summary table
 //   cpt_batch materialize <manifest.json>   resolve every unique instance
@@ -64,13 +63,14 @@
 //    0  every job ran (timed-out jobs are reported, not fatal)
 //    1  hard failure: bad usage/manifest, unwritable output, a --corpus or
 //       --cache path that cannot be a directory, failed jobs (the
-//       aggregate covers only the jobs that ran)
+//       aggregate covers only the jobs that ran; a failure is final for
+//       the run, is never stored in --cache, and re-runs on the next run)
 //    2  usage error
 //   75  resumable interruption (EX_TEMPFAIL): SIGINT/SIGTERM drained the
 //       in-flight jobs and flushed the partial aggregate; with --cache=DIR
 //       every result so far is stored, so re-running the same command
 //       resumes (failed jobs are not stored and run again)
-//  137  injected hard kill (fault plan `exit` action; mimics SIGKILL)
+//  137  injected hard kill (--fault-plan; mimics SIGKILL)
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -119,7 +119,7 @@ extern "C" void on_cancel_signal(int) {
 }
 
 // --progress heartbeat: one stderr line per second with jobs done/total,
-// throughput, ETA, corpus hits and retries, read from the engine's relaxed
+// throughput, ETA and corpus hits, read from the engine's relaxed
 // ProgressCounters. Writes stderr only -- by construction it cannot touch
 // aggregates or the trace stream. On a tty the line redraws in place;
 // piped, it prints one line per tick.
@@ -169,12 +169,10 @@ class ProgressMeter {
     }
     std::fprintf(stderr,
                  "%s# progress: %" PRIu64 "/%" PRIu64 " jobs  %.1f/s  eta %s"
-                 "  corpus %" PRIu64 " hit / %" PRIu64 " gen  retries %" PRIu64
-                 "%s",
+                 "  corpus %" PRIu64 " hit / %" PRIu64 " gen%s",
                  tty_ && !first_ ? "\r" : "", done, total, rate, eta,
                  counters_->corpus_hits.load(relaxed),
                  counters_->corpus_generated.load(relaxed),
-                 counters_->retries.load(relaxed),
                  tty_ && !final ? "  " : "\n");
     std::fflush(stderr);
     first_ = false;
@@ -199,8 +197,7 @@ int usage() {
                " [--cache=DIR]\n"
                "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]"
                " [--stream=FILE]\n"
-               "                [--fault-plan=SPEC] [--max-retries=N]"
-               " [--trace=FILE]\n"
+               "                [--fault-plan=SPEC] [--trace=FILE]\n"
                "                [--metrics=FILE] [--progress] [--quiet]\n"
                "  cpt_batch materialize <manifest.json> --corpus=DIR"
                " [--threads=N] [--quiet]\n"
@@ -315,17 +312,12 @@ int cmd_run(const std::string& path, BatchOptions options,
     std::uint64_t emit_ordinal = 0;  // schedule-independent fault key: the
                                      // sink runs in job-index order
     const auto emit = [&](const std::string& chunk) {
-      const FaultAction fault =
-          fault_check(FaultSite::kStreamWrite, emit_ordinal++);
-      if (fault != FaultAction::kNone) {
-        // Tear the chunk mid-write; the sink must not throw through the
-        // worker pool, so every injected action degrades to a half write
-        // (exit additionally kills the process, like a crash would).
+      if (fault_fires(FaultSite::kStreamWrite, emit_ordinal++)) {
+        // Die mid-chunk, like a crash would: half the chunk reaches the
+        // file.
         std::fwrite(chunk.data(), 1, chunk.size() / 2, stream);
         std::fflush(stream);
-        if (fault == FaultAction::kExit) ::_exit(kFaultExitCode);
-        write_ok = false;
-        return;
+        fault_exit();
       }
       write_ok = write_ok &&
                  std::fwrite(chunk.data(), 1, chunk.size(), stream) ==
@@ -371,10 +363,8 @@ int cmd_run(const std::string& path, BatchOptions options,
                   batch.cache_hit_jobs, batch.jobs.size(),
                   options.result_cache->dir().c_str());
     }
-    if (batch.retried_jobs > 0 || batch.timed_out_jobs > 0) {
-      std::printf("# degraded: %u job(s) retried (%u retries), %u timed out "
-                  "at the round budget\n",
-                  batch.retried_jobs, batch.total_retries,
+    if (batch.timed_out_jobs > 0) {
+      std::printf("# degraded: %u job(s) timed out at the round budget\n",
                   batch.timed_out_jobs);
     }
     std::printf("%-44s %-10s %-6s %-10s %-12s %-12s\n", "scenario", "tester",
@@ -585,9 +575,7 @@ int main(int argc, char** argv) {
   BatchOptions options;
   std::string out_path, csv_path, timing_path, stream_path;
   std::string trace_path, metrics_path;
-  std::string fault_spec;
   std::string cache_dir;
-  bool have_fault_spec = false;
   std::uint64_t base_seed = 1, index = 0;
   bool quiet = false, progress = false;
   std::vector<std::string> args;
@@ -618,11 +606,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--progress") == 0) {
       progress = true;
     } else if (std::strncmp(a, "--fault-plan=", 13) == 0) {
-      fault_spec = a + 13;
-      have_fault_spec = true;
-    } else if (std::strncmp(a, "--max-retries=", 14) == 0) {
-      if (!parse_uint_flag("--max-retries", a + 14, 1000, &parsed)) return 2;
-      options.max_retries = static_cast<unsigned>(parsed);
+      FaultPlan plan;
+      std::string plan_error;
+      if (!FaultPlan::parse(a + 13, &plan, &plan_error)) {
+        std::fprintf(stderr, "error: bad fault plan: %s\n", plan_error.c_str());
+        return usage();
+      }
+      install_fault_plan(plan);
     } else if (std::strncmp(a, "--base-seed=", 12) == 0) {
       if (!parse_uint_flag("--base-seed", a + 12, UINT64_MAX, &parsed)) {
         return 2;
@@ -639,24 +629,6 @@ int main(int argc, char** argv) {
     } else {
       args.emplace_back(a);
     }
-  }
-  if (!have_fault_spec) {
-    // Env fallback lets the CI harness inject faults into an otherwise
-    // unmodified command line; an explicit --fault-plan wins.
-    const char* env = std::getenv("CPT_FAULT_PLAN");
-    if (env != nullptr && *env != '\0') {
-      fault_spec = env;
-      have_fault_spec = true;
-    }
-  }
-  if (have_fault_spec) {
-    auto plan = std::make_shared<FaultPlan>();
-    std::string plan_error;
-    if (!FaultPlan::parse(fault_spec, plan.get(), &plan_error)) {
-      std::fprintf(stderr, "error: bad fault plan: %s\n", plan_error.c_str());
-      return usage();
-    }
-    install_fault_plan(std::move(plan));
   }
   if (args.empty()) return usage();
   const std::string cmd = args[0];
