@@ -6,13 +6,11 @@
 // (one per endpoint adjacency list), both carrying the same edge id.
 // Self-loops are rejected; parallel edges are deduplicated by the builder.
 //
-// A Graph is a read-only *view* over its three CSR arrays plus a shared
-// keep-alive handle on whatever owns them: GraphBuilder::build() allocates
-// the arrays on the heap, while Graph::from_csr wraps externally owned
-// storage -- e.g. a read-only corpus file mapping (scenario/corpus.cc) --
-// without copying. Copies are shallow and share the backing; a Graph is
-// immutable after construction, so shared views are safe, and the arrays
-// outlive every copy.
+// GraphBuilder::build() is the only way a non-empty Graph is made: it
+// allocates the three CSR arrays on the heap, and the Graph holds spans
+// over them plus a shared keep-alive handle. Copies are shallow and share the backing; a
+// Graph is immutable after construction, so shared views are safe, and
+// the arrays outlive every copy.
 #pragma once
 
 #include <cstdint>
@@ -50,32 +48,6 @@ struct Endpoints {
 class Graph {
  public:
   Graph() = default;
-
-  // Wraps externally owned CSR arrays without copying: `offsets` has n+1
-  // entries, `arcs` 2m (peer_arc prefilled), `edges` m, all in the exact
-  // layout GraphBuilder produces. `backing` keeps the storage alive for as
-  // long as any copy of the view exists (the corpus store hands in the
-  // munmap guard of a mapped .cpg file). The arrays are trusted -- callers
-  // validate before adopting (checksums, size cross-checks).
-  static Graph from_csr(std::span<const std::uint32_t> offsets,
-                        std::span<const Arc> arcs,
-                        std::span<const Endpoints> edges,
-                        std::shared_ptr<const void> backing) {
-    CPT_EXPECTS(!offsets.empty());
-    CPT_EXPECTS(arcs.size() == 2 * edges.size());
-    Graph g;
-    g.offsets_ = offsets;
-    g.arcs_ = arcs;
-    g.edges_ = edges;
-    g.backing_ = std::move(backing);
-    g.external_view_ = true;
-    return g;
-  }
-
-  // True for graphs adopted via from_csr (zero-copy corpus hits); false
-  // for builder-produced graphs. Lets tests pin "no GraphBuilder replay on
-  // the hit path".
-  bool is_external_view() const { return external_view_; }
 
   NodeId num_nodes() const { return static_cast<NodeId>(offsets_.empty() ? 0 : offsets_.size() - 1); }
   EdgeId num_edges() const { return static_cast<EdgeId>(edges_.size()); }
@@ -134,8 +106,8 @@ class Graph {
   std::span<const Endpoints> edges() const { return edges_; }
 
   // Raw CSR arrays (offsets: n+1 entries; arcs: 2m, ordered by (owner,
-  // port)). The corpus writer serializes these verbatim, and equivalence
-  // tests compare them across materialization paths.
+  // port)). The corpus writer serializes these verbatim, and its loader
+  // accepts a file only when a rebuild reproduces them byte for byte.
   std::span<const std::uint32_t> csr_offsets() const { return offsets_; }
   std::span<const Arc> csr_arcs() const { return arcs_; }
 
@@ -145,8 +117,7 @@ class Graph {
   std::span<const std::uint32_t> offsets_;  // size n+1
   std::span<const Arc> arcs_;               // size 2m
   std::span<const Endpoints> edges_;        // size m
-  std::shared_ptr<const void> backing_;     // owns whatever the spans view
-  bool external_view_ = false;
+  std::shared_ptr<const void> backing_;     // owns the arrays the spans view
 };
 
 class GraphBuilder {

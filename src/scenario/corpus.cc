@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "scenario/registry.h"
@@ -47,10 +44,6 @@ constexpr std::uint64_t kHeaderChecksumOff = 32;
 // CSR offsets and Arc::peer_arc hold.
 constexpr std::uint64_t kMaxNodesV3 = 0xFFFFFFFEULL;
 constexpr std::uint64_t kMaxEdgesV3 = 0x7FFFFFFFULL;
-// Payload checksums are verified in full below this size (and always under
-// CPT_CORPUS_VERIFY=full); larger files are admitted on the header +
-// exact-size cross-check so a multi-GB hit stays zero-copy.
-constexpr std::uint64_t kFullVerifyBytes = 64ULL << 20;
 
 std::uint64_t align64(std::uint64_t off) { return (off + 63) & ~63ULL; }
 
@@ -84,47 +77,6 @@ std::uint64_t load_u64(const unsigned char* p) {
   return v;
 }
 
-enum class VerifyMode { kAuto, kFull, kSizeOnly };
-
-VerifyMode verify_mode() {
-  const char* env = std::getenv("CPT_CORPUS_VERIFY");
-  if (env == nullptr) return VerifyMode::kAuto;
-  if (std::strcmp(env, "full") == 0) return VerifyMode::kFull;
-  if (std::strcmp(env, "size") == 0) return VerifyMode::kSizeOnly;
-  return VerifyMode::kAuto;
-}
-
-// Keep-alive handle a mapped Graph view carries: unmapping happens when
-// the last copy of the view dies.
-struct Mapping {
-  void* base = MAP_FAILED;
-  std::size_t len = 0;
-  ~Mapping() {
-    if (base != MAP_FAILED) ::munmap(base, len);
-  }
-};
-
-// Folds the payload checksum over a mapped range in windows, releasing
-// each window afterwards so verifying a large file never holds more than
-// one window resident.
-std::uint64_t checksum_range_windowed(unsigned char* base, std::uint64_t lo,
-                                      std::uint64_t hi, bool release) {
-  constexpr std::uint64_t kWindow = 8ULL << 20;
-  std::uint64_t sum = kFnvOffsetBasis;
-  for (std::uint64_t off = lo; off < hi; off += kWindow) {
-    const std::uint64_t end = std::min(hi, off + kWindow);
-    sum = fnv_fold(sum, base + off, end - off);
-    if (release) {
-      const std::uint64_t page_lo = off & ~4095ULL;
-      const std::uint64_t page_hi = end & ~4095ULL;
-      if (page_hi > page_lo) {
-        ::madvise(base + page_lo, page_hi - page_lo, MADV_DONTNEED);
-      }
-    }
-  }
-  return sum;
-}
-
 void fill_header_v3(unsigned char* h, std::uint64_t n, std::uint64_t m,
                     std::uint64_t payload_sum) {
   std::memset(h, 0, kHeaderBytes);
@@ -139,18 +91,24 @@ void fill_header_v3(unsigned char* h, std::uint64_t n, std::uint64_t m,
 
 // ---- v3 loading ------------------------------------------------------------
 
-// Validates and maps a v3 file; the fd stays owned by the caller.
-bool load_v3_mapped(int fd, std::uint64_t file_size, Graph* out) {
-  if (file_size < kHeaderBytes) return false;
-  auto mapping = std::make_shared<Mapping>();
-  mapping->len = static_cast<std::size_t>(file_size);
-  mapping->base =
-      ::mmap(nullptr, mapping->len, PROT_READ, MAP_SHARED, fd, 0);
-  if (mapping->base == MAP_FAILED) return false;
-  auto* bytes = static_cast<unsigned char*>(mapping->base);
+// True when `array`'s bytes equal the file's section at `section`.
+template <typename T>
+bool same_bytes(std::span<const T> array, const unsigned char* section) {
+  return array.empty() ||
+         std::memcmp(array.data(), section, array.size_bytes()) == 0;
+}
 
-  if (load_u64(bytes + kHeaderChecksumOff) !=
-      fnv_fold(kFnvOffsetBasis, bytes, kHeaderChecksumOff)) {
+// Validates a whole v3 file and rebuilds its graph. n and m are trusted
+// only after the exact-size check, so the rebuild allocates no more than
+// the file's own size. The rebuild, not the file, becomes the Graph, and
+// only when its CSR arrays equal the file's sections byte for byte.
+bool load_v3(const std::vector<unsigned char>& file, Graph* out) {
+  const std::uint64_t file_size = file.size();
+  if (file_size < kHeaderBytes) return false;
+  const unsigned char* bytes = file.data();
+  if (load_u32(bytes) != kMagic || load_u32(bytes + 4) != kVersionV3 ||
+      load_u64(bytes + kHeaderChecksumOff) !=
+          fnv_fold(kFnvOffsetBasis, bytes, kHeaderChecksumOff)) {
     return false;
   }
   for (std::uint64_t i = kHeaderChecksumOff + 8; i < kHeaderBytes; ++i) {
@@ -159,33 +117,28 @@ bool load_v3_mapped(int fd, std::uint64_t file_size, Graph* out) {
   const std::uint64_t n = load_u64(bytes + 8);
   const std::uint64_t m = load_u64(bytes + 16);
   LayoutV3 layout;
-  if (!compute_layout_v3(n, m, &layout) || layout.file_size != file_size) {
+  if (!compute_layout_v3(n, m, &layout) || layout.file_size != file_size ||
+      fnv_fold(kFnvOffsetBasis, bytes + kHeaderBytes,
+               file_size - kHeaderBytes) != load_u64(bytes + 24)) {
     return false;
   }
 
-  const VerifyMode mode = verify_mode();
-  const bool verify_payload =
-      mode == VerifyMode::kFull ||
-      (mode == VerifyMode::kAuto && file_size <= kFullVerifyBytes);
-  if (verify_payload) {
-    const std::uint64_t sum = checksum_range_windowed(
-        bytes, kHeaderBytes, file_size, file_size > kFullVerifyBytes);
-    if (sum != load_u64(bytes + 24)) return false;
+  GraphBuilder builder(static_cast<NodeId>(n));
+  for (std::uint64_t e = 0; e < m; ++e) {
+    const unsigned char* p = bytes + layout.edges_off + e * sizeof(Endpoints);
+    const std::uint32_t u = load_u32(p);
+    const std::uint32_t v = load_u32(p + 4);
+    if (u >= v || v >= n) return false;
+    builder.add_edge(u, v);
   }
-
-  const auto* offsets =
-      reinterpret_cast<const std::uint32_t*>(bytes + layout.offsets_off);
-  const auto* arcs = reinterpret_cast<const Arc*>(bytes + layout.arcs_off);
-  const auto* edges =
-      reinterpret_cast<const Endpoints*>(bytes + layout.edges_off);
-  // O(1) structural anchors (the checksum, when verified, vouches for the
-  // rest; these also catch a header-only forgery in size-only mode).
-  if (offsets[0] != 0 || offsets[n] != 2 * m) return false;
-
-  *out = Graph::from_csr(
-      {offsets, static_cast<std::size_t>(n) + 1},
-      {arcs, static_cast<std::size_t>(2 * m)},
-      {edges, static_cast<std::size_t>(m)}, std::move(mapping));
+  Graph g = std::move(builder).build();
+  if (g.num_edges() != m ||
+      !same_bytes(g.csr_offsets(), bytes + layout.offsets_off) ||
+      !same_bytes(g.csr_arcs(), bytes + layout.arcs_off) ||
+      !same_bytes(g.edges(), bytes + layout.edges_off)) {
+    return false;
+  }
+  *out = std::move(g);
   return true;
 }
 
@@ -222,33 +175,24 @@ CorpusStore::LoadStatus CorpusStore::load(std::uint64_t hash,
                                           Graph* out) const {
   if (!enabled()) return LoadStatus::kMiss;
   const std::string path = path_for(hash);
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return LoadStatus::kMiss;
-  const auto corrupt = [&](bool close_fd) {
-    if (close_fd) ::close(fd);
-    std::fprintf(stderr,
-                 "warning: corpus file %s is truncated or corrupt; "
-                 "regenerating the instance\n",
-                 path.c_str());
-    return LoadStatus::kCorrupt;
-  };
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return LoadStatus::kMiss;
   struct stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size < 8) return corrupt(true);
-  const auto file_size = static_cast<std::uint64_t>(st.st_size);
-  unsigned char head[8];
-  if (::pread(fd, head, 8, 0) != 8) return corrupt(true);
-  const std::uint32_t magic = load_u32(head);
-  const std::uint32_t version = load_u32(head + 4);
-  if (magic != kMagic) return corrupt(true);
-
-  if (version == kVersionV3) {
-    const bool ok = load_v3_mapped(fd, file_size, out);
-    ::close(fd);  // the mapping survives the close
-    return ok ? LoadStatus::kHit : corrupt(false);
+  std::vector<unsigned char> file;
+  bool ok = ::fstat(fileno(f), &st) == 0;
+  if (ok) {
+    file.resize(static_cast<std::size_t>(st.st_size));
+    ok = std::fread(file.data(), 1, file.size(), f) == file.size();
   }
-  // Any other version, legacy v2 included, is corrupt: the engine
-  // regenerates the instance and re-saves it as v3.
-  return corrupt(true);
+  std::fclose(f);
+  if (ok && load_v3(file, out)) return LoadStatus::kHit;
+  // A short read, a legacy v2 file and a forged section alike are corrupt:
+  // the engine regenerates the instance and re-saves it as v3.
+  std::fprintf(stderr,
+               "warning: corpus file %s is truncated or corrupt; "
+               "regenerating the instance\n",
+               path.c_str());
+  return LoadStatus::kCorrupt;
 }
 
 bool CorpusStore::save(std::uint64_t hash, const Graph& g) const {
@@ -316,123 +260,6 @@ bool CorpusStore::save(std::uint64_t hash, const Graph& g) const {
   ok = (std::fclose(f) == 0) && ok;
   // durable_rename also fsyncs the parent directory: without that, the
   // rename itself can be rolled back by a crash, resurrecting the miss.
-  if (ok) ok = durable_rename(tmp_path, final_path);
-  if (!ok) std::remove(tmp_path.c_str());
-  return ok;
-}
-
-bool CorpusStore::save_stream(std::uint64_t hash,
-                              gen::EdgeStream& stream) const {
-  if (!enabled()) return false;
-  const std::uint64_t n = stream.num_nodes();
-  const std::uint64_t m = stream.num_edges();
-  LayoutV3 layout;
-  if (!compute_layout_v3(n, m, &layout)) return false;
-  ::mkdir(dir_.c_str(), 0755);
-  const std::string final_path = path_for(hash);
-  const std::string tmp_path = unique_tmp_path(final_path);  // see save()
-  const int fd = ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-
-  const auto fail = [&](void* base, std::size_t len) {
-    if (base != MAP_FAILED) ::munmap(base, len);
-    ::close(fd);
-    std::remove(tmp_path.c_str());
-    return false;
-  };
-  if (::ftruncate(fd, static_cast<off_t>(layout.file_size)) != 0) {
-    return fail(MAP_FAILED, 0);
-  }
-  const auto len = static_cast<std::size_t>(layout.file_size);
-  void* base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  if (base == MAP_FAILED) return fail(base, len);
-  auto* bytes = static_cast<unsigned char*>(base);
-  auto* offsets = reinterpret_cast<std::uint32_t*>(bytes + layout.offsets_off);
-  auto* arcs = reinterpret_cast<Arc*>(bytes + layout.arcs_off);
-  auto* edges = reinterpret_cast<Endpoints*>(bytes + layout.edges_off);
-
-  // Pass 1: degree counts into the file's own offsets section, then an
-  // in-place prefix sum -- the section is final before pass 2 begins.
-  // ftruncate delivered zero pages, so no explicit clearing is needed.
-  stream.rewind();
-  Endpoints e{};
-  std::uint64_t count = 0;
-  Endpoints prev{kNoNode, kNoNode};
-  while (stream.next(&e)) {
-    CPT_ASSERT(e.u < e.v && e.v < n);
-    CPT_ASSERT(prev.u == kNoNode || e.u > prev.u ||
-               (e.u == prev.u && e.v > prev.v));
-    prev = e;
-    ++offsets[e.u + 1];
-    ++offsets[e.v + 1];
-    ++count;
-  }
-  CPT_ASSERT(count == m && "EdgeStream yielded a different edge count");
-  for (std::uint64_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
-  CPT_ASSERT(n == 0 || offsets[n] == 2 * m);
-
-  // Pass 2: endpoints sequentially, arcs scattered through per-node write
-  // cursors (the only O(n) heap allocation). A release frontier walks the
-  // completed prefix of the arc array and drops it from the mapping every
-  // few million edges, so peak RSS tracks the write window, not 2m arcs.
-  std::vector<std::uint32_t> cursor(offsets, offsets + n);
-  stream.rewind();
-  constexpr std::uint64_t kReleaseInterval = 1ULL << 22;
-  std::uint64_t release_node = 0;
-  std::uint64_t released_arc_byte = layout.arcs_off;
-  std::uint64_t released_edge_byte = layout.edges_off;
-  // Dropping completed MAP_SHARED pages hands their dirty contents to the
-  // page cache (writeback preserves them); only this process's RSS shrinks.
-  const auto release_range = [&](std::uint64_t* released, std::uint64_t hi) {
-    const std::uint64_t page_hi = hi & ~4095ULL;
-    if (page_hi > *released + (4096ULL << 4)) {
-      const std::uint64_t page_lo = *released & ~4095ULL;
-      ::madvise(bytes + page_lo, page_hi - page_lo, MADV_DONTNEED);
-      *released = page_hi;
-    }
-  };
-  const auto release_completed = [&](std::uint64_t eid) {
-    // Arcs: every node whose cursor reached its next offset is fully
-    // written, so the prefix of the arc array up to it is final.
-    while (release_node < n &&
-           cursor[release_node] == offsets[release_node + 1]) {
-      ++release_node;
-    }
-    release_range(
-        &released_arc_byte,
-        layout.arcs_off +
-            (release_node == 0
-                 ? 0
-                 : static_cast<std::uint64_t>(offsets[release_node]) *
-                       sizeof(Arc)));
-    // Endpoints: strictly sequential, everything before eid is final.
-    release_range(&released_edge_byte,
-                  layout.edges_off + eid * sizeof(Endpoints));
-  };
-  for (std::uint64_t eid = 0; eid < m; ++eid) {
-    [[maybe_unused]] const bool have = stream.next(&e);
-    CPT_ASSERT(have);
-    edges[eid] = e;
-    const std::uint32_t cu = cursor[e.u]++;
-    const std::uint32_t cv = cursor[e.v]++;
-    arcs[cu] = {e.v, static_cast<EdgeId>(eid), cv};
-    arcs[cv] = {e.u, static_cast<EdgeId>(eid), cu};
-    if ((eid + 1) % kReleaseInterval == 0) release_completed(eid + 1);
-  }
-  cursor.clear();
-  cursor.shrink_to_fit();
-
-  // Checksum sweep over the payload (windowed, self-releasing for large
-  // files), then the header, then durability: msync + fsync + durable
-  // rename.
-  const bool release_windows = layout.file_size > kFullVerifyBytes;
-  const std::uint64_t sum = checksum_range_windowed(
-      bytes, kHeaderBytes, layout.file_size, release_windows);
-  fill_header_v3(bytes, n, m, sum);
-  bool ok = ::msync(base, len, MS_SYNC) == 0;
-  ::munmap(base, len);
-  ok = ok && ::fsync(fd) == 0;
-  ok = (::close(fd) == 0) && ok;
   if (ok) ok = durable_rename(tmp_path, final_path);
   if (!ok) std::remove(tmp_path.c_str());
   return ok;

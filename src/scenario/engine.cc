@@ -420,30 +420,15 @@ class ClaimUnits {
   std::atomic<std::uint32_t> replayed_{0};
 };
 
-// Materializes one instance into `*out`: corpus hit (mmap for v3), else a
-// streaming generator straight into the store (then a mapped load-back),
-// else build_instance (+ save). Returns true if the graph came off disk.
+// Materializes one instance into `*out`: a corpus hit, else
+// build_instance (+ save). Returns true if the graph came off disk.
 bool materialize_instance(const CorpusStore& store,
                           const ScenarioInstance& instance, bool cacheable,
                           Graph* out, bool* corrupt_file) {
-  CorpusStore::LoadStatus status = CorpusStore::LoadStatus::kMiss;
   if (cacheable) {
-    status = store.load(instance.hash(), out);
-  }
-  if (status == CorpusStore::LoadStatus::kHit) return true;
-  *corrupt_file = status == CorpusStore::LoadStatus::kCorrupt;
-  if (cacheable && store.enabled()) {
-    // Families with a streaming edge generator never build a heap-resident
-    // graph on a miss: the stream writes the v3 file directly and the
-    // instance is served by mapping that file -- same bytes either way
-    // (save_stream is pinned byte-identical to save(build_instance(...))).
-    if (const auto stream = make_edge_stream(instance)) {
-      if (store.save_stream(instance.hash(), *stream) &&
-          store.load(instance.hash(), out) ==
-              CorpusStore::LoadStatus::kHit) {
-        return false;  // generated this run (streamed), not a disk hit
-      }
-    }
+    const CorpusStore::LoadStatus status = store.load(instance.hash(), out);
+    if (status == CorpusStore::LoadStatus::kHit) return true;
+    *corrupt_file = status == CorpusStore::LoadStatus::kCorrupt;
   }
   *out = build_instance(instance);
   if (cacheable) store.save(instance.hash(), *out);
@@ -881,7 +866,6 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options,
 MaterializeResult materialize_manifest(const Manifest& manifest,
                                        const BatchOptions& options) {
   MaterializeResult out;
-  const double t0 = now_seconds();
   const std::vector<Job> jobs = expand_manifest(manifest);
   // Unique instances by hash, first-job order (mirrors run_batch's dedup).
   std::vector<ScenarioInstance> instances;
@@ -914,8 +898,7 @@ MaterializeResult materialize_manifest(const Manifest& manifest,
       bool corrupt = false;
       try {
         // The graph dies at scope exit: materialize-only never keeps an
-        // instance resident, so peak RSS is one instance (and streamed
-        // families never build one at all).
+        // instance resident.
         Graph g;
         from_disk =
             materialize_instance(store, instance, cacheable, &g, &corrupt);
@@ -935,7 +918,6 @@ MaterializeResult materialize_manifest(const Manifest& manifest,
     }
   };
   pool.run(work);
-  out.wall_seconds = now_seconds() - t0;
   return out;
 }
 

@@ -222,19 +222,17 @@ struct StreamStats {
 BatchResult run_batch(const Manifest& manifest, const BatchOptions& options,
                       const ResultSink& sink, StreamStats* stats = nullptr);
 
-// Materialize-only mode (cpt_batch's `materialize` subcommand): resolves
-// every unique cacheable instance in the manifest into the corpus store --
-// via the registry's streaming edge generator where one exists (no
-// resident graph, O(n) peak memory), else build_instance + save -- and
-// releases each graph immediately, so peak RSS is bounded by one instance
-// regardless of manifest size. Instances already present (and valid) in
-// the store are verified-by-load and counted as disk_hits. Without a
-// corpus directory each instance is only built and dropped.
+// Materialize-only mode: resolves every unique cacheable instance in the
+// manifest into the corpus store (a verified load, else build_instance +
+// save) without running any job, releasing each graph immediately.
+// Instances already present (and valid) in the store count as disk_hits.
+// Without a corpus directory each instance is only built and dropped.
+// perfbench/src/run.cc times cold runs of it as `setup_s`; it goes with
+// the rest of the corpus (ROADMAP item 7).
 struct MaterializeResult {
   CorpusCounters corpus;
   std::uint32_t failed_instances = 0;
   std::vector<std::string> errors;  // one message per failed instance
-  double wall_seconds = 0;
 };
 
 MaterializeResult materialize_manifest(const Manifest& manifest,

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -160,8 +159,7 @@ void require_count(std::string_view owner, const char* what,
           std::string(what) + " must be at most " + std::to_string(kMaxCount));
 }
 
-// rows x cols of a lattice family, checked alike on the built and the
-// streamed path; n * edges_per_node bounds m.
+// rows x cols of a lattice family; n * edges_per_node bounds m.
 struct LatticeDims {
   NodeId rows, cols;
 };
@@ -175,8 +173,8 @@ LatticeDims lattice_dims(const ScenarioParams& p, std::string_view family,
   return d;
 }
 
-// planar_plus_random_edges' precondition, for the built and the streamed
-// path: the extras fit among the node pairs the base graph leaves free.
+// planar_plus_random_edges' precondition: the extras fit among the node
+// pairs the base graph leaves free.
 void check_extra_edges(std::uint64_t n, std::uint64_t m, std::uint64_t extra) {
   require(m + extra <= n * (n - 1) / 2, "plus_random_edges",
           "extra exceeds the node pairs the base graph leaves free");
@@ -522,76 +520,6 @@ Graph build_instance(const ScenarioInstance& instance) {
     g = perturb->apply(g, instance.perturb_params, rng);
   }
   return g;
-}
-
-namespace {
-
-// Analytic adjacency of the row-major lattice (node = r * cols + c), the
-// membership test streaming extras need without a resident base graph.
-// Expects a normalized pair (a < b).
-bool lattice_has_edge(NodeId a, NodeId b, NodeId cols, bool diagonals) {
-  const NodeId d = b - a;
-  const bool not_last_col = a % cols != cols - 1;
-  if (d == 1) return not_last_col;
-  if (d == cols) return true;  // b < n already implies r + 1 < rows
-  if (diagonals && d == cols + 1) return not_last_col;
-  return false;
-}
-
-// Replays planar_plus_random_edges' exact draw sequence (two next_below
-// per attempt, rejection on self-loops and already-present pairs) against
-// the analytic lattice adjacency plus the extras drawn so far -- the same
-// accept/reject decisions gen::planar_plus_random_edges makes against its
-// `present` set, so the resulting edge multiset is identical.
-std::vector<Endpoints> draw_lattice_extras(NodeId rows, NodeId cols,
-                                           bool diagonals, std::uint64_t extra,
-                                           std::uint64_t base_edges, Rng& rng) {
-  const std::uint64_t n = static_cast<std::uint64_t>(rows) * cols;
-  CPT_EXPECTS(base_edges + extra <= n * (n - 1) / 2);
-  std::unordered_set<std::uint64_t> drawn;
-  std::vector<Endpoints> added;
-  added.reserve(static_cast<std::size_t>(extra));
-  while (added.size() < extra) {
-    const NodeId u = static_cast<NodeId>(rng.next_below(n));
-    const NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v) continue;
-    const NodeId a = std::min(u, v);
-    const NodeId b = std::max(u, v);
-    if (lattice_has_edge(a, b, cols, diagonals)) continue;
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    if (drawn.insert(key).second) added.push_back({a, b});
-  }
-  return added;
-}
-
-}  // namespace
-
-std::unique_ptr<gen::EdgeStream> make_edge_stream(
-    const ScenarioInstance& instance) {
-  const bool diagonals = instance.family == "triangulated_grid";
-  if (!diagonals && instance.family != "grid") return nullptr;
-  if (!instance.perturb.empty() && instance.perturb != "plus_random_edges") {
-    return nullptr;
-  }
-  // The same checks as f_grid / f_trigrid / x_plus_random_edges.
-  const LatticeDims d = lattice_dims(instance.params, instance.family,
-                                     1, diagonals ? 3 : 2);
-  auto base = diagonals ? gen::triangulated_grid_stream(d.rows, d.cols)
-                        : gen::grid_stream(d.rows, d.cols);
-  if (instance.perturb.empty()) return base;
-  const EdgeId extra = p_count(instance.perturb_params, "extra", 0);
-  check_extra_edges(base->num_nodes(), base->num_edges(), extra);
-  if (extra == 0) {
-    // planar_plus_random_edges with extra=0 draws nothing; the base set is
-    // the whole graph.
-    return base;
-  }
-  // Mirror build_instance's seed discipline: the family generator ignores
-  // the Rng, so the perturbation draws from a fresh instance-seeded chain.
-  Rng rng(instance.seed);
-  std::vector<Endpoints> extras = draw_lattice_extras(
-      d.rows, d.cols, diagonals, extra, base->num_edges(), rng);
-  return gen::merge_extra_edges(std::move(base), std::move(extras));
 }
 
 }  // namespace cpt::scenario

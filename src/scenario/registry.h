@@ -23,12 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "graph/edge_stream.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -183,20 +181,10 @@ ScenarioInstance resolve_scenario(std::string_view name,
 
 // Builds the instance's graph: family generator, then the perturbation,
 // both drawing from one Rng seeded with instance.seed. A param outside its
-// generator's domain throws std::invalid_argument naming the key.
+// generator's domain throws std::invalid_argument naming the key. This is
+// each family's only generator: a corpus hit is rebuilt from the saved
+// edges by GraphBuilder, never generated another way.
 Graph build_instance(const ScenarioInstance& instance);
-
-// Streaming alternative to build_instance for families with analytic edge
-// enumerations: grid and triangulated_grid, optionally perturbed by
-// plus_random_edges (which covers the road_network preset). The returned
-// stream yields exactly the edge set build_instance would produce -- the
-// random extras replicate planar_plus_random_edges' draw sequence against
-// analytic lattice adjacency, so the corpus file written from the stream
-// is byte-identical to one written from the built graph (pinned by
-// tests). Returns nullptr when the instance has no streaming generator;
-// callers fall back to build_instance, which throws on the same params.
-std::unique_ptr<gen::EdgeStream> make_edge_stream(
-    const ScenarioInstance& instance);
 
 // FNV-1a-64, the one copy of the loop: fnv_fold continues hash `h` over
 // n more bytes, fnv1a64 hashes a string from the offset basis. Instance

@@ -1,11 +1,9 @@
-// Corpus v3 + streaming generators + pooled run-state suite (the
-// out-of-core PR): v3 round-trip through the zero-copy mmap path,
-// mapped-view vs GraphBuilder bit-identity across every registry family,
-// torn/truncated/bit-rotted v3 files and stale v2 files (both corrupt,
-// so regenerated), save_stream byte-identity with the in-memory writer,
-// edge-stream equivalence with the materialized generators, and the
-// engine's pooled RunState reuse pinned bit-identical to fresh state at
-// every thread count.
+// Corpus v3 + pooled run-state suite: v3 round-trip through the
+// read-verify-rebuild hit path, a loaded graph's CSR bit-identical to the
+// GraphBuilder build across every registry family, torn/truncated/
+// bit-rotted v3 files, checksum-valid forgeries and stale v2 files (all
+// corrupt, so regenerated), and the engine's pooled RunState reuse pinned
+// bit-identical to fresh state at every thread count.
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -20,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/edge_stream.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "scenario/aggregate.h"
@@ -28,6 +25,7 @@
 #include "scenario/engine.h"
 #include "scenario/manifest.h"
 #include "scenario/registry.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace cpt::scenario {
@@ -50,6 +48,19 @@ std::string slurp_bytes(const std::string& path) {
   return bytes;
 }
 
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+std::uint32_t get_u32(const std::string& bytes, std::size_t offset) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, 4);
+  return v;
+}
+
 // Flips one byte at `offset` in an existing file.
 void garble_file(const std::string& path, long offset) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -62,9 +73,8 @@ void garble_file(const std::string& path, long offset) {
   std::fclose(f);
 }
 
-// Structural bit-identity: same CSR arrays, arc for arc. The acceptance
-// bar for the mmap path -- a mapped view must be indistinguishable from a
-// GraphBuilder build of the same edge set.
+// Structural bit-identity: same CSR arrays, arc for arc. A loaded graph
+// must be indistinguishable from a GraphBuilder build of the same edge set.
 void expect_identical_csr(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
@@ -82,28 +92,24 @@ void expect_identical_csr(const Graph& a, const Graph& b) {
   }
 }
 
-// ---- v3 round-trip and the zero-copy contract -----------------------------
+// ---- v3 round-trip ----------------------------------------------------------
 
-TEST(CorpusV3, RoundTripsAsZeroCopyView) {
+TEST(CorpusV3, RoundTripsToTheBuiltGraph) {
   const CorpusStore store(temp_dir());
   ScenarioParams params;
   params.set_int("n", 90);
   const ScenarioInstance inst = resolve_scenario("random_planar", params, 9, 1);
   const Graph g = build_instance(inst);
-  EXPECT_FALSE(g.is_external_view());
   ASSERT_TRUE(store.save(inst.hash(), g));
   Graph loaded;
   ASSERT_EQ(store.load(inst.hash(), &loaded), CorpusStore::LoadStatus::kHit);
-  // The hit is a mapping of the file, not a rebuild.
-  EXPECT_TRUE(loaded.is_external_view());
   expect_identical_csr(loaded, g);
-  // Shallow copies share the mapping and stay valid views.
+  // Shallow copies share the loaded graph's arrays.
   Graph copy = loaded;
-  EXPECT_TRUE(copy.is_external_view());
   EXPECT_EQ(copy.csr_offsets().data(), loaded.csr_offsets().data());
 }
 
-TEST(CorpusV3, MappedViewMatchesBuilderAcrossFamilies) {
+TEST(CorpusV3, LoadedGraphMatchesBuilderAcrossFamilies) {
   const CorpusStore store(temp_dir());
   for (const FamilyInfo& family : scenario_families()) {
     if (std::string_view(family.name) == "file") continue;  // needs a path
@@ -112,11 +118,10 @@ TEST(CorpusV3, MappedViewMatchesBuilderAcrossFamilies) {
                          /*index=*/0);
     const Graph built = build_instance(inst);
     ASSERT_TRUE(store.save(inst.hash(), built)) << family.name;
-    Graph mapped;
-    ASSERT_EQ(store.load(inst.hash(), &mapped), CorpusStore::LoadStatus::kHit)
+    Graph loaded;
+    ASSERT_EQ(store.load(inst.hash(), &loaded), CorpusStore::LoadStatus::kHit)
         << family.name;
-    EXPECT_TRUE(mapped.is_external_view()) << family.name;
-    expect_identical_csr(mapped, built);
+    expect_identical_csr(loaded, built);
   }
 }
 
@@ -153,23 +158,53 @@ TEST(CorpusV3, DetectsTornTruncatedAndBitRottenFiles) {
   // Torn mid-header and mid-payload.
   for (const std::size_t keep : {std::size_t{10}, std::size_t{64},
                                  pristine.size() - 1}) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(pristine.data(), 1, keep, f), keep);
-    std::fclose(f);
+    write_bytes(path, pristine.substr(0, keep));
     EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt)
         << "torn at " << keep;
   }
   // Trailing junk: the exact-size cross-check refuses it.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(pristine.data(), 1, pristine.size(), f),
-              pristine.size());
-    std::fputc('x', f);
-    std::fclose(f);
-    EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt);
+  write_bytes(path, pristine + "x");
+  EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt);
+
+  // Checksum-valid forgeries: both sums are recomputed after each edit,
+  // so only the rebuild can refuse them. Each edit is a list of (byte
+  // offset, new u32) writes.
+  const std::uint64_t n = g.num_nodes();
+  const std::uint64_t m = g.num_edges();
+  const std::size_t arcs = testutil::cpg_arcs_offset(n);
+  const std::size_t edges = pristine.size() - 8 * m;
+  const auto u_of = [&](std::uint64_t e) { return edges + 8 * e; };
+  const auto v_of = [&](std::uint64_t e) { return edges + 8 * e + 4; };
+  const auto word = [&](std::size_t offset) { return get_u32(pristine, offset); };
+  const std::vector<std::pair<const char*,
+                              std::vector<std::pair<std::size_t, std::uint32_t>>>>
+      forgeries = {
+          {"arc to out of range", {{arcs, 1000000000u}}},
+          {"peer_arc out of range", {{arcs + 8, 1000000000u}}},
+          {"endpoint >= n", {{v_of(m - 1), static_cast<std::uint32_t>(n)}}},
+          {"u >= v", {{u_of(0), word(v_of(0))}, {v_of(0), word(u_of(0))}}},
+          {"two edges swapped",
+           {{u_of(0), word(u_of(1))}, {v_of(0), word(v_of(1))},
+            {u_of(1), word(u_of(0))}, {v_of(1), word(v_of(0))}}},
+          {"edge duplicated over its neighbour",
+           {{u_of(1), word(u_of(0))}, {v_of(1), word(v_of(0))}}},
+          {"offsets entry changed", {{64 + 4, word(64 + 4) + 1}}},
+      };
+  for (const auto& [what, writes] : forgeries) {
+    std::string forged = pristine;
+    for (const auto& [offset, value] : writes) {
+      std::memcpy(forged.data() + offset, &value, 4);
+    }
+    ASSERT_NE(forged, pristine) << what;
+    testutil::reseal_cpg(&forged);
+    write_bytes(path, forged);
+    EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt)
+        << what;
   }
+  // The resealing itself is sound: the unedited bytes still load.
+  std::string resealed = pristine;
+  testutil::reseal_cpg(&resealed);
+  ASSERT_EQ(resealed, pristine);
   // A legacy v2 file (u32 magic, version 2, n, m, endpoint pairs, u64
   // checksum) is no longer read: it is corrupt, so the engine regenerates
   // the instance and re-saves it as v3.
@@ -181,89 +216,13 @@ TEST(CorpusV3, DetectsTornTruncatedAndBitRottenFiles) {
       words.push_back(g.endpoints(e).v);
     }
     words.insert(words.end(), {0u, 0u});
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(words.data(), 4, words.size(), f), words.size());
-    std::fclose(f);
+    write_bytes(path, std::string(reinterpret_cast<const char*>(words.data()),
+                                  4 * words.size()));
     EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kCorrupt);
   }
   ASSERT_TRUE(store.save(inst.hash(), g));
   EXPECT_EQ(store.load(inst.hash(), &out), CorpusStore::LoadStatus::kHit);
   expect_identical_csr(out, g);
-}
-
-// ---- Streaming generators --------------------------------------------------
-
-void expect_stream_matches(gen::EdgeStream& stream, const Graph& g) {
-  ASSERT_EQ(stream.num_nodes(), g.num_nodes());
-  ASSERT_EQ(stream.num_edges(), g.num_edges());
-  Endpoints e{};
-  for (EdgeId i = 0; i < g.num_edges(); ++i) {
-    ASSERT_TRUE(stream.next(&e)) << i;
-    EXPECT_EQ(e.u, g.endpoints(i).u) << i;
-    EXPECT_EQ(e.v, g.endpoints(i).v) << i;
-  }
-  EXPECT_FALSE(stream.next(&e));
-}
-
-TEST(EdgeStream, MatchesMaterializedGenerators) {
-  {
-    const auto s = gen::grid_stream(9, 13);
-    const Graph g = gen::grid(9, 13);
-    expect_stream_matches(*s, g);
-    s->rewind();
-    expect_stream_matches(*s, g);  // rewind restarts the exact sequence
-  }
-  {
-    const auto s = gen::triangulated_grid_stream(8, 11);
-    expect_stream_matches(*s, gen::triangulated_grid(8, 11));
-  }
-  {
-    // Degenerate lattices: single row/column have no south/diagonal arcs.
-    const auto s = gen::grid_stream(1, 17);
-    expect_stream_matches(*s, gen::grid(1, 17));
-    const auto t = gen::triangulated_grid_stream(5, 1);
-    expect_stream_matches(*t, gen::triangulated_grid(5, 1));
-  }
-}
-
-TEST(EdgeStream, RegistryStreamsMatchBuildInstance) {
-  // Every instance the registry claims to stream must yield exactly the
-  // edge list build_instance produces -- including the seeded
-  // plus_random_edges perturbation (road_network preset), whose draw
-  // sequence is replayed against analytic lattice adjacency.
-  const char* names[] = {"grid", "triangulated_grid", "road_network"};
-  for (const char* name : names) {
-    const ScenarioInstance inst =
-        resolve_scenario(name, ScenarioParams{}, 21, 3);
-    const auto stream = make_edge_stream(inst);
-    ASSERT_NE(stream, nullptr) << name;
-    const Graph g = build_instance(inst);
-    expect_stream_matches(*stream, g);
-  }
-  // Families without a streaming generator decline instead of lying.
-  EXPECT_EQ(make_edge_stream(
-                resolve_scenario("random_planar", ScenarioParams{}, 21, 3)),
-            nullptr);
-}
-
-TEST(CorpusV3, StreamedSaveIsByteIdenticalToSave) {
-  const std::string dir_a = temp_dir();
-  const std::string dir_b = temp_dir();
-  const CorpusStore save_store(dir_a);
-  const CorpusStore stream_store(dir_b);
-  const char* names[] = {"grid", "triangulated_grid", "road_network"};
-  for (const char* name : names) {
-    const ScenarioInstance inst =
-        resolve_scenario(name, ScenarioParams{}, 13, 1);
-    ASSERT_TRUE(save_store.save(inst.hash(), build_instance(inst)));
-    const auto stream = make_edge_stream(inst);
-    ASSERT_NE(stream, nullptr) << name;
-    ASSERT_TRUE(stream_store.save_stream(inst.hash(), *stream)) << name;
-    EXPECT_EQ(slurp_bytes(save_store.path_for(inst.hash())),
-              slurp_bytes(stream_store.path_for(inst.hash())))
-        << name;
-  }
 }
 
 TEST(CorpusV3, ConcurrentSavesFromTwoProcessesNeverTearFiles) {
@@ -391,17 +350,16 @@ Manifest pool_manifest() {
   return m;
 }
 
-TEST(Engine, MmapHitsAndStreamedMaterializationKeepAggregatesIdentical) {
+TEST(Engine, ColdAndWarmCorpusKeepAggregatesIdentical) {
   const Manifest m = pool_manifest();
-  // Baseline: no corpus (GraphBuilder everywhere).
+  // Baseline: no corpus.
   BatchOptions plain;
   plain.threads = 2;
   const BatchResult base = run_batch(m, plain);
   const std::string base_json =
       render_aggregate_json(m, base, aggregate_cells(base));
 
-  // First corpus run: streamable families go through save_stream + mmap,
-  // the rest through build + save. Same aggregate bytes.
+  // Cold corpus: every instance is built and saved. Same aggregate bytes.
   BatchOptions with_corpus = plain;
   with_corpus.corpus_dir = temp_dir();
   const BatchResult first = run_batch(m, with_corpus);
@@ -410,7 +368,7 @@ TEST(Engine, MmapHitsAndStreamedMaterializationKeepAggregatesIdentical) {
   EXPECT_EQ(render_aggregate_json(m, first, aggregate_cells(first)),
             base_json);
 
-  // Second run: every instance is an mmap hit; still the same bytes, at
+  // Warm corpus: every instance is a disk hit; still the same bytes, at
   // both thread counts.
   for (const unsigned threads : {1u, 4u}) {
     BatchOptions hit = with_corpus;

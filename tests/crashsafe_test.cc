@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "scenario/json.h"
 #include "scenario/manifest.h"
 #include "scenario/result_cache.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -476,26 +478,38 @@ TEST(CliParsing, ThreadsZeroIsTheValidSerialPath) {
   EXPECT_EQ(slurp(out0), slurp(out1));
 }
 
-TEST(CliParsing, MaterializeSubcommandPopulatesCorpusForRun) {
+// The "generated" and "disk hits" counts of the "# corpus: G generated, H
+// disk hits" line in a cpt_batch summary; false when the line is missing.
+bool corpus_line(const std::string& summary, unsigned* generated,
+                 unsigned* hits) {
+  const std::size_t at = summary.find("# corpus: ");
+  return at != std::string::npos &&
+         std::sscanf(summary.c_str() + at,
+                     "# corpus: %u generated, %u disk hits", generated,
+                     hits) == 2;
+}
+
+TEST(CliParsing, RunFillsTheCorpusAndMaterializeIsUnknown) {
   const std::string manifest =
       std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json";
   const std::string dir = temp_dir();
   const std::string corpus = dir + "/corpus";
-  // Without --corpus the subcommand is a usage error.
+  const std::string run = std::string(CPT_BATCH_BIN) + " run " + manifest +
+                          " --threads=2 --corpus=" + corpus + " > ";
+  // A first run generates every instance into the corpus ...
+  ASSERT_EQ(run_command(run + dir + "/cold.txt"), 0);
+  unsigned generated = 0, hits = 0;
+  ASSERT_TRUE(corpus_line(slurp(dir + "/cold.txt"), &generated, &hits));
+  EXPECT_GT(generated, 0u);
+  EXPECT_EQ(hits, 0u);
+  // ... and a second is served entirely from it.
+  ASSERT_EQ(run_command(run + dir + "/warm.txt"), 0);
+  const std::string warm = slurp(dir + "/warm.txt");
+  EXPECT_NE(warm.find("# corpus: 0 generated"), std::string::npos) << warm;
+  // `run --corpus` fills the store; there is no materialize subcommand.
   EXPECT_EQ(run_command(std::string(CPT_BATCH_BIN) + " materialize " +
-                        manifest + " --quiet 2>/dev/null"),
+                        manifest + " --corpus=" + corpus + " 2>/dev/null"),
             2);
-  ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " materialize " +
-                        manifest + " --threads=2 --quiet --corpus=" + corpus),
-            0);
-  // The populated corpus serves the run entirely from disk.
-  const std::string summary_path = dir + "/summary.txt";
-  ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
-                        " --threads=2 --corpus=" + corpus + " > " +
-                        summary_path),
-            0);
-  const std::string summary = slurp(summary_path);
-  EXPECT_NE(summary.find("0 generated"), std::string::npos) << summary;
 }
 
 TEST(CliParsing, UnusableStoreDirectoriesExitOne) {
@@ -514,19 +528,61 @@ TEST(CliParsing, UnusableStoreDirectoriesExitOne) {
   };
   for (const std::string& bad :
        {dir + "/missing/a/b", dir + "/file/x", dir + "/file"}) {
-    expect_refused("materialize " + manifest + " --corpus=" + bad,
-                   "--corpus=");
     expect_refused("run " + manifest + " --corpus=" + bad, "--corpus=");
     expect_refused("run " + manifest + " --cache=" + bad, "--cache=");
   }
   // A missing leaf under an existing parent is created.
-  EXPECT_EQ(run_command(bin + " materialize " + manifest + " --quiet" +
-                        " --corpus=" + dir + "/corpus"),
-            0);
   EXPECT_EQ(run_command(bin + " run " + manifest + " --quiet --corpus=" +
                         dir + "/corpus --cache=" + dir + "/cache"),
             0);
+  EXPECT_GT(count_files_containing(dir + "/corpus", ".cpg"), 0u);
   EXPECT_GT(count_files_containing(dir + "/cache", ".cpr"), 0u);
+}
+
+TEST(CrashSafe, ChecksumValidForgedCorpusFileIsRegenerated) {
+  // A .cpg whose first arc points at node 10^9, with both checksums
+  // recomputed: a loader that adopted the file's arrays crashed the run on
+  // it. The run must warn, count the file corrupt, regenerate the instance
+  // and reproduce the uncached aggregate.
+  const std::string dir = temp_dir();
+  const std::string manifest = dir + "/one.json";
+  write_file(manifest, R"({"name": "one", "cells": [{"scenario": "grid",
+    "params": {"rows": 4, "cols": 4}}]})");
+  const std::string corpus = dir + "/corpus";
+  const std::string run =
+      std::string(CPT_BATCH_BIN) + " run " + manifest + " --quiet";
+  ASSERT_EQ(run_command(run + " --out=" + dir + "/clean.json"), 0);
+  ASSERT_EQ(run_command(run + " --corpus=" + corpus), 0);
+
+  std::string cpg;
+  if (DIR* d = opendir(corpus.c_str())) {
+    while (const dirent* entry = readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".cpg") {
+        cpg = corpus + "/" + name;
+      }
+    }
+    closedir(d);
+  }
+  ASSERT_FALSE(cpg.empty());
+  std::string bytes = slurp(cpg);
+  ASSERT_GE(bytes.size(), 64u);
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes.data() + 8, 8);
+  const std::uint32_t far_node = 1000000000u;
+  std::memcpy(bytes.data() + testutil::cpg_arcs_offset(n), &far_node, 4);
+  testutil::reseal_cpg(&bytes);
+  write_file(cpg, bytes);
+
+  ASSERT_EQ(run_command(run + " --corpus=" + corpus + " --out=" + dir +
+                        "/forged.json --timing-out=" + dir +
+                        "/timing.json 2> " + dir + "/err.txt"),
+            0);
+  EXPECT_NE(slurp(dir + "/err.txt").find("warning: corpus file"),
+            std::string::npos);
+  EXPECT_NE(slurp(dir + "/timing.json").find("\"corrupt_files\": 1"),
+            std::string::npos);
+  EXPECT_EQ(slurp(dir + "/forged.json"), slurp(dir + "/clean.json"));
 }
 
 #endif  // CPT_BATCH_BIN

@@ -1,6 +1,8 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <queue>
 #include <string>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "partition/part_forest.h"
+#include "scenario/registry.h"
 #include "util/rng.h"
 
 namespace cpt::testutil {
@@ -77,6 +80,23 @@ inline std::vector<PlanarCase> far_family(std::uint64_t seed) {
   cases.push_back({"k7", gen::complete(7)});
   cases.push_back({"hypercube5", gen::hypercube(5)});
   return cases;
+}
+
+// Recomputes the payload checksum (bytes 24-31) and the header checksum
+// (bytes 32-39) of an edited .cpg v3 file, as a forger who knows the
+// format would, so that only the loader's rebuild can refuse the edit.
+inline void reseal_cpg(std::string* bytes) {
+  const std::uint64_t payload = scenario::fnv_fold(
+      scenario::kFnvOffsetBasis, bytes->data() + 64, bytes->size() - 64);
+  std::memcpy(bytes->data() + 24, &payload, 8);
+  const std::uint64_t header =
+      scenario::fnv_fold(scenario::kFnvOffsetBasis, bytes->data(), 32);
+  std::memcpy(bytes->data() + 32, &header, 8);
+}
+
+// Byte offset of the arcs section of a .cpg v3 file with n nodes.
+inline std::size_t cpg_arcs_offset(std::uint64_t n) {
+  return (64 + 4 * (n + 1) + 63) & ~std::size_t{63};
 }
 
 }  // namespace cpt::testutil

@@ -7,7 +7,9 @@
 //   cpt_batch run <manifest.json>           execute and aggregate
 //       [--threads=N]                       concurrent simulations, at most
 //                                           32 (0 = env)
-//       [--corpus=DIR]                      binary graph cache directory
+//       [--corpus=DIR]                      graph cache: a miss is built
+//                                           and saved, a hit verified and
+//                                           rebuilt
 //       [--cache=DIR]                       persistent result cache: jobs
 //                                           whose content address is cached
 //                                           are served without simulating,
@@ -48,14 +50,6 @@
 //                                           hits); stderr only,
 //                                           never perturbs aggregates
 //       [--quiet]                           suppress the summary table
-//   cpt_batch materialize <manifest.json>   resolve every unique instance
-//       --corpus=DIR [--threads=N]          into the corpus store without
-//                                           running any jobs: streaming
-//                                           generators write v3 files
-//                                           directly (no resident graph),
-//                                           so peak RSS stays bounded by
-//                                           one instance regardless of
-//                                           sweep size
 //   cpt_batch gen <scenario> [k=v ...]      write one instance as an edge
 //       [--base-seed=S] [--index=I]         list to stdout (graph/io.h format)
 //
@@ -199,8 +193,6 @@ int usage() {
                " [--stream=FILE]\n"
                "                [--fault-plan=SPEC] [--trace=FILE]\n"
                "                [--metrics=FILE] [--progress] [--quiet]\n"
-               "  cpt_batch materialize <manifest.json> --corpus=DIR"
-               " [--threads=N] [--quiet]\n"
                "  cpt_batch gen <scenario> [key=value ...] [--base-seed=S]"
                " [--index=I]\n");
   return 2;
@@ -440,38 +432,6 @@ int cmd_run(const std::string& path, BatchOptions options,
   return 0;
 }
 
-int cmd_materialize(const std::string& path, const BatchOptions& options,
-                    bool quiet) {
-  if (options.corpus_dir.empty()) {
-    std::fprintf(stderr, "error: materialize requires --corpus=DIR\n");
-    return 2;
-  }
-  Manifest manifest;
-  std::string error;
-  if (!load_manifest_file(path, &manifest, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-  const MaterializeResult r = materialize_manifest(manifest, options);
-  if (!quiet) {
-    std::printf("# %s: %" PRIu64 " unique instance(s) into %s: %" PRIu64
-                " generated, %" PRIu64 " disk hit(s), %" PRIu64
-                " corrupt file(s) replaced, %.2fs wall\n",
-                manifest.name.c_str(), r.corpus.unique_instances,
-                options.corpus_dir.c_str(), r.corpus.generated,
-                r.corpus.disk_hits, r.corpus.corrupt_files, r.wall_seconds);
-  }
-  if (r.failed_instances > 0) {
-    std::fprintf(stderr, "error: %u instance(s) failed to materialize\n",
-                 r.failed_instances);
-    for (const std::string& e : r.errors) {
-      std::fprintf(stderr, "  %s\n", e.c_str());
-    }
-    return 1;
-  }
-  return 0;
-}
-
 // Creates a --corpus/--cache directory one level deep, as the stores do.
 // A store that cannot write is a miss, not an error, so without this
 // check an unusable path would silently cache nothing on every run.
@@ -634,12 +594,11 @@ int main(int argc, char** argv) {
   const std::string cmd = args[0];
   if (cmd == "list") return cmd_list();
   if (cmd == "expand" && args.size() == 2) return cmd_expand(args[1]);
-  if ((cmd == "run" || cmd == "materialize") && args.size() == 2 &&
-      (!ensure_store_dir("--corpus", options.corpus_dir) ||
-       !ensure_store_dir("--cache", cache_dir))) {
-    return 1;
-  }
   if (cmd == "run" && args.size() == 2) {
+    if (!ensure_store_dir("--corpus", options.corpus_dir) ||
+        !ensure_store_dir("--cache", cache_dir)) {
+      return 1;
+    }
     std::optional<ResultCache> cache;
     if (!cache_dir.empty()) {
       cache.emplace(cache_dir);
@@ -647,9 +606,6 @@ int main(int argc, char** argv) {
     }
     return cmd_run(args[1], options, out_path, csv_path, timing_path,
                    stream_path, trace_path, metrics_path, progress, quiet);
-  }
-  if (cmd == "materialize" && args.size() == 2) {
-    return cmd_materialize(args[1], options, quiet);
   }
   if (cmd == "gen") {
     return cmd_gen({args.begin() + 1, args.end()}, base_seed, index);
