@@ -1,6 +1,7 @@
 #include "scenario/aggregate.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "scenario/json.h"
 #include "util/contracts.h"
@@ -23,58 +24,35 @@ QuantileSummary summarize(std::vector<std::uint64_t> values) {
   return q;
 }
 
-StreamingAggregator::StreamingAggregator(const std::vector<Job>& jobs) {
-  for (const Job& job : jobs) ++expected_[job.cell_key()];
-}
-
-void StreamingAggregator::finalize(std::size_t index) {
-  CellAggregate& cell = cells_[index];
-  Accum& acc = accums_[index];
-  cell.instances = static_cast<std::uint32_t>(acc.instance_hashes.size());
-  cell.detection_rate =
-      cell.jobs == 0 ? 0.0
-                     : static_cast<double>(cell.rejects) / cell.jobs;
-  cell.rounds = summarize(std::move(acc.rounds));
-  cell.messages = summarize(std::move(acc.messages));
-  acc = Accum{};  // drop the per-job buffers
-  acc.done = true;
-  --open_cells_;
-}
-
-void StreamingAggregator::consume(const Job& job, const JobResult& result) {
-  ++consumed_jobs_;
-  std::string key = job.cell_key();
-  const std::uint32_t seen = ++consumed_[key];
-  if (result.failed || result.timed_out) {
-    // Neither contributes values to a cell; both still tick the per-key
-    // counter so the cell finalizes when its last job arrives.
-    if (result.timed_out) {
-      ++timed_out_jobs_;
-    } else {
-      ++failed_jobs_;
-    }
-  } else {
-    auto [it, fresh] = index_.emplace(std::move(key), cells_.size());
+std::vector<CellAggregate> aggregate_cells(const BatchResult& batch) {
+  CPT_EXPECTS(batch.jobs.size() == batch.results.size());
+  std::vector<CellAggregate> cells;
+  // Per cell (same index as `cells`): the values its quantiles and its
+  // instance count are taken from. A cell's jobs share one instance label,
+  // so their instance hashes differ exactly when their seeds do.
+  struct Values {
+    std::vector<std::uint64_t> rounds, messages, instance_seeds;
+  };
+  std::vector<Values> values;
+  std::unordered_map<std::string, std::size_t> index;
+  for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
+    const JobResult& result = batch.results[j];
+    if (result.failed || result.timed_out) continue;
+    const Job& job = batch.jobs[j];
+    const auto [it, fresh] = index.try_emplace(job.cell_key(), cells.size());
     if (fresh) {
-      CellAggregate cell;
+      CellAggregate& cell = cells.emplace_back();
       cell.key = it->first;
       cell.scenario = job.instance.label();
       cell.tester = tester_name(job.tester);
       cell.epsilon = job.epsilon;
       cell.adaptive = job.adaptive;
       cell.randomized = job.randomized;
-      cell.n_min = result.n;
-      cell.n_max = result.n;
-      cell.m_min = result.m;
-      cell.m_max = result.m;
-      cells_.push_back(std::move(cell));
-      accums_.emplace_back();
-      accums_.back().open = true;
-      ++open_cells_;
-      peak_open_cells_ = std::max(peak_open_cells_, open_cells_);
+      cell.n_min = cell.n_max = result.n;
+      cell.m_min = cell.m_max = result.m;
+      values.emplace_back();
     }
-    CellAggregate& cell = cells_[it->second];
-    Accum& acc = accums_[it->second];
+    CellAggregate& cell = cells[it->second];
     ++cell.jobs;
     if (result.verdict == Verdict::kAccept) ++cell.accepts;
     if (result.verdict == Verdict::kReject) ++cell.rejects;
@@ -83,44 +61,27 @@ void StreamingAggregator::consume(const Job& job, const JobResult& result) {
     cell.m_min = std::min(cell.m_min, result.m);
     cell.m_max = std::max(cell.m_max, result.m);
     cell.wall_seconds += result.wall_seconds;
-    acc.rounds.push_back(result.rounds);
-    acc.messages.push_back(result.messages);
-    acc.instance_hashes.insert(job.instance.hash());
-    key = cell.key;  // emplace may have consumed the local above
-  }
-  if (seen == expected_[key]) {
-    const auto it = index_.find(key);
-    if (it != index_.end() && accums_[it->second].open) {
-      finalize(it->second);
+    Values& v = values[it->second];
+    v.rounds.push_back(result.rounds);
+    v.messages.push_back(result.messages);
+    // The trials of one instance are consecutive jobs: one seed per run of
+    // them keeps this list near the instance count.
+    const std::uint64_t seed = job.instance.seed;
+    if (v.instance_seeds.empty() || v.instance_seeds.back() != seed) {
+      v.instance_seeds.push_back(seed);
     }
   }
-  // Flush finalized cells in first-seen order (== the in-memory document's
-  // cell order); a cell whose key recurs later in the expansion holds the
-  // queue until its last job lands.
-  while (next_flush_ < cells_.size() && accums_[next_flush_].done) {
-    if (cell_sink_) cell_sink_(cells_[next_flush_]);
-    ++next_flush_;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    CellAggregate& cell = cells[c];
+    std::vector<std::uint64_t>& seeds = values[c].instance_seeds;
+    std::sort(seeds.begin(), seeds.end());
+    cell.instances = static_cast<std::uint32_t>(
+        std::unique(seeds.begin(), seeds.end()) - seeds.begin());
+    cell.detection_rate = static_cast<double>(cell.rejects) / cell.jobs;
+    cell.rounds = summarize(std::move(values[c].rounds));
+    cell.messages = summarize(std::move(values[c].messages));
   }
-}
-
-const std::vector<CellAggregate>& StreamingAggregator::finish() {
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (accums_[i].open) finalize(i);
-  }
-  while (next_flush_ < cells_.size()) {
-    if (cell_sink_) cell_sink_(cells_[next_flush_]);
-    ++next_flush_;
-  }
-  return cells_;
-}
-
-std::vector<CellAggregate> aggregate_cells(const BatchResult& batch) {
-  CPT_EXPECTS(batch.jobs.size() == batch.results.size());
-  StreamingAggregator agg(batch.jobs);
-  for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
-    agg.consume(batch.jobs[j], batch.results[j]);
-  }
-  return agg.cells();
+  return cells;
 }
 
 namespace {
@@ -137,11 +98,8 @@ void append_quantiles(std::string& out, const char* name,
   out += "}";
 }
 
-// The cell body shared by the aggregate document (sep = newline + indent)
-// and the stream lines (sep = single space): identical fields, identical
-// order, identical value rendering.
-void append_cell_body(std::string& out, const CellAggregate& cell,
-                      const char* sep) {
+void append_cell_body(std::string& out, const CellAggregate& cell) {
+  const char* const sep = "\n     ";
   out += "{\"scenario\": ";
   json_append_escaped(out, cell.scenario);
   out += ", \"tester\": ";
@@ -197,7 +155,7 @@ std::string render_aggregate_json(const Manifest& manifest,
   out += ",\n  \"cells\": [";
   for (std::size_t c = 0; c < cells.size(); ++c) {
     out += c == 0 ? "\n    " : ",\n    ";
-    append_cell_body(out, cells[c], "\n     ");
+    append_cell_body(out, cells[c]);
   }
   out += "\n  ]\n}\n";
   return out;
@@ -276,39 +234,6 @@ std::string render_timing_json(const Manifest& manifest,
     out += ",\n  \"metrics\": " + metrics->render_object(2);
   }
   out += "\n}\n";
-  return out;
-}
-
-std::string render_stream_header(const Manifest& manifest, std::size_t jobs) {
-  std::string out = "{\"schema\": \"cpt_batch_aggregate_stream_v1\", \"name\": ";
-  json_append_escaped(out, manifest.name);
-  out += ", \"base_seed\": " + json_render_uint(manifest.base_seed);
-  out += ", \"jobs\": " + json_render_uint(jobs);
-  out += "}\n";
-  return out;
-}
-
-std::string render_stream_cell(const CellAggregate& cell) {
-  std::string out;
-  append_cell_body(out, cell, " ");
-  out += '\n';
-  return out;
-}
-
-std::string render_stream_footer(const BatchResult& batch, std::size_t cells) {
-  std::string out = "{\"end\": true, \"cells\": " + json_render_uint(cells);
-  out += ", \"jobs\": " + json_render_uint(batch.jobs.size());
-  out += ", \"failed_jobs\": " + json_render_uint(batch.failed_jobs);
-  if (batch.timed_out_jobs > 0) {
-    out += ", \"timed_out_jobs\": " + json_render_uint(batch.timed_out_jobs);
-  }
-  if (batch.cancelled) {
-    out += ", \"partial\": true, \"completed_jobs\": " +
-           json_render_uint(batch.completed_jobs);
-  }
-  out += ", \"unique_instances\": " +
-         json_render_uint(batch.corpus.unique_instances);
-  out += "}\n";
   return out;
 }
 

@@ -17,24 +17,11 @@
 // BatchResult::failed_jobs / timed_out_jobs (rendered as "failed_jobs" /
 // "timed_out_jobs" when nonzero). A cancelled batch renders "partial":
 // true plus "completed_jobs" so a truncated document can never pass for a
-// finished sweep.
-//
-// Streaming: StreamingAggregator consumes (job, result) pairs in
-// job-index order -- the engine's streaming sink order -- holding per-job
-// values only for cells still accumulating. A cell is finalized the
-// moment its last job arrives and (in first-seen cell order) handed to
-// the cell sink, which renders one cpt_batch_aggregate_stream_v1 JSONL
-// line; because expansion emits each cell's jobs contiguously, at most
-// one cell is open at a time (two when a manifest repeats a cell key).
-// The finalized cells are byte-identical to aggregate_cells() on a fully
-// retained BatchResult -- aggregate_cells() IS this class fed in a loop.
+// finished sweep; the jobs it never ran join no cell either.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "scenario/engine.h"
@@ -68,63 +55,9 @@ struct CellAggregate {
   double wall_seconds = 0;
 };
 
-class StreamingAggregator {
- public:
-  // `jobs` is the full expanded job list: per-cell job counts are
-  // precomputed from it so a cell finalizes exactly when its last job is
-  // consumed.
-  explicit StreamingAggregator(const std::vector<Job>& jobs);
-
-  // Invoked once per completed cell, in first-seen (expansion) order.
-  using CellSink = std::function<void(const CellAggregate&)>;
-  void set_cell_sink(CellSink sink) { cell_sink_ = std::move(sink); }
-
-  // Feed every (job, result) pair in job-index order. Safe to call from
-  // the engine's streaming sink (already serialized).
-  void consume(const Job& job, const JobResult& result);
-
-  // Call after the last consume: defensively finalizes and flushes any
-  // cell still open (can only happen if the constructor's job list and
-  // the consumed stream diverge -- they must come from the same
-  // expansion) so the sink always sees every cell. Returns the cells.
-  const std::vector<CellAggregate>& finish();
-
-  // The finalized cells in first-seen order (identical to
-  // aggregate_cells()).
-  const std::vector<CellAggregate>& cells() const { return cells_; }
-
-  std::uint32_t consumed_jobs() const { return consumed_jobs_; }
-  std::uint32_t failed_jobs() const { return failed_jobs_; }
-  std::uint32_t timed_out_jobs() const { return timed_out_jobs_; }
-  // High-water mark of cells holding live per-job value buffers.
-  std::size_t peak_open_cells() const { return peak_open_cells_; }
-
- private:
-  struct Accum {
-    std::vector<std::uint64_t> rounds, messages;
-    std::unordered_set<std::uint64_t> instance_hashes;
-    bool open = false;   // accumulating (holds per-job buffers)
-    bool done = false;   // finalized (buffers dropped, ready to flush)
-  };
-
-  void finalize(std::size_t index);
-
-  std::unordered_map<std::string, std::uint32_t> expected_;  // key -> jobs
-  std::unordered_map<std::string, std::uint32_t> consumed_;
-  std::unordered_map<std::string, std::size_t> index_;
-  std::vector<CellAggregate> cells_;
-  std::vector<Accum> accums_;
-  std::size_t next_flush_ = 0;  // first-seen order flush cursor
-  std::size_t open_cells_ = 0;
-  std::size_t peak_open_cells_ = 0;
-  std::uint32_t consumed_jobs_ = 0;
-  std::uint32_t failed_jobs_ = 0;
-  std::uint32_t timed_out_jobs_ = 0;
-  CellSink cell_sink_;
-};
-
-// First-seen cell order (deterministic: expansion order). Requires a
-// batch with retained results (non-streaming run_batch).
+// One pass over the batch's results. Cells come in first-seen order:
+// the order of each cell's first job that joins it, which is
+// deterministic (expansion order).
 std::vector<CellAggregate> aggregate_cells(const BatchResult& batch);
 
 // The aggregate document. Schema documented in bench/README.md.
@@ -143,14 +76,5 @@ std::string render_timing_json(const Manifest& manifest,
                                const BatchResult& batch,
                                const std::vector<CellAggregate>& cells,
                                const util::MetricsRegistry* metrics = nullptr);
-
-// ---- Streamed aggregate (JSONL, schema cpt_batch_aggregate_stream_v1) ----
-// One header line, one line per finalized cell (same fields as the
-// aggregate document's cells, in the same order), one footer line with the
-// batch totals. Deterministic: bit-identical at every --threads value.
-// Each returned string is one line including the trailing newline.
-std::string render_stream_header(const Manifest& manifest, std::size_t jobs);
-std::string render_stream_cell(const CellAggregate& cell);
-std::string render_stream_footer(const BatchResult& batch, std::size_t cells);
 
 }  // namespace cpt::scenario

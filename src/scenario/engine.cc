@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -61,7 +62,7 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
   if (trace != nullptr) job_span = trace->begin_span("job");
   const double t0 = now_seconds();
   try {
-    if (fault_fires(FaultSite::kRunJob, job.job_index)) fault_exit();
+    if (fault_fires(job.job_index)) fault_exit();
     switch (job.tester) {
       case TesterKind::kPlanarity: {
         TesterOptions opt;
@@ -450,9 +451,9 @@ void run_execute_phase(util::TraceBuffer* batch_track, WorkerPool& pool,
   batch_track->complete_span("batch/execute", start);
 }
 
-BatchResult run_batch_impl(const Manifest& manifest,
-                           const BatchOptions& options, const ResultSink* sink,
-                           StreamStats* stats) {
+}  // namespace
+
+BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   BatchResult out;
   const double t0 = now_seconds();
   out.jobs = expand_manifest(manifest);
@@ -647,8 +648,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
                     options.cancel);
   // One job's outcome: the result cache (phase 0), a materialization
   // failure propagated to every dependent job, or an actual run.
-  const auto produce = [&](std::uint32_t j, bool* from_cache,
-                           RunState* state) -> JobResult {
+  const auto produce = [&](std::uint32_t j, RunState* state) -> JobResult {
     // Job tracks follow the instance tracks in id space; the label is a
     // pure function of the expansion, so the layout is schedule-invariant.
     util::TraceBuffer* job_track = nullptr;
@@ -659,9 +659,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
               std::to_string(out.jobs[j].instance_index) + " t" +
               std::to_string(out.jobs[j].trial));
     }
-    *from_cache = false;
     if (cache_hit_job(j)) {
-      *from_cache = true;
       if (job_track != nullptr) job_track->instant("job/cache_hit");
       return cache_results[j];
     }
@@ -687,148 +685,53 @@ BatchResult run_batch_impl(const Manifest& manifest,
   // Per-worker busy nanoseconds (time inside produce), sampled only when
   // tracing; flushed to an rt/ histogram after the pool joins.
   std::vector<std::uint64_t> busy_ns(workers, 0);
-  const auto mark_done = [&] {
-    if (options.progress != nullptr) {
-      options.progress->jobs_done.fetch_add(1, std::memory_order_relaxed);
+  out.results.resize(out.jobs.size());
+  // Per-index flag, written by the one worker that claimed the index and
+  // read only after the pool joins -- no atomics needed.
+  std::vector<char> executed(out.jobs.size(), 0);
+  auto execute = [&](unsigned w) {
+    std::uint32_t j = 0;
+    while (!cancelled() && claims.claim(w, &j)) {
+      const std::uint64_t b0 = trace != nullptr ? util::trace_now_ns() : 0;
+      out.results[j] = produce(j, &states[w]);
+      claims.finish(j);
+      if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
+      // A fresh result populates the cache as soon as it is in (hits are
+      // already there; failures are rejected by store()). A store failure
+      // only costs the next run a re-execution, so it is not an error.
+      if (cache != nullptr && !cache_hit_job(j) && !out.results[j].failed) {
+        cache->store(out.jobs[j], out.results[j]);
+      }
+      executed[j] = 1;
+      if (options.progress != nullptr) {
+        options.progress->jobs_done.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   };
-  const auto flush_busy = [&] {
-    if (trace == nullptr) return;
+  run_execute_phase(batch_track, pool, execute);
+  if (util::kTraceCompiled && trace != nullptr) {
     for (unsigned w = 0; w < workers; ++w) {
       trace->metrics().record("rt/batch/worker_busy_ns", busy_ns[w]);
     }
-  };
-  const auto tally = [&](const JobResult& r, bool from_cache) {
+  }
+  for (std::size_t j = 0; j < out.results.size(); ++j) {
+    JobResult& r = out.results[j];
+    if (executed[j] == 0) {
+      // Cancelled before this job ran: a default JobResult would count as
+      // an accept, so the slot is marked failed and joins no cell. Nothing
+      // failed, though, so failed_jobs leaves it out.
+      r.failed = true;
+      r.error = "cancelled before execution";
+      out.cancelled = true;
+      continue;
+    }
+    ++out.completed_jobs;
     if (r.timed_out) {
       ++out.timed_out_jobs;
     } else if (r.failed) {
       ++out.failed_jobs;
     }
-    if (from_cache) ++out.cache_hit_jobs;
-  };
-  // Freshly executed results populate the cache as soon as they are in
-  // (hits are already there; failures are rejected by store()). A store
-  // failure only costs the next run a re-execution, so it is not an
-  // error.
-  const auto publish = [&](std::uint32_t j, const JobResult& r,
-                           bool from_cache) {
-    if (cache != nullptr && !from_cache && !r.failed) {
-      cache->store(out.jobs[j], r);
-    }
-  };
-  if (sink == nullptr) {
-    out.results.resize(out.jobs.size());
-    // Per-index flags, each written by the one worker that claimed the
-    // index and read only after the pool joins -- no atomics needed.
-    std::vector<char> executed(out.jobs.size(), 0);
-    std::vector<char> cache_flags(out.jobs.size(), 0);
-    auto execute = [&](unsigned w) {
-      std::uint32_t j = 0;
-      while (!cancelled() && claims.claim(w, &j)) {
-        bool from_cache = false;
-        const std::uint64_t b0 =
-            trace != nullptr ? util::trace_now_ns() : 0;
-        out.results[j] = produce(j, &from_cache, &states[w]);
-        claims.finish(j);
-        if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
-        publish(j, out.results[j], from_cache);
-        cache_flags[j] = from_cache ? 1 : 0;
-        executed[j] = 1;
-        mark_done();
-      }
-    };
-    run_execute_phase(batch_track, pool, execute);
-    flush_busy();
-    for (std::size_t j = 0; j < out.results.size(); ++j) {
-      if (executed[j] == 0) {
-        // Cancelled before this job ran: a default JobResult would count
-        // as an accept, so mark it failed -- partial retained batches must
-        // never aggregate silently.
-        out.results[j] = JobResult{};
-        out.results[j].failed = true;
-        out.results[j].error = "cancelled before execution";
-        out.cancelled = true;
-      } else {
-        ++out.completed_jobs;
-      }
-      tally(out.results[j], cache_flags[j] != 0);
-    }
-  } else {
-    // Streaming: completed results park in `pending` until every earlier
-    // job has retired, so the sink sees expansion order. A worker about to
-    // run a job far ahead of the retirement frontier waits instead --
-    // `pending` (the only per-job result storage) stays O(workers).
-    //
-    // Cancellation drains: workers stop claiming, claimed-but-waiting jobs
-    // are abandoned (their index never lands in `pending`, so the frontier
-    // simply stops there), in-flight jobs finish and retire if contiguous.
-    // Every job below the final frontier went through the sink exactly
-    // once.
-    //
-    // Unit claiming keeps the frontier moving: a unit's owner claims its
-    // jobs in order and helpers only take jobs of claimed units, so the
-    // frontier job is always claimed or next in some owner's unit, and its
-    // claimant never waits.
-    std::mutex mu;
-    std::condition_variable cv;
-    struct Pending {
-      JobResult result;
-      bool from_cache;
-    };
-    std::unordered_map<std::uint32_t, Pending> pending;
-    std::uint32_t next_retire = 0;
-    std::size_t peak_pending = 0;
-    const std::uint32_t window = 4 * workers + 4;
-    auto execute = [&](unsigned w) {
-      std::uint32_t j = 0;
-      while (!cancelled() && claims.claim(w, &j)) {
-        {
-          // The worker owning the retirement frontier (j == next_retire)
-          // never waits, so the frontier always advances. The wait polls
-          // the cancel flag (signal handlers cannot notify a condition
-          // variable), abandoning the claimed job on cancellation.
-          std::unique_lock<std::mutex> lock(mu);
-          while (j >= next_retire + window) {
-            if (cancelled()) return;
-            cv.wait_for(lock, std::chrono::milliseconds(20));
-          }
-        }
-        bool from_cache = false;
-        const std::uint64_t b0 =
-            trace != nullptr ? util::trace_now_ns() : 0;
-        JobResult r = produce(j, &from_cache, &states[w]);
-        claims.finish(j);
-        if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
-        // Cache publish happens outside the retirement lock (it is file
-        // I/O) and before the result is surfaced, so a crash after the
-        // sink ran never loses a fresh result the sink saw.
-        publish(j, r, from_cache);
-        mark_done();
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          pending.emplace(j, Pending{std::move(r), from_cache});
-          peak_pending = std::max(peak_pending, pending.size());
-          while (true) {
-            const auto it = pending.find(next_retire);
-            if (it == pending.end()) break;
-            tally(it->second.result, it->second.from_cache);
-            (*sink)(out.jobs[next_retire], it->second.result);
-            pending.erase(it);
-            ++next_retire;
-          }
-        }
-        cv.notify_all();
-      }
-    };
-    run_execute_phase(batch_track, pool, execute);
-    flush_busy();
-    out.completed_jobs = next_retire;
-    out.cancelled = next_retire < out.jobs.size();
-    if (stats != nullptr) stats->peak_pending_results = peak_pending;
-    if (util::kTraceCompiled && trace != nullptr) {
-      trace->metrics().max_gauge("rt/batch/stream_window_peak",
-                                 static_cast<double>(peak_pending));
-    }
+    if (cache_hit_job(j)) ++out.cache_hit_jobs;
   }
 
   out.stage1_replayed_jobs = claims.replayed();
@@ -850,17 +753,6 @@ BatchResult run_batch_impl(const Manifest& manifest,
     m.add_counter("corpus/skipped", out.corpus.skipped);
   }
   return out;
-}
-
-}  // namespace
-
-BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
-  return run_batch_impl(manifest, options, nullptr, nullptr);
-}
-
-BatchResult run_batch(const Manifest& manifest, const BatchOptions& options,
-                      const ResultSink& sink, StreamStats* stats) {
-  return run_batch_impl(manifest, options, &sink, stats);
 }
 
 MaterializeResult materialize_manifest(const Manifest& manifest,

@@ -21,17 +21,6 @@
 // (deduplicated by instance hash) are generated -- or loaded from the
 // corpus store -- in parallel, then shared read-only by all their jobs.
 //
-// Two execution modes:
-//   * run_batch(manifest, options) retains every JobResult (slot i <->
-//     jobs[i]) -- what the migrated benches and most tests use;
-//   * run_batch(manifest, options, sink) streams: the sink receives every
-//     (job, result) pair exactly once, in job-index order (a bounded
-//     reorder window turns the racy completion order back into expansion
-//     order), and results are NOT retained -- peak per-job result storage
-//     is the reorder window, O(batch threads), regardless of sweep size.
-//     Feed the sink into a StreamingAggregator (scenario/aggregate.h) to
-//     get aggregates bit-identical to the in-memory mode.
-//
 // Failures (an unreadable "file" path, any std::exception out of
 // generation or simulation) are captured per job: the slot's JobResult
 // carries failed=true plus the message, BatchResult::failed_jobs counts
@@ -45,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -112,28 +100,25 @@ struct BatchOptions {
   // Corpus directory ("" = in-memory dedup only).
   std::string corpus_dir;
   // Cooperative cancellation (cpt_batch's SIGINT/SIGTERM path). When the
-  // pointee flips true, workers stop claiming jobs, in-flight jobs drain,
-  // and the streaming retirement frontier stops at the first unexecuted
-  // job -- everything retired before it reached the sink exactly once.
-  // BatchResult::cancelled reports the truncation. With a result cache,
-  // every result executed before the drain is already stored, so a rerun
-  // with the same cache resumes where this one stopped.
+  // pointee flips true, workers stop claiming jobs and in-flight jobs
+  // drain; BatchResult::cancelled reports the truncation. With a result
+  // cache, every result executed before the drain is already stored, so a
+  // rerun with the same cache resumes where this one stopped.
   const std::atomic<bool>* cancel = nullptr;
   // Persistent result cache (scenario/result_cache.h). Consulted before
-  // execution -- hits flow through the sink / result slot exactly like
-  // fresh results, so aggregates stay byte-identical to uncached runs --
-  // and populated as freshly executed jobs finish, before the sink sees
-  // them. Instances whose every job is served from the cache are not
-  // materialized at all. Counted in BatchResult::cache_hit_jobs.
-  // nullptr = off.
+  // execution -- hits land in their job slots exactly like fresh results,
+  // so aggregates stay byte-identical to uncached runs -- and populated as
+  // each freshly executed job finishes. Instances whose every job is
+  // served from the cache are not materialized at all. Counted in
+  // BatchResult::cache_hit_jobs. nullptr = off.
   ResultCache* result_cache = nullptr;
   // Optional trace session (util/trace.h). The engine lays out tracks
   // deterministically -- 0 = batch phases, 1+slot = instance
   // materialization, 1+num_slots+job_index = jobs -- so the rendered
   // stream's non-timestamp bytes are identical at every --threads value.
-  // Schedule-dependent quantities (worker busy time, reorder-window
-  // peaks, delivery-path tallies) go to the session registry under rt/
-  // names. nullptr = no tracing.
+  // Schedule-dependent quantities (worker busy time, delivery-path
+  // tallies) go to the session registry under rt/ names. nullptr = no
+  // tracing.
   util::TraceSession* trace = nullptr;
   // Optional live progress counters (see ProgressCounters). nullptr = off.
   ProgressCounters* progress = nullptr;
@@ -153,9 +138,11 @@ struct CorpusCounters {
 
 struct BatchResult {
   std::vector<Job> jobs;
-  std::vector<JobResult> results;  // slot i <-> jobs[i]; empty when streamed
+  std::vector<JobResult> results;  // slot i <-> jobs[i]
   CorpusCounters corpus;
-  std::uint32_t failed_jobs = 0;     // excludes timed_out jobs
+  // Jobs that ran and failed; excludes timed_out jobs and the jobs a
+  // cancelled batch never ran.
+  std::uint32_t failed_jobs = 0;
   std::uint32_t timed_out_jobs = 0;  // round-budget violations
   // Always 0: no job is ever re-run. Kept only because
   // perfbench/src/layers.cc still reads it; it goes with the benchmark
@@ -169,8 +156,12 @@ struct BatchResult {
   // (see "Stage I sharing" above). Never part of the aggregate document.
   std::uint32_t stage1_replayed_jobs = 0;
   // Cancellation (BatchOptions::cancel): true when the run stopped early.
-  // completed_jobs is the retirement frontier -- every job below it went
-  // through the sink exactly once; in a full run it equals jobs.size().
+  // completed_jobs counts the jobs whose result is in, executed or served
+  // from the result cache; after a cancel they need not be a prefix of the
+  // job list. The slot of a job that never ran carries failed=true and the
+  // error "cancelled before execution", so it joins no aggregate cell, but
+  // it is not counted in failed_jobs. In a full run completed_jobs equals
+  // jobs.size().
   bool cancelled = false;
   std::uint32_t completed_jobs = 0;
   double wall_seconds = 0;
@@ -207,20 +198,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state = nullptr,
                   const Stage1Record* stage1_replay = nullptr);
 
 BatchResult run_batch(const Manifest& manifest, const BatchOptions& options);
-
-// Streaming mode: sink(job, result) is invoked exactly once per job, in
-// job-index order, serialized (never concurrently), from worker threads --
-// it must not throw. BatchResult::results stays empty.
-using ResultSink = std::function<void(const Job&, const JobResult&)>;
-
-struct StreamStats {
-  // High-water mark of completed-but-not-yet-retired results (the reorder
-  // window) -- the streamed mode's whole per-job result footprint.
-  std::size_t peak_pending_results = 0;
-};
-
-BatchResult run_batch(const Manifest& manifest, const BatchOptions& options,
-                      const ResultSink& sink, StreamStats* stats = nullptr);
 
 // Materialize-only mode: resolves every unique cacheable instance in the
 // manifest into the corpus store (a verified load, else build_instance +

@@ -26,23 +26,12 @@ bool parse_u64(std::string_view s, std::uint64_t* out) {
 bool FaultPlan::parse(std::string_view spec, FaultPlan* out,
                       std::string* error) {
   constexpr std::string_view kRunJob = "exit@run_job:key=";
-  constexpr std::string_view kStreamWrite = "exit@stream_write:key=";
-  FaultPlan plan;
-  std::string_view key;
-  if (spec.substr(0, kRunJob.size()) == kRunJob) {
-    plan.site = FaultSite::kRunJob;
-    key = spec.substr(kRunJob.size());
-  } else if (spec.substr(0, kStreamWrite.size()) == kStreamWrite) {
-    plan.site = FaultSite::kStreamWrite;
-    key = spec.substr(kStreamWrite.size());
-  } else {
-    if (error) {
-      *error = std::string(spec) +
-               ": expected exit@run_job:key=K or exit@stream_write:key=K";
-    }
+  if (spec.substr(0, kRunJob.size()) != kRunJob) {
+    if (error) *error = std::string(spec) + ": expected exit@run_job:key=K";
     return false;
   }
-  if (!parse_u64(key, &plan.key)) {
+  FaultPlan plan;
+  if (!parse_u64(spec.substr(kRunJob.size()), &plan.key)) {
     if (error) {
       *error = std::string(spec) +
                ": key must be an unsigned 64-bit decimal integer";
@@ -55,8 +44,8 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan* out,
 
 void install_fault_plan(const FaultPlan& plan) { g_plan = plan; }
 
-bool fault_fires(FaultSite site, std::uint64_t key) {
-  return g_plan && g_plan->site == site && g_plan->key == key;
+bool fault_fires(std::uint64_t job_index) {
+  return g_plan && g_plan->key == job_index;
 }
 
 void fault_exit() { ::_exit(kFaultExitCode); }

@@ -4,15 +4,12 @@
 // installed once, before any work starts:
 //
 //   exit@run_job:key=K       -- die as job K starts executing
-//   exit@stream_write:key=K  -- die at the K-th chunk of the --stream
-//                               writer (0 = header), after tearing it
 //
 // "Die" is ::_exit(kFaultExitCode): no atexit handlers and no stdio
 // flush, so buffered output tears exactly like a SIGKILL'd process's
-// would. Both keys are schedule-independent (the job index, and the emit
-// ordinal of the in-order stream writer), so a plan kills at the same
-// work item at every --threads value. The rerun over the same --cache
-// directory is what the kill/resume harness then checks.
+// would. The key is the job index, which is schedule-independent, so a
+// plan kills at the same job at every --threads value. The rerun over
+// the same --cache directory is what the kill/resume harness then checks.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +18,11 @@
 
 namespace cpt::scenario {
 
-enum class FaultSite { kRunJob, kStreamWrite };
-
 // The status a fault dies with (128 + SIGKILL's 9, so harnesses treat it
 // as a hard kill, distinct from the resumable 75).
 inline constexpr int kFaultExitCode = 137;
 
 struct FaultPlan {
-  FaultSite site = FaultSite::kRunJob;
   std::uint64_t key = 0;
 
   // Parses the grammar above; false + *error on anything else.
@@ -39,9 +33,9 @@ struct FaultPlan {
 // worker thread starts, as cpt_batch does.
 void install_fault_plan(const FaultPlan& plan);
 
-// True when the installed plan names (site, key); false when no plan is
+// True when the installed plan names this job; false when no plan is
 // installed.
-bool fault_fires(FaultSite site, std::uint64_t key);
+bool fault_fires(std::uint64_t job_index);
 
 // Dies with kFaultExitCode, skipping atexit handlers and stdio flushes.
 [[noreturn]] void fault_exit();

@@ -302,10 +302,33 @@ bool parse_cell(ParseCtx& ctx, const JsonValue& cv, const JsonValue* defaults,
     cell->max_rounds = static_cast<std::uint64_t>(mr->as_int64());
   }
   if (const JsonValue* delta = cell_field(cv, defaults, "delta")) {
-    if (!delta->is_number()) return ctx.fail("delta: expected a number");
+    // Theorem 4's failure probability. random_partition turns log(1/delta)
+    // into a trial count, which is NaN or infinite for delta <= 0 and
+    // negative for a large delta.
+    if (!delta->is_number() || !(delta->as_double() > 0) ||
+        !(delta->as_double() < 1)) {
+      return ctx.fail("delta: expected a number in (0, 1)");
+    }
     cell->delta = delta->as_double();
   }
   return true;
+}
+
+// Saturating u64 product: a manifest's job count must not wrap.
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
+}
+
+// Jobs expand_manifest makes of one cell: the product of its axis sizes,
+// epsilons, testers, instances and trials.
+std::uint64_t cell_job_count(const ManifestCell& cell) {
+  std::uint64_t n = saturating_mul(cell.epsilons.size(), cell.testers.size());
+  n = saturating_mul(n, cell.instances);
+  n = saturating_mul(n, cell.trials);
+  for (const SweepAxis& axis : cell.axes) {
+    n = saturating_mul(n, axis.values.size());
+  }
+  return n;
 }
 
 }  // namespace
@@ -343,10 +366,18 @@ bool parse_manifest(std::string_view json_text, Manifest* out,
   if (cells == nullptr || !cells->is_array() || cells->items().empty()) {
     return ctx.fail("cells: expected a non-empty array");
   }
+  std::uint64_t jobs = 0;  // saturating, like cell_job_count
   for (const JsonValue& cv : cells->items()) {
     ManifestCell cell;
     if (!parse_cell(ctx, cv, defaults, &cell)) return false;
+    const std::uint64_t cell_jobs = cell_job_count(cell);
+    jobs = cell_jobs > UINT64_MAX - jobs ? UINT64_MAX : jobs + cell_jobs;
     out->cells.push_back(std::move(cell));
+  }
+  if (jobs > kMaxManifestJobs) {
+    return ctx.fail("manifest expands to " + std::to_string(jobs) +
+                    " jobs, more than the " +
+                    std::to_string(kMaxManifestJobs) + " a batch may run");
   }
   return true;
 }

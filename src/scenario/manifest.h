@@ -113,8 +113,14 @@ struct Job {
   std::string cell_key() const;
 };
 
+// The most jobs a manifest may expand to: 2^24, about 80,000 times the
+// largest shipped manifest. Each Job holds about 0.4 KiB, and
+// Job::job_index is 32-bit.
+inline constexpr std::uint64_t kMaxManifestJobs = std::uint64_t{1} << 24;
+
 // Parses a manifest document; returns false and fills *error on malformed
-// JSON, unknown scenario/perturbation/tester names, or mistyped fields.
+// JSON, unknown scenario/perturbation/tester names, mistyped fields, or
+// more than kMaxManifestJobs jobs.
 bool parse_manifest(std::string_view json_text, Manifest* out,
                     std::string* error);
 bool load_manifest_file(const std::string& path, Manifest* out,

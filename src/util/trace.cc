@@ -200,12 +200,6 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
   gauges_[name] = value;
 }
 
-void MetricsRegistry::max_gauge(const std::string& name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = gauges_.emplace(name, value);
-  if (!inserted && value > it->second) it->second = value;
-}
-
 void MetricsRegistry::record(const std::string& name,
                              std::uint64_t sample) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -160,7 +160,6 @@ class MetricsRegistry {
  public:
   void add_counter(const std::string& name, std::uint64_t delta);
   void set_gauge(const std::string& name, double value);
-  void max_gauge(const std::string& name, double value);
   void record(const std::string& name, std::uint64_t sample);
 
   bool empty() const;

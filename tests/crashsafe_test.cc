@@ -82,11 +82,7 @@ TEST(FaultPlan, ParsesGrammar) {
   FaultPlan plan;
   std::string err;
   ASSERT_TRUE(FaultPlan::parse("exit@run_job:key=13", &plan, &err)) << err;
-  EXPECT_EQ(plan.site, FaultSite::kRunJob);
   EXPECT_EQ(plan.key, 13u);
-  ASSERT_TRUE(FaultPlan::parse("exit@stream_write:key=0", &plan, &err)) << err;
-  EXPECT_EQ(plan.site, FaultSite::kStreamWrite);
-  EXPECT_EQ(plan.key, 0u);
   ASSERT_TRUE(FaultPlan::parse("exit@run_job:key=18446744073709551615", &plan,
                                &err))
       << err;
@@ -113,6 +109,7 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
       "badalloc@run_job:key=1",
       "corrupt@run_job:key=1",
       "shortwrite@stream_write:key=1",
+      "exit@stream_write:key=0",
       "exit@corpus_load:key=1",
       "exit@corpus_save:key=1",
       "exit@edge_list:key=1",
@@ -183,30 +180,22 @@ TEST(CrashSafe, RoundBudgetTimesOutWithoutPoisoningSiblings) {
 
 TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
   const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
   BatchOptions opt;
   opt.threads = 4;
 
   // The uninterrupted run; its first half goes into a cache, as a run
   // killed halfway would have left it.
+  const BatchResult clean = run_batch(m, opt);
+  ASSERT_EQ(clean.failed_jobs, 0u);
+  const std::string clean_json =
+      render_aggregate_json(m, clean, aggregate_cells(clean));
   ResultCache cache(temp_dir());
-  std::string clean_jsonl;
-  std::uint32_t stored = 0;
-  {
-    StreamingAggregator agg(jobs);
-    agg.set_cell_sink([&](const CellAggregate& cell) {
-      clean_jsonl += render_stream_cell(cell);
-    });
-    run_batch(m, opt, [&](const Job& job, const JobResult& result) {
-      if (job.job_index < jobs.size() / 2) {
-        EXPECT_TRUE(cache.store(job, result));
-        ++stored;
-      }
-      agg.consume(job, result);
-    });
-    agg.finish();
-  }
+  const std::uint32_t stored =
+      static_cast<std::uint32_t>(clean.jobs.size() / 2);
   ASSERT_GT(stored, 2u);
+  for (std::uint32_t j = 0; j < stored; ++j) {
+    EXPECT_TRUE(cache.store(clean.jobs[j], clean.results[j]));
+  }
 
   // Resume through the cache; prove cached jobs never execute by the
   // resumed batch's trace: a "job" span for each executed job, and a
@@ -216,19 +205,11 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
   resume_opt.result_cache = &cache;
   util::TraceSession session;
   resume_opt.trace = &session;
-  std::string resumed_jsonl;
-  StreamingAggregator agg(jobs);
-  agg.set_cell_sink([&](const CellAggregate& cell) {
-    resumed_jsonl += render_stream_cell(cell);
-  });
-  const BatchResult batch =
-      run_batch(m, resume_opt, [&](const Job& job, const JobResult& result) {
-        agg.consume(job, result);
-      });
-  agg.finish();
+  const BatchResult batch = run_batch(m, resume_opt);
   EXPECT_EQ(batch.failed_jobs, 0u);
   EXPECT_EQ(batch.cache_hit_jobs, stored);
-  EXPECT_EQ(resumed_jsonl, clean_jsonl);
+  EXPECT_EQ(render_aggregate_json(m, batch, aggregate_cells(batch)),
+            clean_json);
   if (util::kTraceCompiled) {
     const std::string trace = session.render_jsonl(m.name);
     const auto count = [&trace](const std::string& needle) {
@@ -240,7 +221,7 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
       return n;
     };
     EXPECT_EQ(count("\"kind\":\"span\",\"name\":\"job\","),
-              jobs.size() - stored);
+              batch.jobs.size() - stored);
     EXPECT_EQ(count("\"kind\":\"instant\",\"name\":\"job/cache_hit\","),
               stored);
   }
@@ -248,22 +229,26 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
 
 TEST(CrashSafe, CancelFlagDrainsToAResumablePrefix) {
   const Manifest m = small_manifest();
-  const std::vector<Job> jobs = expand_manifest(m);
   std::atomic<bool> cancel{true};  // pre-set: cancel before any claim
   BatchOptions opt;
   opt.threads = 2;
   opt.cancel = &cancel;
 
-  std::uint32_t sunk = 0;
-  const BatchResult batch = run_batch(
-      m, opt, [&](const Job&, const JobResult&) { ++sunk; });
+  const BatchResult batch = run_batch(m, opt);
   EXPECT_TRUE(batch.cancelled);
-  EXPECT_EQ(batch.completed_jobs, sunk);
-  EXPECT_LT(batch.completed_jobs, jobs.size());
-  // The footer renders the truncation for downstream consumers.
-  const std::string footer = render_stream_footer(batch, 0);
-  EXPECT_NE(footer.find("\"partial\": true"), std::string::npos);
-  EXPECT_NE(footer.find("\"completed_jobs\""), std::string::npos);
+  EXPECT_LT(batch.completed_jobs, batch.jobs.size());
+  // A job that never ran did not fail: it joins no cell and is not
+  // counted in failed_jobs.
+  EXPECT_EQ(batch.failed_jobs, 0u);
+  const std::vector<CellAggregate> cells = aggregate_cells(batch);
+  std::uint32_t aggregated = 0;
+  for (const CellAggregate& cell : cells) aggregated += cell.jobs;
+  EXPECT_EQ(aggregated, batch.completed_jobs);
+  // The partial aggregate renders the truncation for downstream consumers.
+  const std::string json = render_aggregate_json(m, batch, cells);
+  EXPECT_NE(json.find("\"partial\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"completed_jobs\""), std::string::npos);
+  EXPECT_EQ(json.find("\"failed_jobs\""), std::string::npos);
 }
 
 // ---- Subprocess kill/resume harness (the real binary) --------------------
@@ -383,7 +368,10 @@ TEST(KillResumeHarness, SigtermDrainsFlushesAndExitsResumable) {
   // The drained run left stored results, a partial aggregate, and a
   // notice that names the cache to resume from.
   EXPECT_GT(count_files_containing(cache, ".cpr"), 0u);
-  EXPECT_NE(slurp(out).find("\"partial\": true"), std::string::npos);
+  const std::string partial = slurp(out);
+  EXPECT_NE(partial.find("\"partial\": true"), std::string::npos);
+  // The jobs the drain left unrun are not failures.
+  EXPECT_EQ(partial.find("\"failed_jobs\""), std::string::npos) << partial;
   const std::string notice = slurp(err);
   EXPECT_NE(notice.find("--cache=" + cache), std::string::npos) << notice;
 
@@ -395,34 +383,6 @@ TEST(KillResumeHarness, SigtermDrainsFlushesAndExitsResumable) {
             0);
   EXPECT_EQ(slurp(out), slurp(clean_out));
   EXPECT_EQ(count_files_containing(cache, ".cpr.tmp"), 0u);
-}
-
-TEST(KillResumeHarness, KillAtFooterWriteLosesNoStoredResults) {
-  // Every fresh result is stored before the streaming sink sees it, so a
-  // process killed exactly at the stream footer write -- after every job
-  // retired -- leaves a cache that already holds the whole sweep.
-  const std::string dir = temp_dir();
-  const std::string manifest_path = dir + "/footer.json";
-  // One cell -> stream emit ordinals: header=0, cell=1, footer=2.
-  write_file(manifest_path, R"({
-    "name": "footer", "base_seed": 3,
-    "defaults": {"trials": 7, "epsilon": 0.15, "tester": "planarity"},
-    "cells": [{"scenario": "grid", "params": {"rows": 8, "cols": 8}}]})");
-  const std::string base = std::string(CPT_BATCH_BIN) + " run " +
-                           manifest_path + " --threads=2 --cache=" + dir +
-                           "/cache --stream=" + dir + "/footer.jsonl";
-
-  EXPECT_EQ(run_command(base + " --quiet --fault-plan=exit@stream_write:key=2"
-                               " 2>/dev/null"),
-            kFaultExitCode);
-
-  // The rerun executes nothing: every job is served from the cache.
-  ASSERT_EQ(run_command(base + " > " + dir + "/footer.log"), 0);
-  unsigned hits = 0, jobs = 0;
-  ASSERT_TRUE(cache_line(slurp(dir + "/footer.log"), &hits, &jobs));
-  EXPECT_EQ(jobs, 7u);
-  EXPECT_EQ(hits, jobs);
-  EXPECT_EQ(count_files_containing(dir + "/cache", ".cpr.tmp"), 0u);
 }
 
 // ---- CLI flag parsing (the bare-atoi regression) --------------------------
@@ -448,14 +408,16 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
 TEST(CliParsing, JournalFlagsAreUnknown) {
   // A killed or failed run re-runs from its --cache directory; the journal
   // and retry flags that used to recover in other ways are gone, so they
-  // are usage errors now, and so is every retired fault action and site.
+  // are usage errors now, and so are the retired streaming flag and every
+  // retired fault action and site.
   const std::string base = std::string(CPT_BATCH_BIN) + " run " +
                            std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json" +
                            " --quiet 2>/dev/null";
   for (const char* flag :
        {"--journal=sweep.journal", "--resume", "--max-retries=2",
         "--fault-plan=throw@run_job:key=1",
-        "--fault-plan=exit@corpus_load:key=1"}) {
+        "--fault-plan=exit@corpus_load:key=1", "--stream=x.jsonl",
+        "--fault-plan=exit@stream_write:key=0"}) {
     EXPECT_EQ(run_command(base + " " + flag), 2) << flag;
   }
 }

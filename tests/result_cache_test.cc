@@ -273,19 +273,6 @@ TEST(Engine, CacheHitsReproduceAggregateBytesAtEveryThreadCount) {
     EXPECT_EQ(warm.corpus.disk_hits, 0u) << threads;
     EXPECT_EQ(aggregate_of(m, warm), baseline) << threads;
   }
-
-  // Streaming mode hits the same cache and emits the same cells.
-  ResultCache stream_cache(dir + "/cache");
-  BatchOptions stream_opt;
-  stream_opt.threads = 4;
-  stream_opt.result_cache = &stream_cache;
-  StreamingAggregator agg(expand_manifest(m));
-  const BatchResult streamed =
-      run_batch(m, stream_opt, [&](const Job& job, const JobResult& result) {
-        agg.consume(job, result);
-      });
-  EXPECT_EQ(streamed.cache_hit_jobs, num_jobs);
-  EXPECT_EQ(render_aggregate_json(m, streamed, agg.finish()), baseline);
 }
 
 TEST(Engine, CorruptCacheEntryIsReExecutedAndHealed) {

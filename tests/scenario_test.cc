@@ -3,10 +3,10 @@
 // instead of crashing), registry seed derivation (instance + tester
 // goldens), golden manifest expansion (same manifest => identical job
 // list and seeds), corpus round-trip + hit/miss determinism + corrupt-
-// file recovery, the engine's failure reporting and streaming sink, and
-// the engine-vs-direct equivalence that pins the migrated E1-E7 benches
-// ("measured rounds/messages unchanged for matching instances", including
-// the E4/E6 stage1_partition / random_partition workloads).
+// file recovery, the engine's failure reporting, and the engine-vs-direct
+// equivalence that pins the migrated E1-E7 benches ("measured
+// rounds/messages unchanged for matching instances", including the E4/E6
+// stage1_partition / random_partition workloads).
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -515,6 +515,69 @@ TEST(Manifest, RejectsEpsilonOutsideTheOpenUnitInterval) {
       << err;
 }
 
+TEST(Manifest, RejectsDeltaOutsideTheOpenUnitInterval) {
+  // random_partition takes log(1/delta) trials per phase: delta <= 0 makes
+  // that infinite or NaN, and a large delta made it a huge count whose
+  // per-trial state exhausted memory.
+  Manifest m;
+  for (const char* delta : {"0", "-0.5", "1", "1e300", "\"x\""}) {
+    std::string err;
+    const std::string text =
+        std::string(R"({"cells": [{"scenario": "grid", "delta": )") + delta +
+        "}]}";
+    EXPECT_FALSE(parse_manifest(text, &m, &err)) << delta;
+    EXPECT_NE(err.find("delta"), std::string::npos) << err;
+  }
+  // The shipped e6/e7 values.
+  for (const char* delta : {"0.01", "0.1", "0.25", "0.5"}) {
+    std::string err;
+    EXPECT_TRUE(parse_manifest(
+        std::string(R"({"cells": [{"scenario": "grid", "delta": )") + delta +
+            "}]}",
+        &m, &err))
+        << delta << ": " << err;
+  }
+}
+
+TEST(Manifest, RejectsMoreJobsThanTheCap) {
+  Manifest m;
+  std::string err;
+  // 2^20 instances x 2^20 trials: each factor is in range, the product is
+  // 2^40 jobs.
+  EXPECT_FALSE(parse_manifest(
+      R"({"cells": [{"scenario": "grid", "instances": 1048576,
+                     "trials": 1048576}]})",
+      &m, &err));
+  EXPECT_NE(err.find("1099511627776 jobs"), std::string::npos) << err;
+  // Axis values, epsilons, testers and cells multiply and add in: 2^12
+  // instances x 2^11 trials x 2 epsilons is exactly the cap, and one more
+  // cell is one job too many. Neither manifest is expanded.
+  const std::string at_cap =
+      R"({"name": "cap", "defaults": {"instances": 4096, "trials": 2048,
+          "epsilon": [0.1, 0.2]},
+          "cells": [{"scenario": "grid")";
+  ASSERT_EQ(std::uint64_t{4096} * 2048 * 2, kMaxManifestJobs);
+  EXPECT_TRUE(parse_manifest(at_cap + "}]}", &m, &err)) << err;
+  EXPECT_FALSE(parse_manifest(
+      at_cap + R"(}, {"scenario": "grid", "instances": 1, "trials": 1,
+                      "epsilon": 0.1}]})",
+      &m, &err));
+  EXPECT_NE(err.find("16777217 jobs"), std::string::npos) << err;
+  // 2^20 x 2^20 x 2^12 x 2^12 is 2^64, which wraps to 0 in u64
+  // arithmetic: the count saturates instead.
+  std::string axis;
+  for (int v = 1; v <= 4096; ++v) {
+    if (v > 1) axis += ',';
+    axis += std::to_string(v);
+  }
+  EXPECT_FALSE(parse_manifest(
+      R"({"cells": [{"scenario": "grid", "instances": 1048576,
+                     "trials": 1048576, "params": {"rows": [)" +
+          axis + R"(], "cols": [)" + axis + "]}}]}",
+      &m, &err));
+  EXPECT_NE(err.find("jobs"), std::string::npos) << err;
+}
+
 TEST(Manifest, RejectsUnknownNamesAndBadFields) {
   Manifest m;
   std::string err;
@@ -876,10 +939,9 @@ std::vector<JobResult> direct_results(const std::vector<Job>& jobs) {
   return out;
 }
 
-// Runs the manifest retained and streamed at --threads 1 and 4 and checks
-// every result against `want`; returns the replay count, which must not
-// depend on the mode or the thread count. `prepare` (optional) adjusts the
-// options before every run.
+// Runs the manifest at --threads 1 and 4 and checks every result against
+// `want`; returns the replay count, which must not depend on the thread
+// count. `prepare` (optional) adjusts the options before every run.
 std::uint32_t expect_batches_match(
     const Manifest& m, const std::vector<JobResult>& want,
     const std::function<void(BatchOptions*)>& prepare = {}) {
@@ -889,25 +951,14 @@ std::uint32_t expect_batches_match(
     opt.threads = threads;
     const std::string at = " at --threads=" + std::to_string(threads);
     if (prepare) prepare(&opt);
-    const BatchResult retained = run_batch(m, opt);
-    EXPECT_EQ(retained.results.size(), want.size());
-    for (std::size_t j = 0; j < retained.results.size() && j < want.size();
-         ++j) {
-      expect_same_result(retained.results[j], want[j],
-                         "retained job " + std::to_string(j) + at);
+    const BatchResult batch = run_batch(m, opt);
+    EXPECT_EQ(batch.results.size(), want.size());
+    for (std::size_t j = 0; j < batch.results.size() && j < want.size(); ++j) {
+      expect_same_result(batch.results[j], want[j],
+                         "job " + std::to_string(j) + at);
     }
-    std::vector<JobResult> streamed;
-    if (prepare) prepare(&opt);
-    const BatchResult batch = run_batch(
-        m, opt, [&](const Job&, const JobResult& r) { streamed.push_back(r); });
-    EXPECT_EQ(streamed.size(), want.size());
-    for (std::size_t j = 0; j < streamed.size() && j < want.size(); ++j) {
-      expect_same_result(streamed[j], want[j],
-                         "streamed job " + std::to_string(j) + at);
-    }
-    EXPECT_EQ(batch.stage1_replayed_jobs, retained.stage1_replayed_jobs);
-    if (threads == 1) replayed = retained.stage1_replayed_jobs;
-    EXPECT_EQ(retained.stage1_replayed_jobs, replayed) << at;
+    if (threads == 1) replayed = batch.stage1_replayed_jobs;
+    EXPECT_EQ(batch.stage1_replayed_jobs, replayed) << at;
   }
   return replayed;
 }
@@ -1101,30 +1152,6 @@ TEST(Engine, MalformedFileScenarioFailsTheJobNotTheProcess) {
       << oob_batch.results[0].error;
 }
 
-TEST(Engine, StreamingSinkSeesJobOrderWithoutRetainedResults) {
-  Manifest m;
-  std::string err;
-  ASSERT_TRUE(parse_manifest(kSmallManifest, &m, &err)) << err;
-  BatchOptions opt;
-  opt.threads = 4;
-  std::vector<std::uint32_t> order;
-  StreamStats stats;
-  const BatchResult batch = run_batch(
-      m, opt,
-      [&](const Job& job, const JobResult& result) {
-        EXPECT_FALSE(result.failed);
-        order.push_back(job.job_index);
-      },
-      &stats);
-  // The sink saw every job exactly once, in expansion order, and the
-  // batch retained nothing per-job.
-  ASSERT_EQ(order.size(), batch.jobs.size());
-  for (std::uint32_t j = 0; j < order.size(); ++j) EXPECT_EQ(order[j], j);
-  EXPECT_TRUE(batch.results.empty());
-  // The reorder window is the only per-job result storage.
-  EXPECT_LE(stats.peak_pending_results, 4u * 4u + 4u);
-}
-
 TEST(Engine, AggregateJsonIsThreadCountInvariant) {
   Manifest m;
   std::string err;
@@ -1148,6 +1175,31 @@ TEST(Engine, AggregateJsonIsThreadCountInvariant) {
   EXPECT_EQ(ja, jb);
   EXPECT_EQ(render_aggregate_csv(aggregate_cells(a)),
             render_aggregate_csv(aggregate_cells(b)));
+}
+
+// A cell key that recurs later in the expansion joins its first cell: jobs
+// add up, instances count distinct graphs, and cells keep first-seen
+// order. A failed job joins no cell.
+TEST(Aggregate, RecurringCellKeysJoinTheirFirstCell) {
+  const Manifest m = parse_or_die(R"({"name": "recur", "base_seed": 3,
+      "defaults": {"epsilon": 0.2, "tester": "cycle_free"},
+      "cells": [
+        {"scenario": "grid", "params": {"rows": 4, "cols": 4},
+         "instances": 2, "trials": 2},
+        {"scenario": "file", "params": {"path": "/nonexistent/g.el"}},
+        {"scenario": "cycle", "params": {"n": 8}},
+        {"scenario": "grid", "params": {"rows": 4, "cols": 4},
+         "instances": 3}]})");
+  const BatchResult batch = run_batch(m, BatchOptions{});
+  EXPECT_EQ(batch.failed_jobs, 1u);
+  const std::vector<CellAggregate> cells = aggregate_cells(batch);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].scenario.rfind("grid(", 0), 0u) << cells[0].scenario;
+  EXPECT_EQ(cells[0].jobs, 7u);
+  EXPECT_EQ(cells[0].instances, 3u);
+  EXPECT_EQ(cells[1].scenario.rfind("cycle(", 0), 0u) << cells[1].scenario;
+  EXPECT_EQ(cells[1].jobs, 1u);
+  EXPECT_EQ(cells[1].instances, 1u);
 }
 
 TEST(Aggregate, QuantilesAreNearestRank) {

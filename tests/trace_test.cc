@@ -131,9 +131,7 @@ TEST(MetricsRegistryTest, SplitsRuntimeSectionAndComputesQuartiles) {
   m.add_counter("batch/jobs", 1);
   m.set_gauge("corpus/ratio", 0.5);
   m.add_counter("rt/sim/serial_rounds", 8);
-  m.max_gauge("rt/batch/peak", 2);
-  m.max_gauge("rt/batch/peak", 7);
-  m.max_gauge("rt/batch/peak", 3);
+  m.set_gauge("rt/batch/peak", 7);
   for (const std::uint64_t v : {4, 1, 3, 2}) m.record("rt/wake", v);
   EXPECT_FALSE(m.empty());
 

@@ -24,15 +24,9 @@
 //                                           bit-identical at every --threads)
 //       [--csv=FILE]                        aggregate CSV
 //       [--timing-out=FILE]                 wall-clock report (nondeterministic)
-//       [--stream=FILE]                     streaming mode: JSONL aggregate
-//                                           (cpt_batch_aggregate_stream_v1),
-//                                           each sweep cell flushed as it
-//                                           completes; per-job results are
-//                                           never held in memory
 //       [--fault-plan=SPEC]                 deterministic hard kill for
 //                                           resume tests:
-//                                           exit@run_job:key=K or
-//                                           exit@stream_write:key=K (see
+//                                           exit@run_job:key=K (see
 //                                           scenario/faultinject.h)
 //       [--trace=FILE]                      structured span stream
 //                                           (cpt_trace_v1 JSONL; every
@@ -108,7 +102,7 @@ std::atomic<bool> g_cancel{false};
 
 extern "C" void on_cancel_signal(int) {
   // Relaxed store on a lock-free atomic: async-signal-safe. The engine's
-  // streaming wait polls this flag (a handler cannot notify a condvar).
+  // claim wait polls this flag (a handler cannot notify a condvar).
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
@@ -189,8 +183,7 @@ int usage() {
                "  cpt_batch expand <manifest.json>\n"
                "  cpt_batch run <manifest.json> [--threads=N] [--corpus=DIR]"
                " [--cache=DIR]\n"
-               "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]"
-               " [--stream=FILE]\n"
+               "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]\n"
                "                [--fault-plan=SPEC] [--trace=FILE]\n"
                "                [--metrics=FILE] [--progress] [--quiet]\n"
                "  cpt_batch gen <scenario> [key=value ...] [--base-seed=S]"
@@ -241,9 +234,8 @@ int cmd_expand(const std::string& path) {
 
 int cmd_run(const std::string& path, BatchOptions options,
             const std::string& out_path, const std::string& csv_path,
-            const std::string& timing_path, const std::string& stream_path,
-            const std::string& trace_path, const std::string& metrics_path,
-            bool progress, bool quiet) {
+            const std::string& timing_path, const std::string& trace_path,
+            const std::string& metrics_path, bool progress, bool quiet) {
   Manifest manifest;
   std::string error;
   if (!load_manifest_file(path, &manifest, &error)) {
@@ -276,67 +268,8 @@ int cmd_run(const std::string& path, BatchOptions options,
     meter = std::make_unique<ProgressMeter>(&progress_counters);
   }
 
-  BatchResult batch;
-  std::vector<CellAggregate> cells;
-  std::vector<std::string> job_errors;  // first few, for the failure report
-  if (stream_path.empty()) {
-    batch = run_batch(manifest, options);
-    cells = aggregate_cells(batch);
-    for (std::size_t j = 0; j < batch.results.size(); ++j) {
-      if (batch.results[j].failed && job_errors.size() < 3) {
-        job_errors.push_back(batch.jobs[j].instance.label() + ": " +
-                             batch.results[j].error);
-      }
-    }
-  } else {
-    // Streaming: per-job results go straight into the aggregator (and each
-    // finished cell straight to disk); nothing per-job is retained. The
-    // aggregator's expected cell sizes come from our own expansion;
-    // run_batch re-expands internally -- expansion is pure and golden-
-    // pinned (scenario_test.cc), so both lists are identical by contract,
-    // and finish() flushes defensively even if they ever were not.
-    std::FILE* stream = std::fopen(stream_path.c_str(), "w");
-    if (stream == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
-      return 1;
-    }
-    bool write_ok = true;
-    std::uint64_t emit_ordinal = 0;  // schedule-independent fault key: the
-                                     // sink runs in job-index order
-    const auto emit = [&](const std::string& chunk) {
-      if (fault_fires(FaultSite::kStreamWrite, emit_ordinal++)) {
-        // Die mid-chunk, like a crash would: half the chunk reaches the
-        // file.
-        std::fwrite(chunk.data(), 1, chunk.size() / 2, stream);
-        std::fflush(stream);
-        fault_exit();
-      }
-      write_ok = write_ok &&
-                 std::fwrite(chunk.data(), 1, chunk.size(), stream) ==
-                     chunk.size() &&
-                 std::fflush(stream) == 0;  // a killed sweep keeps every
-                                            // finished cell
-    };
-    const std::vector<Job> jobs = expand_manifest(manifest);
-    emit(render_stream_header(manifest, jobs.size()));
-    StreamingAggregator agg(jobs);
-    agg.set_cell_sink(
-        [&](const CellAggregate& cell) { emit(render_stream_cell(cell)); });
-    batch = run_batch(
-        manifest, options, [&](const Job& job, const JobResult& result) {
-          if (result.failed && job_errors.size() < 3) {
-            job_errors.push_back(job.instance.label() + ": " + result.error);
-          }
-          agg.consume(job, result);
-        });
-    cells = agg.finish();
-    emit(render_stream_footer(batch, cells.size()));
-    write_ok = (std::fclose(stream) == 0) && write_ok;
-    if (!write_ok) {
-      std::fprintf(stderr, "error: cannot write %s\n", stream_path.c_str());
-      if (!batch.cancelled) return 1;
-    }
-  }
+  const BatchResult batch = run_batch(manifest, options);
+  const std::vector<CellAggregate> cells = aggregate_cells(batch);
 
   meter.reset();  // joins the heartbeat thread; prints the final line
 
@@ -424,8 +357,13 @@ int cmd_run(const std::string& path, BatchOptions options,
                  "error: %u of %zu jobs failed; the aggregate covers only "
                  "the jobs that ran\n",
                  batch.failed_jobs, batch.jobs.size());
-    for (const std::string& e : job_errors) {
-      std::fprintf(stderr, "  %s\n", e.c_str());
+    unsigned shown = 0;  // the first few, for the failure report
+    for (std::size_t j = 0; j < batch.results.size() && shown < 3; ++j) {
+      if (!batch.results[j].failed) continue;
+      std::fprintf(stderr, "  %s: %s\n",
+                   batch.jobs[j].instance.label().c_str(),
+                   batch.results[j].error.c_str());
+      ++shown;
     }
     return 1;
   }
@@ -533,7 +471,7 @@ int cmd_gen(const std::vector<std::string>& args, std::uint64_t base_seed,
 
 int main(int argc, char** argv) {
   BatchOptions options;
-  std::string out_path, csv_path, timing_path, stream_path;
+  std::string out_path, csv_path, timing_path;
   std::string trace_path, metrics_path;
   std::string cache_dir;
   std::uint64_t base_seed = 1, index = 0;
@@ -557,8 +495,6 @@ int main(int argc, char** argv) {
       csv_path = a + 6;
     } else if (std::strncmp(a, "--timing-out=", 13) == 0) {
       timing_path = a + 13;
-    } else if (std::strncmp(a, "--stream=", 9) == 0) {
-      stream_path = a + 9;
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       trace_path = a + 8;
     } else if (std::strncmp(a, "--metrics=", 10) == 0) {
@@ -605,7 +541,7 @@ int main(int argc, char** argv) {
       options.result_cache = &*cache;
     }
     return cmd_run(args[1], options, out_path, csv_path, timing_path,
-                   stream_path, trace_path, metrics_path, progress, quiet);
+                   trace_path, metrics_path, progress, quiet);
   }
   if (cmd == "gen") {
     return cmd_gen({args.begin() + 1, args.end()}, base_seed, index);
