@@ -661,7 +661,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
     }
     if (cache_hit_job(j)) {
       if (job_track != nullptr) job_track->instant("job/cache_hit");
-      return cache_results[j];
+      return std::move(cache_results[j]);
     }
     const Slot& slot = slots[job_slot[j]];
     if (!slot.error.empty()) {

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <limits>
@@ -271,8 +270,8 @@ ResultCache::LoadStatus ResultCache::load(const Job& job,
   }
   if (key->as_string() != job.cell_key() || instance_hash != job.instance.hash() ||
       seed != job.tester_seed) {
-    // A valid entry for a different job: a key collision. Not corruption
-    // of this file -- leave it for its owner -- but a miss for us.
+    // A valid entry for a different job (a key collision, or its bytes
+    // left here by a crash): leave it for its owner, but a miss for us.
     return LoadStatus::kMiss;
   }
   JobResult r;
@@ -299,12 +298,12 @@ bool ResultCache::store(const Job& job, const JobResult& result) const {
   ::mkdir(dir_.c_str(), 0755);
   const std::string final_path = path_for(key_for(job));
   const std::string tmp_path = unique_tmp_path(final_path);
+  // Unique tmp + rename, no fsync: see the file comment in result_cache.h.
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) return false;
   bool ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();
-  ok = ok && std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
   ok = (std::fclose(f) == 0) && ok;
-  if (ok) ok = durable_rename(tmp_path, final_path);
+  if (ok) ok = std::rename(tmp_path.c_str(), final_path.c_str()) == 0;
   if (!ok) {
     std::remove(tmp_path.c_str());
     return false;

@@ -13,17 +13,19 @@
 //
 // Entries are single checksummed lines ({"sum": "<16hex>", "rec": {...}},
 // FNV over the record bytes -- the same validate-before-trust discipline
-// as corpus v3), written via unique-tmp + fsync + durable_rename so
-// concurrent writers (threads or processes) can never publish a torn
-// entry: a reader sees the old complete entry, the new complete entry, or
-// a miss. The record carries the full identity (cell_key text, instance
-// hash, seed), and load() verifies all three against the requesting job
-// -- a 64-bit filename collision degrades to a miss, never to a wrong
-// result.
+// as corpus v3), published via unique-tmp + rename so concurrent writers
+// (threads or processes) can never publish a torn entry: a reader sees
+// the old complete entry, the new complete entry, or a miss. The record
+// carries the full identity (cell_key text, instance hash, seed), and
+// load() verifies all three against the requesting job -- a 64-bit
+// filename collision or a misnamed file is a miss, never a wrong result.
 //
-// Corrupt entries (bit rot, torn by a mid-write power cut, or a record
-// whose checksum holds but whose fields do not: a missing field, or a
-// number that is negative, fractional or too wide for its JobResult
+// Stores do not fsync: a kill loses no finished result (its writes are in
+// the page cache), while a power cut may cost a rerun some jobs that had
+// finished. Corpus and output files stay fsync'd (util/fsio.h). Corrupt
+// entries (bit rot; empty, cut short or zero-filled by a power cut; or a
+// record whose checksum holds but whose fields do not: a missing field,
+// or a number that is negative, fractional or too wide for its JobResult
 // field) are removed and reported as kCorrupt; the engine re-executes
 // and re-stores, so the cache self-heals exactly like the corpus. Failed
 // results are never stored, so a rerun re-executes them; timed-out

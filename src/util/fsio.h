@@ -1,10 +1,9 @@
-// Durable file-system plumbing shared by everything that publishes a file
-// via the tmp+rename pattern (corpus saves, result-cache entries,
-// manifest/aggregate writers). rename() makes the *data* of a previously
-// fsync'd file durable under its new name, but the directory entry itself
-// lives in the parent directory's metadata: without an fsync of the
-// parent, a crash right after rename() can roll the directory back and
-// lose the entry a resumed run depends on.
+// File-system plumbing for publishing a file via the tmp+rename pattern.
+// Corpus saves and aggregate/CSV/timing outputs use durable_rename, so
+// they survive a power cut; result-cache entries take only a unique temp
+// name and a plain rename (scenario/result_cache.h says why). rename()
+// moves the entry in the parent directory's metadata: without an fsync of
+// the parent, a crash right after it can roll the directory back.
 #pragma once
 
 #include <string>

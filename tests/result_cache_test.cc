@@ -1,9 +1,10 @@
 // Result-cache suite: content-address round-trip through the persistent
-// result cache, corrupt-entry self-healing, engine-level cache hits pinned
-// byte-identical to fresh execution at --threads 1 and 4 (with fully
-// cached instances never materialized), thread- and process-concurrent
-// cache hammering, and cpt_batch runs sharing one --cache directory
-// reproducing the uncached aggregate bytes.
+// result cache, corrupt-entry self-healing (power-cut leftovers included:
+// empty, cut-short, zero-filled and misnamed entries), engine-level cache
+// hits pinned byte-identical to fresh execution at --threads 1 and 4 (with
+// fully cached instances never materialized), thread- and
+// process-concurrent cache hammering, and cpt_batch runs sharing one
+// --cache directory reproducing the uncached aggregate bytes.
 #include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -84,6 +85,20 @@ std::size_t count_entries(const std::string& dir, const char* infix) {
   return count;
 }
 
+// Full paths of the directory's files whose names contain ".cpr".
+std::vector<std::string> entry_paths(const std::string& dir) {
+  std::vector<std::string> paths;
+  if (DIR* d = opendir(dir.c_str())) {
+    while (const dirent* entry = readdir(d)) {
+      if (std::strstr(entry->d_name, ".cpr") != nullptr) {
+        paths.push_back(dir + "/" + entry->d_name);
+      }
+    }
+    closedir(d);
+  }
+  return paths;
+}
+
 // ---- ResultCache unit behavior -------------------------------------------
 
 TEST(ResultCache, RoundTripsResultsByContentAddress) {
@@ -153,15 +168,7 @@ TEST(ResultCache, CorruptEntriesAreRemovedOnLoad) {
 
   // Flip one byte inside the record: the checksum line no longer
   // validates, the entry is removed, and the caller sees kCorrupt.
-  std::string name;
-  if (DIR* d = opendir(dir.c_str())) {
-    while (const dirent* entry = readdir(d)) {
-      if (std::strstr(entry->d_name, ".cpr") != nullptr) name = entry->d_name;
-    }
-    closedir(d);
-  }
-  ASSERT_FALSE(name.empty());
-  const std::string path = dir + "/" + name;
+  const std::string path = entry_paths(dir).at(0);
   {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -238,6 +245,67 @@ TEST(ResultCache, CorruptEntriesAreRemovedOnLoad) {
   }
 }
 
+// Stores do not fsync, so a power cut can leave an entry empty, cut short,
+// zero-filled, or holding another entry's complete bytes. Each must load
+// as corrupt or a miss, never as a hit, and a re-store must hit again.
+TEST(ResultCache, PowerCutLeftoversAreNeverAWrongHit) {
+  const std::string dir = temp_dir();
+  const Manifest m = suite_manifest();
+  const std::vector<Job> jobs = expand_manifest(m);
+  const ResultCache cache(dir);
+  JobResult r;
+  r.verdict = Verdict::kReject;
+  r.rounds = 31;
+  r.messages = 2718;
+  const auto path_of = [&](const Job& job) {
+    char name[17];
+    std::snprintf(name, sizeof name, "%016llx",
+                  static_cast<unsigned long long>(ResultCache::key_for(job)));
+    return dir + "/" + name + ".cpr";
+  };
+  const auto write_raw = [](const std::string& path, const std::string& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    ASSERT_EQ(std::fclose(f), 0);
+  };
+  const auto restore_hits = [&](const Job& job) {
+    JobResult probe;
+    ASSERT_TRUE(cache.store(job, r));
+    ASSERT_EQ(cache.load(job, &probe), ResultCache::LoadStatus::kHit);
+    EXPECT_TRUE(same_result(probe, r));
+  };
+  const std::string path = path_of(jobs[0]);
+  restore_hits(jobs[0]);
+  std::string line;
+  ASSERT_TRUE(read_text_file(path, &line));
+
+  std::vector<std::string> leftovers = {"", std::string(line.size(), '\0')};
+  for (std::size_t len = 1; len < line.size(); ++len) {
+    leftovers.push_back(line.substr(0, len));
+  }
+  for (const std::string& bytes : leftovers) {
+    write_raw(path, bytes);
+    JobResult probe;
+    EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kCorrupt)
+        << bytes.size() << " bytes";
+    EXPECT_EQ(access(path.c_str(), F_OK), -1) << bytes.size() << " bytes";
+    restore_hits(jobs[0]);
+  }
+
+  // Another job's complete entry under this job's name: a miss that
+  // leaves the file to its owner, never that job's result.
+  restore_hits(jobs[1]);
+  std::string other;
+  ASSERT_TRUE(read_text_file(path_of(jobs[1]), &other));
+  write_raw(path, other);
+  JobResult probe;
+  EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kMiss);
+  EXPECT_EQ(access(path.c_str(), F_OK), 0);
+  restore_hits(jobs[0]);
+  EXPECT_EQ(count_entries(dir, ".cpr"), 2u);
+}
+
 // ---- Engine integration: hits, byte-identity, skip-materialize -----------
 
 TEST(Engine, CacheHitsReproduceAggregateBytesAtEveryThreadCount) {
@@ -290,15 +358,7 @@ TEST(Engine, CorruptCacheEntryIsReExecutedAndHealed) {
 
   // Garble one entry; the warm run re-executes exactly that job and
   // re-publishes it, bytes unchanged.
-  std::string victim;
-  if (DIR* d = opendir(dir.c_str())) {
-    while (const dirent* entry = readdir(d)) {
-      if (std::strstr(entry->d_name, ".cpr") != nullptr) {
-        victim = dir + "/" + entry->d_name;
-      }
-    }
-    closedir(d);
-  }
+  const std::string victim = entry_paths(dir).back();
   {
     std::FILE* f = std::fopen(victim.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -317,6 +377,40 @@ TEST(Engine, CorruptCacheEntryIsReExecutedAndHealed) {
   EXPECT_EQ(batch.cache_hit_jobs, num_jobs - 1);
   EXPECT_EQ(aggregate_of(m, batch), baseline);
   EXPECT_EQ(count_entries(dir, ".cpr"), entries);  // re-published
+}
+
+TEST(Engine, EmptiedCacheEntriesAreReExecutedAndRepublished) {
+  const std::string dir = temp_dir();
+  const Manifest m = suite_manifest();
+  const std::size_t num_jobs = expand_manifest(m).size();
+
+  ResultCache cache(dir);
+  BatchOptions opt;
+  opt.threads = 2;
+  opt.result_cache = &cache;
+  const std::string baseline = aggregate_of(m, run_batch(m, opt));
+  const std::vector<std::string> entries = entry_paths(dir);
+  ASSERT_EQ(entries.size(), num_jobs);
+
+  // Every entry emptied, as a power cut after unsynced stores can leave
+  // them: the warm run re-executes every job and re-publishes each entry.
+  for (const std::string& path : entries) {
+    ASSERT_EQ(truncate(path.c_str(), 0), 0) << path;
+  }
+  for (const std::size_t hits : {std::size_t{0}, num_jobs}) {
+    ResultCache healed(dir);
+    BatchOptions warm;
+    warm.threads = 2;
+    warm.result_cache = &healed;
+    const BatchResult batch = run_batch(m, warm);
+    EXPECT_EQ(batch.cache_hit_jobs, hits);
+    EXPECT_EQ(aggregate_of(m, batch), baseline) << hits;
+    std::string text;
+    for (const std::string& path : entries) {
+      ASSERT_TRUE(read_text_file(path, &text)) << path;
+      EXPECT_FALSE(text.empty()) << path;
+    }
+  }
 }
 
 // ---- Concurrency: threads and processes ----------------------------------

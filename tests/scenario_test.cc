@@ -136,8 +136,8 @@ TEST(Registry, EveryFamilyBuildsAGraph) {
 
 // Every family, perturbation and preset key set to values outside most
 // generators' domains. Each instance must build or fail as a job: no abort
-// on a generator contract. With a corpus directory the grid families take
-// the streamed writer, so both materialization paths see the same checks.
+// on a generator contract, with or without a corpus directory (the corpus
+// leg builds and saves the graph like every other family).
 TEST(Registry, OutOfDomainParamsFailTheirInstance) {
   std::string corpus = testing::TempDir() + "cpt_domain_XXXXXX";
   ASSERT_NE(mkdtemp(corpus.data()), nullptr);
