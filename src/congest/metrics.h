@@ -27,13 +27,13 @@ class RoundLedger {
   // pass in cpt_trace output. Null (the default) disables mirroring.
   void set_trace(util::TraceBuffer* trace) {
     trace_ = trace;
-    if (util::kTraceCompiled && trace_ != nullptr) {
+    if (trace_ != nullptr) {
       mark_ns_ = trace_->now_ns();
     }
   }
 
   void add_pass(std::string name, std::uint64_t rounds, std::uint64_t messages) {
-    if (util::kTraceCompiled && trace_ != nullptr) {
+    if (trace_ != nullptr) {
       util::TraceArgs args;
       args.add("rounds", rounds).add("messages", messages);
       trace_->complete_span(name, mark_ns_, std::move(args));

@@ -88,8 +88,7 @@ class RecordTable {
   void push(std::uint32_t v, Record r) {
     CPT_EXPECTS(v < rows_.size());
     const std::uint32_t slot = used_++;
-    // Unconditional (survives CPT_DISABLE_CONTRACTS): running past the
-    // last chunk would index out of the chunk table.
+    // Running past the last chunk would index out of the chunk table.
     if (slot >= kMaxSlots) {
       contract_fail("Invariant", "record arena full", __FILE__, __LINE__);
     }

@@ -22,7 +22,7 @@ Simulator::Simulator(const Network& net, SimOptions opt)
       exec_(new Exec(this)),
       memory_(opt.memory),
       budget_(opt.max_rounds),
-      trace_(util::kTraceCompiled ? opt.trace : nullptr) {
+      trace_(opt.trace) {
   // Adopt pooled buffers before the sizing code below: every reset /
   // resize path reuses capacity, so a warm store turns the per-job O(m)
   // allocations into plain size bookkeeping.
@@ -142,7 +142,7 @@ PassResult Simulator::run(Program& program, std::uint64_t max_rounds) {
     run_round(program, flights_[cur_]);
   }
   result.rounds = round_;
-  if (util::kTraceCompiled && trace_ != nullptr && round_ != 0) {
+  if (trace_ != nullptr && round_ != 0) {
     if (util::MetricsRegistry* m = trace_->metrics()) {
       m->add_counter("rt/sim/serial_rounds", round_);
     }

@@ -182,7 +182,7 @@ class Exec {
     // bounds-checks the port): two loads, no adjacency-span construction.
     const std::uint32_t ri = sim_->net_->peer_arc(from, port);
     Simulator::Flight& out = *out_;  // re-aimed by the round loop
-    [[maybe_unused]] const bool fresh = out.arcs.insert(ri);
+    const bool fresh = out.arcs.insert(ri);
     CPT_EXPECTS(fresh && "one message per directed edge per round (CONGEST)");
     out.slot[ri] = static_cast<std::uint32_t>(out.msgs.size());
     // The receiving port is filled in at delivery (where the receiver's

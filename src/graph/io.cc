@@ -54,11 +54,9 @@ bool try_read_edge_list(std::istream& in, Graph* out, std::string* error) {
 }
 
 Graph read_edge_list(std::istream& in) {
-  // Parsing happens outside the contract macros: checked conditions must
-  // stay side-effect free or CPT_DISABLE_CONTRACTS builds would skip it.
   Graph g;
   std::string error;
-  [[maybe_unused]] const bool ok = try_read_edge_list(in, &g, &error);
+  const bool ok = try_read_edge_list(in, &g, &error);
   CPT_EXPECTS(ok && "edge list: malformed (see try_read_edge_list)");
   return g;
 }

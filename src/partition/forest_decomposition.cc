@@ -28,10 +28,9 @@ void run_forest_decomposition(congest::Simulator& sim, const Graph& g,
   const NodeId n = g.num_nodes();
   const std::uint32_t cap = 3 * opt.alpha;
   const std::uint32_t s =
-      opt.super_rounds != 0
-          ? opt.super_rounds
-          : static_cast<std::uint32_t>(
-                std::ceil(std::log(std::max<double>(n, 2)) / std::log(1.5))) + 1;
+      static_cast<std::uint32_t>(
+          std::ceil(std::log(std::max<double>(n, 2)) / std::log(1.5))) +
+      1;
 
   std::optional<PeelScratch> local_scratch;  // built only when not pooled
   PeelScratch& sc = scratch != nullptr ? *scratch : local_scratch.emplace();

@@ -28,7 +28,6 @@ namespace cpt {
 
 struct PeelingOptions {
   std::uint32_t alpha = 3;        // arboricity bound (3 for planar)
-  std::uint32_t super_rounds = 0; // 0 = ceil(log_{3/2} n) + 1
   // Pipelined converge/broadcast streams (strictly fewer rounds and
   // messages, identical decisions); off reproduces the original schedule
   // for differential testing.

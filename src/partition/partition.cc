@@ -53,7 +53,6 @@ Stage1Result simulate_stage1(congest::Simulator& sim, const Graph& g,
 
   PeelingOptions peel_opt;
   peel_opt.alpha = opt.alpha;
-  peel_opt.super_rounds = opt.peel_super_rounds;
   peel_opt.pipelined = opt.pipelined_streams;
   // Peeling/merge buffers amortized across phases -- and, when the caller
   // supplies pooled scratch, across runs (then no local is built).

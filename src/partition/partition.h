@@ -34,7 +34,6 @@ struct Stage1Options {
   double epsilon = 0.1;              // edge-cut parameter
   std::uint32_t alpha = 3;           // arboricity bound (3 for planar)
   std::uint32_t phase_override = 0;  // 0 = theory value (Claim 3)
-  std::uint32_t peel_super_rounds = 0;  // 0 = theory value
   // Stop phases once the cut target (eps*m/2) is reached. Uses global
   // knowledge for loop control; off by default (the paper runs all phases).
   bool adaptive = false;

@@ -157,18 +157,13 @@ RandomPartitionResult run_random_partition(congest::Simulator& sim,
   RandomPartitionResult result;
   result.forest = PartForest::singletons(n);
   result.phases_total =
-      opt.phase_override != 0
-          ? opt.phase_override
-          : random_partition_theory_phase_count(opt.epsilon, opt.alpha);
+      random_partition_theory_phase_count(opt.epsilon, opt.alpha);
   // Lemma 13: each trial independently fails with prob <= 1/(16*alpha - 1);
   // s trials drive the failure below delta (plus one for slack).
   result.trials_per_phase =
-      opt.trials_override != 0
-          ? opt.trials_override
-          : static_cast<std::uint32_t>(
-                std::ceil(std::log(1.0 / opt.delta) /
-                          std::log(16.0 * opt.alpha - 1.0))) +
-                1;
+      static_cast<std::uint32_t>(std::ceil(std::log(1.0 / opt.delta) /
+                                           std::log(16.0 * opt.alpha - 1.0))) +
+      1;
 
   Rng rng(opt.seed);
   const std::uint64_t target_cut = static_cast<std::uint64_t>(

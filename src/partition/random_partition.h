@@ -20,8 +20,6 @@ struct RandomPartitionOptions {
   double epsilon = 0.1;   // edge-cut parameter
   double delta = 0.1;     // failure probability
   std::uint32_t alpha = 3;  // arboricity bound of the promised class
-  std::uint32_t phase_override = 0;  // 0 = theory value (Claim 14)
-  std::uint32_t trials_override = 0;  // 0 = theory value (Lemma 13)
   bool adaptive = false;  // stop phases early when cut target reached
   std::uint64_t seed = 1;
   // Optional pooled scratch (only the merge buffers are used: Theorem 4

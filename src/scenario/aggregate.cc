@@ -5,6 +5,7 @@
 
 #include "scenario/json.h"
 #include "util/contracts.h"
+#include "util/json_text.h"
 
 namespace cpt::scenario {
 
@@ -12,14 +13,10 @@ QuantileSummary summarize(std::vector<std::uint64_t> values) {
   QuantileSummary q;
   if (values.empty()) return q;
   std::sort(values.begin(), values.end());
-  const std::size_t last = values.size() - 1;
-  const auto rank = [&](std::size_t k) {  // quarter k of 4
-    return values[(k * last + 2) / 4];
-  };
   q.min = values.front();
-  q.p25 = rank(1);
-  q.p50 = rank(2);
-  q.p75 = rank(3);
+  q.p25 = util::quarter_rank(values, 1);
+  q.p50 = util::quarter_rank(values, 2);
+  q.p75 = util::quarter_rank(values, 3);
   q.max = values.back();
   return q;
 }

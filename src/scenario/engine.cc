@@ -57,7 +57,6 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
   congest::SimMemory* const mem =
       state != nullptr ? &state->sim_memory : nullptr;
   Stage1Scratch* const scratch = state != nullptr ? &state->stage1 : nullptr;
-  if (!util::kTraceCompiled) trace = nullptr;
   std::size_t job_span = 0;
   if (trace != nullptr) job_span = trace->begin_span("job");
   const double t0 = now_seconds();
@@ -457,10 +456,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   BatchResult out;
   const double t0 = now_seconds();
   out.jobs = expand_manifest(manifest);
-  // Nulled by assignment, not initialized to a constant null: g++ would
-  // warn (-Wnonnull) at every guarded call through a constant-null `trace`.
-  util::TraceSession* trace = options.trace;
-  if (!util::kTraceCompiled) trace = nullptr;
+  util::TraceSession* const trace = options.trace;
   if (options.progress != nullptr) {
     options.progress->jobs_total.store(out.jobs.size(),
                                        std::memory_order_relaxed);
@@ -474,7 +470,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   // --threads dependent, so they go to runtime metrics, keeping the trace
   // stream byte-identical at every --threads value.
   util::TraceBuffer* batch_track = nullptr;
-  if (util::kTraceCompiled && trace != nullptr) {
+  if (trace != nullptr) {
     batch_track = trace->make_track(0, "batch");
     batch_track->instant("batch/start",
                          util::TraceArgs().add(
@@ -615,7 +611,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
         }
       }
     };
-    if (util::kTraceCompiled && batch_track != nullptr) {
+    if (batch_track != nullptr) {
       const std::uint64_t mstart = batch_track->now_ns();
       pool.run(materialize);
       batch_track->complete_span(
@@ -709,7 +705,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
     }
   };
   run_execute_phase(batch_track, pool, execute);
-  if (util::kTraceCompiled && trace != nullptr) {
+  if (trace != nullptr) {
     for (unsigned w = 0; w < workers; ++w) {
       trace->metrics().record("rt/batch/worker_busy_ns", busy_ns[w]);
     }
@@ -736,7 +732,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
 
   out.stage1_replayed_jobs = claims.replayed();
   out.wall_seconds = now_seconds() - t0;
-  if (util::kTraceCompiled && trace != nullptr) {
+  if (trace != nullptr) {
     // Deterministic batch counters: pure functions of the manifest, the
     // corpus state and the result cache -- never of the schedule.
     util::MetricsRegistry& m = trace->metrics();

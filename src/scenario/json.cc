@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -300,45 +299,6 @@ bool JsonValue::parse(std::string_view text, JsonValue* out,
   *out = JsonValue();
   if (error != nullptr) error->clear();
   return JsonParser(text, error).run(out);
-}
-
-void json_append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string json_render_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string json_render_int(std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  return buf;
-}
-
-std::string json_render_uint(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
 }
 
 bool read_text_file(const std::string& path, std::string* out) {

@@ -18,6 +18,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json_text.h"
+
 namespace cpt::scenario {
 
 class JsonValue {
@@ -65,17 +67,12 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-// ---- Writing helpers (shared by aggregate.cc and the corpus index) -------
+// ---- Writing helpers (defined in util/json_text.h) -----------------------
 
-// Appends s as a quoted, escaped JSON string.
-void json_append_escaped(std::string& out, std::string_view s);
-
-// Round-trippable double rendering (%.17g); integral doubles still carry
-// their fractional marker only when needed -- callers format true integers
-// through json_render_int for stable output.
-std::string json_render_double(double v);
-std::string json_render_int(std::int64_t v);
-std::string json_render_uint(std::uint64_t v);
+using util::json_append_escaped;
+using util::json_render_double;
+using util::json_render_int;
+using util::json_render_uint;
 
 // Reads a whole file; returns false on I/O failure.
 bool read_text_file(const std::string& path, std::string* out);

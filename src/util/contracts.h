@@ -16,16 +16,6 @@ namespace cpt {
 
 }  // namespace cpt
 
-// CPT_DISABLE_CONTRACTS compiles all checks out (maximum-throughput
-// builds). Checked conditions must stay side-effect free.
-#if defined(CPT_DISABLE_CONTRACTS)
-
-#define CPT_EXPECTS(cond) ((void)0)
-#define CPT_ENSURES(cond) ((void)0)
-#define CPT_ASSERT(cond) ((void)0)
-
-#else
-
 #define CPT_EXPECTS(cond)                                              \
   do {                                                                 \
     if (!(cond)) ::cpt::contract_fail("Precondition", #cond, __FILE__, \
@@ -43,5 +33,3 @@ namespace cpt {
     if (!(cond)) ::cpt::contract_fail("Invariant", #cond, __FILE__, \
                                       __LINE__);                    \
   } while (0)
-
-#endif  // CPT_DISABLE_CONTRACTS

@@ -6,52 +6,12 @@
 #include <cstdio>
 
 #include "util/contracts.h"
+#include "util/json_text.h"
 
 namespace cpt {
 namespace util {
 
 namespace {
-
-// Local JSON helpers; util does not depend on scenario/json.h, but the
-// formats match (%.17g doubles, same escape set) so documents compose.
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string render_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
-
-std::string render_i64(std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  return buf;
-}
-
-std::string render_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 void append_args_object(std::string& out, const TraceArgs& args) {
   out += '{';
@@ -59,7 +19,7 @@ void append_args_object(std::string& out, const TraceArgs& args) {
   for (const auto& [k, v] : args.entries()) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, k);
+    json_append_escaped(out, k);
     out += ':';
     out += v;
   }
@@ -68,15 +28,6 @@ void append_args_object(std::string& out, const TraceArgs& args) {
 
 bool is_runtime_name(const std::string& name) {
   return name.size() >= 3 && name.compare(0, 3, "rt/") == 0;
-}
-
-// Nearest-rank quarter quantile over a sorted sample set; same
-// convention as scenario/aggregate.h so doc consumers see one rule.
-std::uint64_t quartile(const std::vector<std::uint64_t>& sorted, int k) {
-  const std::size_t c = sorted.size();
-  const std::size_t idx =
-      (static_cast<std::size_t>(k) * (c - 1) + 2) / 4;
-  return sorted[idx];
 }
 
 }  // namespace
@@ -89,12 +40,12 @@ std::uint64_t trace_now_ns() {
 }
 
 TraceArgs& TraceArgs::add(std::string key, std::uint64_t v) {
-  kv_.emplace_back(std::move(key), render_u64(v));
+  kv_.emplace_back(std::move(key), json_render_uint(v));
   return *this;
 }
 
 TraceArgs& TraceArgs::add(std::string key, std::int64_t v) {
-  kv_.emplace_back(std::move(key), render_i64(v));
+  kv_.emplace_back(std::move(key), json_render_int(v));
   return *this;
 }
 
@@ -107,7 +58,7 @@ TraceArgs& TraceArgs::add(std::string key, unsigned v) {
 }
 
 TraceArgs& TraceArgs::add(std::string key, double v) {
-  kv_.emplace_back(std::move(key), render_double(v));
+  kv_.emplace_back(std::move(key), json_render_double(v));
   return *this;
 }
 
@@ -118,7 +69,7 @@ TraceArgs& TraceArgs::add(std::string key, bool v) {
 
 TraceArgs& TraceArgs::add(std::string key, std::string_view v) {
   std::string rendered;
-  append_escaped(rendered, v);
+  json_append_escaped(rendered, v);
   kv_.emplace_back(std::move(key), std::move(rendered));
   return *this;
 }
@@ -227,7 +178,7 @@ void append_section(std::string& out, const std::string& pad,
   if (!first_section) out += ",\n";
   first_section = false;
   out += pad + "  ";
-  append_escaped(out, title);
+  json_append_escaped(out, title);
   out += ": {\n";
   bool first = true;
   for (const auto& [name, value] : map) {
@@ -235,7 +186,7 @@ void append_section(std::string& out, const std::string& pad,
     if (!first) out += ",\n";
     first = false;
     out += pad + "    ";
-    append_escaped(out, name);
+    json_append_escaped(out, name);
     out += ": ";
     out += render_value(value);
   }
@@ -247,13 +198,13 @@ std::string render_hist(const std::vector<std::uint64_t>& samples) {
   std::sort(sorted.begin(), sorted.end());
   std::uint64_t sum = 0;
   for (const std::uint64_t s : sorted) sum += s;
-  std::string out = "{\"count\": " + render_u64(sorted.size());
-  out += ", \"min\": " + render_u64(sorted.front());
-  out += ", \"p25\": " + render_u64(quartile(sorted, 1));
-  out += ", \"p50\": " + render_u64(quartile(sorted, 2));
-  out += ", \"p75\": " + render_u64(quartile(sorted, 3));
-  out += ", \"max\": " + render_u64(sorted.back());
-  out += ", \"sum\": " + render_u64(sum);
+  std::string out = "{\"count\": " + json_render_uint(sorted.size());
+  out += ", \"min\": " + json_render_uint(sorted.front());
+  out += ", \"p25\": " + json_render_uint(quarter_rank(sorted, 1));
+  out += ", \"p50\": " + json_render_uint(quarter_rank(sorted, 2));
+  out += ", \"p75\": " + json_render_uint(quarter_rank(sorted, 3));
+  out += ", \"max\": " + json_render_uint(sorted.back());
+  out += ", \"sum\": " + json_render_uint(sum);
   out += "}";
   return out;
 }
@@ -268,9 +219,9 @@ void append_sections(std::string& out, const std::string& pad,
                                     std::vector<std::uint64_t>>& hists) {
   bool first_section = true;
   append_section(out, pad, "counters", counters, runtime, first_section,
-                 [](std::uint64_t v) { return render_u64(v); });
+                 [](std::uint64_t v) { return json_render_uint(v); });
   append_section(out, pad, "gauges", gauges, runtime, first_section,
-                 [](double v) { return render_double(v); });
+                 [](double v) { return json_render_double(v); });
   append_section(out, pad, "histograms", hists, runtime, first_section,
                  [](const std::vector<std::uint64_t>& v) {
                    return render_hist(v);
@@ -315,7 +266,7 @@ std::string MetricsRegistry::render_object(int indent) const {
 
 std::string MetricsRegistry::render_json(const std::string& name) const {
   std::string out = "{\n  \"schema\": \"cpt_metrics_v1\",\n  \"name\": ";
-  append_escaped(out, name);
+  json_append_escaped(out, name);
   out += ",\n  \"metrics\": ";
   out += render_object(2);
   out += "\n}\n";
@@ -345,16 +296,16 @@ std::string TraceSession::render_jsonl(const std::string& name) const {
               return a->track_id() < b->track_id();
             });
   std::string out = "{\"schema\":\"cpt_trace_v1\",\"name\":";
-  append_escaped(out, name);
-  out += ",\"tracks\":" + render_u64(order.size()) + "}\n";
+  json_append_escaped(out, name);
+  out += ",\"tracks\":" + json_render_uint(order.size()) + "}\n";
   for (const TraceBuffer* t : order) {
-    out += "{\"track\":" + render_u64(t->track_id()) + ",\"label\":";
-    append_escaped(out, t->label());
+    out += "{\"track\":" + json_render_uint(t->track_id()) + ",\"label\":";
+    json_append_escaped(out, t->label());
     out += "}\n";
     std::uint64_t seq = 0;
     for (const TraceEvent& e : t->events()) {
-      out += "{\"track\":" + render_u64(t->track_id());
-      out += ",\"seq\":" + render_u64(seq++);
+      out += "{\"track\":" + json_render_uint(t->track_id());
+      out += ",\"seq\":" + json_render_uint(seq++);
       out += ",\"kind\":";
       switch (e.kind) {
         case TraceEvent::kSpan: out += "\"span\""; break;
@@ -362,10 +313,10 @@ std::string TraceSession::render_jsonl(const std::string& name) const {
         case TraceEvent::kCount: out += "\"count\""; break;
       }
       out += ",\"name\":";
-      append_escaped(out, e.name);
-      out += ",\"depth\":" + render_u64(e.depth);
+      json_append_escaped(out, e.name);
+      out += ",\"depth\":" + json_render_uint(e.depth);
       if (e.kind == TraceEvent::kCount) {
-        out += ",\"value\":" + render_u64(e.value);
+        out += ",\"value\":" + json_render_uint(e.value);
       }
       if (!e.args.empty()) {
         out += ",\"args\":";
@@ -373,9 +324,9 @@ std::string TraceSession::render_jsonl(const std::string& name) const {
       }
       // Timestamps last: the deterministic view of a line is a suffix
       // strip (see strip_trace_timestamps in scenario/trace_analysis).
-      out += ",\"ts_ns\":" + render_u64(e.ts_ns);
+      out += ",\"ts_ns\":" + json_render_uint(e.ts_ns);
       if (e.kind == TraceEvent::kSpan) {
-        out += ",\"dur_ns\":" + render_u64(e.dur_ns);
+        out += ",\"dur_ns\":" + json_render_uint(e.dur_ns);
       }
       out += "}\n";
     }

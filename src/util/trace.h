@@ -18,9 +18,7 @@
 //
 // Overhead: every instrumentation site is guarded by a null check on
 // the buffer/session pointer (a single predictable branch when tracing
-// is off), and building with -DCPT_TRACE_DISABLED=1 turns
-// `kTraceCompiled` into a compile-time false so the guarded blocks are
-// dead-code-eliminated entirely.
+// is off).
 //
 // Threading: a TraceBuffer is single-writer; concurrency comes from
 // giving each lane its own track. TraceSession::make_track and the
@@ -39,12 +37,6 @@
 
 namespace cpt {
 namespace util {
-
-#if defined(CPT_TRACE_DISABLED)
-inline constexpr bool kTraceCompiled = false;
-#else
-inline constexpr bool kTraceCompiled = true;
-#endif
 
 // Monotonic wall clock, ns. Absolute value is meaningless; only
 // differences matter.
@@ -131,7 +123,7 @@ class TraceBuffer {
 class TraceSpan {
  public:
   TraceSpan(TraceBuffer* buf, std::string name) : buf_(buf) {
-    if (kTraceCompiled && buf_ != nullptr) {
+    if (buf_ != nullptr) {
       index_ = buf_->begin_span(std::move(name));
     }
   }
@@ -141,7 +133,7 @@ class TraceSpan {
 
   // Close early, optionally attaching args.
   void end(TraceArgs args = TraceArgs()) {
-    if (kTraceCompiled && buf_ != nullptr) {
+    if (buf_ != nullptr) {
       buf_->end_span(index_, std::move(args));
       buf_ = nullptr;
     }

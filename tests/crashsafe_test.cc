@@ -210,21 +210,19 @@ TEST(CrashSafe, ResumeSkipsCompletedJobsAndReproducesTheAggregate) {
   EXPECT_EQ(batch.cache_hit_jobs, stored);
   EXPECT_EQ(render_aggregate_json(m, batch, aggregate_cells(batch)),
             clean_json);
-  if (util::kTraceCompiled) {
-    const std::string trace = session.render_jsonl(m.name);
-    const auto count = [&trace](const std::string& needle) {
-      std::size_t n = 0;
-      for (std::size_t at = trace.find(needle); at != std::string::npos;
-           at = trace.find(needle, at + 1)) {
-        ++n;
-      }
-      return n;
-    };
-    EXPECT_EQ(count("\"kind\":\"span\",\"name\":\"job\","),
-              batch.jobs.size() - stored);
-    EXPECT_EQ(count("\"kind\":\"instant\",\"name\":\"job/cache_hit\","),
-              stored);
-  }
+  const std::string trace = session.render_jsonl(m.name);
+  const auto count = [&trace](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"kind\":\"span\",\"name\":\"job\","),
+            batch.jobs.size() - stored);
+  EXPECT_EQ(count("\"kind\":\"instant\",\"name\":\"job/cache_hit\","),
+            stored);
 }
 
 TEST(CrashSafe, CancelFlagDrainsToAResumablePrefix) {
@@ -402,6 +400,23 @@ TEST(CliParsing, RejectsNonNumericAndOutOfRangeFlagValues) {
   };
   for (const char* flag : bad) {
     EXPECT_EQ(run_command(base + " " + flag), 2) << flag;
+  }
+}
+
+TEST(CliParsing, GenOutOfRangeIntegerIsNotClamped) {
+  // strtoll clamps a value past the int64 range to INT64_MAX or INT64_MIN;
+  // the error must not report a number that was never typed.
+  const std::string dir = temp_dir();
+  const std::string err = dir + "/gen.err";
+  for (const char* rows :
+       {"rows=99999999999999999999", "rows=-99999999999999999999"}) {
+    EXPECT_EQ(run_command(std::string(CPT_BATCH_BIN) + " gen grid " + rows +
+                          " cols=3 > /dev/null 2> " + err),
+              1)
+        << rows;
+    const std::string text = slurp(err);
+    EXPECT_EQ(text.find("9223372036854775807"), std::string::npos) << text;
+    EXPECT_EQ(text.find("9223372036854775808"), std::string::npos) << text;
   }
 }
 

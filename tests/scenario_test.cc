@@ -1043,7 +1043,6 @@ TEST(StageISharing, ServedTrialsHandTheLeadToTheNextTrial) {
 // replayed job's trace carries the same pass spans -- names, rounds,
 // messages, in order -- as a job that simulated Stage I.
 TEST(StageISharing, ReplayedJobsEmitTheSamePassSpans) {
-  if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const Manifest m = parse_or_die(kSharingManifest);
   util::TraceSession session;
   BatchOptions opt;

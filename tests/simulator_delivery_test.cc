@@ -136,9 +136,6 @@ TEST(SimulatorDelivery, WakeHeavyExactTrace) {
   EXPECT_EQ(r.messages, 3u);
 }
 
-// Contract-violation death tests only fire when contracts are compiled in;
-// the CPT_DISABLE_CONTRACTS=ON CI leg skips them.
-#if !defined(CPT_DISABLE_CONTRACTS)
 TEST(SimulatorDeliveryDeathTest, MidRunBandwidthViolationAborts) {
   const Graph g = gen::path(3);
   Network net(g);
@@ -152,7 +149,6 @@ TEST(SimulatorDeliveryDeathTest, MidRunBandwidthViolationAborts) {
            });
   EXPECT_DEATH(sim.run(t), "one message per directed edge per round");
 }
-#endif
 
 // Degree >= 2^20 regression: the seed packed (dst << 20 | port) into one
 // 64-bit key, so a port of 2^20 bled into the destination id and the

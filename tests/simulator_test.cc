@@ -92,9 +92,6 @@ class DoubleSend : public Program {
   void on_wake(Exec&, NodeId, std::span<const Inbound>) override {}
 };
 
-// Contract-violation death tests only fire when contracts are compiled in;
-// the CPT_DISABLE_CONTRACTS=ON CI leg skips them.
-#if !defined(CPT_DISABLE_CONTRACTS)
 TEST(SimulatorDeathTest, BandwidthViolationAborts) {
   const Graph g = gen::path(2);
   Network net(g);
@@ -102,7 +99,6 @@ TEST(SimulatorDeathTest, BandwidthViolationAborts) {
   DoubleSend ds;
   EXPECT_DEATH(sim.run(ds), "one message per directed edge per round");
 }
-#endif
 
 // Wake-only program: counts its wake-ups without any messages.
 class SelfWaker : public Program {

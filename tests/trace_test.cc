@@ -96,7 +96,6 @@ TEST(TraceArgsTest, RendersTypedValuesAsJson) {
 }
 
 TEST(TraceSessionTest, RendersDeterministicJsonl) {
-  if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   util::TraceSession session;
   util::TraceBuffer* t = session.make_track(3, "lane");
   const std::size_t outer = t->begin_span("outer");
@@ -173,11 +172,11 @@ TEST(TraceDisabledPathTest, NullBufferGuardAllocatesNothing) {
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     // The instrumentation-site pattern: one branch, no work when off.
-    if (util::kTraceCompiled && t != nullptr) {
+    if (t != nullptr) {
       t->instant("ev");
       t->count("c", 1);
     }
-    if (util::kTraceCompiled && session != nullptr) {
+    if (session != nullptr) {
       session->metrics().add_counter("x", 1);
     }
     util::TraceSpan span(t, "s");
@@ -191,7 +190,6 @@ TEST(TraceDisabledPathTest, NullBufferGuardAllocatesNothing) {
 // and the deterministic metrics sections are identical between a
 // 1-thread and a 4-thread batch run of the CI smoke manifest.
 TEST(TraceDeterminismTest, BatchTraceInvariantAcrossThreadCounts) {
-  if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   Manifest m;
   std::string error;
   ASSERT_TRUE(scenario::load_manifest_file(CPT_MANIFEST_DIR "/ci_smoke.json",
@@ -225,7 +223,6 @@ TEST(TraceDeterminismTest, BatchTraceInvariantAcrossThreadCounts) {
 constexpr std::uint64_t kSummaryGolden = 0xe9c5d107e77040d5ULL;
 
 TEST(TraceAnalysisTest, GoldenSummaryAndDiffOnCiSmoke) {
-  if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   Manifest m;
   std::string error;
   ASSERT_TRUE(scenario::load_manifest_file(CPT_MANIFEST_DIR "/ci_smoke.json",

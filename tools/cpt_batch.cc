@@ -252,12 +252,6 @@ int cmd_run(const std::string& path, BatchOptions options,
 
   std::unique_ptr<util::TraceSession> session;
   if (!trace_path.empty() || !metrics_path.empty()) {
-    if (!util::kTraceCompiled) {
-      std::fprintf(stderr,
-                   "error: tracing is compiled out of this build "
-                   "(CPT_TRACE_DISABLED); --trace/--metrics unavailable\n");
-      return 2;
-    }
     session = std::make_unique<util::TraceSession>();
     options.trace = session.get();
   }
@@ -421,8 +415,11 @@ bool parse_kv(const std::string& arg, ScenarioParams* params) {
   const std::string key = arg.substr(0, eq);
   const std::string value = arg.substr(eq + 1);
   char* end = nullptr;
+  errno = 0;
   const long long i = std::strtoll(value.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && !value.empty()) {
+  // An integer past the int64 range (ERANGE) falls through to the double
+  // parse, as in a manifest: strtoll's clamped value was never typed.
+  if (errno == 0 && end != nullptr && *end == '\0' && !value.empty()) {
     params->set_int(key, i);
     return true;
   }
