@@ -27,6 +27,10 @@ using congest::TreeView;
 namespace {
 
 constexpr std::uint32_t kTagInfo = 50;
+// c in s = ceil(c * ln(n) / eps) sampled non-tree edges per part.
+constexpr double kSampleConstant = 2.0;
+// c in the charged Ghaffari-Haeupler round bound c * D * min(log n, D).
+constexpr std::uint64_t kGhRoundConstant = 4;
 
 // Sampled edge label pairs travel and are re-broadcast as framed word
 // streams: [len(lo), lo words..., len(hi), hi words...].
@@ -215,14 +219,6 @@ Stage2Result run_stage2(congest::Simulator& sim, const Graph& g,
       if (emb.planar_certified) {
         certified[root] = 1;
         ++result.stats.parts_certified_planar;
-      } else {
-        if (opt.eager_reject_embedding) {
-          rejections.push_back({root, "embedding failure"});
-          ++result.stats.parts_rejected_embedding;
-          dead[root] = 1;
-          for (const NodeId x : mem) alive_node[x] = 0;
-          continue;
-        }
       }
       // Translate sub-graph edge ids back to global ones.
       for (NodeId sv = 0; sv < sub.graph.num_nodes(); ++sv) {
@@ -240,7 +236,7 @@ Stage2Result run_stage2(congest::Simulator& sim, const Graph& g,
       const std::uint64_t log_n = static_cast<std::uint64_t>(std::ceil(
           std::log2(std::max<double>(part_n[root], 2))));
       max_gh_rounds = std::max(
-          max_gh_rounds, opt.gh_round_constant * d * std::min(log_n, d) + 1);
+          max_gh_rounds, kGhRoundConstant * d * std::min(log_n, d) + 1);
     }
     ledger.charge("stage2/gh-embedding", max_gh_rounds);
   }
@@ -351,7 +347,7 @@ Stage2Result run_stage2(congest::Simulator& sim, const Graph& g,
       }
     }
     const double s_target = std::ceil(
-        opt.sample_constant * std::log(std::max<double>(n, 3)) / opt.epsilon);
+        kSampleConstant * std::log(std::max<double>(n, 3)) / opt.epsilon);
     // Nodes flip coins for their assigned non-tree edges.
     Rng base(opt.seed ^ 0x5741d0a2ULL);
     UpStreamWords collect(alive_tree);

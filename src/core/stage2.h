@@ -24,14 +24,6 @@ enum class Verdict {
 struct Stage2Options {
   double epsilon = 0.1;
   std::uint64_t seed = 1;
-  // c in s = ceil(c * ln(n) / eps) sampled non-tree edges per part.
-  double sample_constant = 2.0;
-  // c in the charged Ghaffari-Haeupler round bound c * D * min(log n, D).
-  std::uint32_t gh_round_constant = 4;
-  // Reject as soon as the embedding substitute certifies non-planarity of a
-  // part. NOT what the paper does (its embedding black box can't certify);
-  // off by default, available as a detection-power ablation.
-  bool eager_reject_embedding = false;
   // Centralized oracle: check every non-tree edge pair instead of sampling
   // (tests/benches; deterministic detection).
   bool exhaustive_check = false;
@@ -46,7 +38,6 @@ struct Stage2Stats {
   std::uint64_t violations_found = 0;
   NodeId parts_certified_planar = 0;      // embedding certified (see DESIGN.md)
   NodeId parts_rejected_edge_bound = 0;   // m > 3n - 6
-  NodeId parts_rejected_embedding = 0;    // eager mode only
   NodeId parts_rejected_violation = 0;
   NodeId parts_failed_sampling = 0;
   std::uint64_t exhaustive_violating_edges = 0;  // oracle mode only

@@ -1,10 +1,8 @@
 #include "graph/io.h"
 
-#include <fstream>
+#include <cctype>
 #include <sstream>
 #include <string>
-
-#include "util/contracts.h"
 
 namespace cpt {
 namespace {
@@ -53,31 +51,11 @@ bool try_read_edge_list(std::istream& in, Graph* out, std::string* error) {
   return true;
 }
 
-Graph read_edge_list(std::istream& in) {
-  Graph g;
-  std::string error;
-  const bool ok = try_read_edge_list(in, &g, &error);
-  CPT_EXPECTS(ok && "edge list: malformed (see try_read_edge_list)");
-  return g;
-}
-
 void write_edge_list(const Graph& g, std::ostream& out) {
   out << g.num_nodes() << ' ' << g.num_edges() << '\n';
   for (const Endpoints e : g.edges()) {
     out << e.u << ' ' << e.v << '\n';
   }
-}
-
-Graph load_edge_list_file(const std::string& path) {
-  std::ifstream in(path);
-  CPT_EXPECTS(in.good() && "cannot open edge list file");
-  return read_edge_list(in);
-}
-
-void save_edge_list_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  CPT_EXPECTS(out.good() && "cannot open output file");
-  write_edge_list(g, out);
 }
 
 }  // namespace cpt

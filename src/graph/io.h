@@ -11,15 +11,11 @@
 
 namespace cpt {
 
-Graph read_edge_list(std::istream& in);
 void write_edge_list(const Graph& g, std::ostream& out);
 
-// Non-aborting variant for environmental inputs (user-supplied files):
-// returns false and fills *error on a malformed list instead of tripping
-// a contract. read_edge_list is this plus CPT_EXPECTS on the result.
+// Reads an edge list from an environmental input (a user-supplied file):
+// returns false and fills *error ("edge list: <reason>") on a malformed
+// list instead of tripping a contract.
 bool try_read_edge_list(std::istream& in, Graph* out, std::string* error);
-
-Graph load_edge_list_file(const std::string& path);
-void save_edge_list_file(const Graph& g, const std::string& path);
 
 }  // namespace cpt

@@ -15,8 +15,9 @@ struct EmbeddingResult {
   RotationSystem rotation;
   // True iff the rotation is a certified planar embedding (LR succeeded).
   // False means the graph is non-planar and `rotation` is a fallback
-  // ordering; note the paper's Stage II never gets to *see* this flag --
-  // it exists for tests and for the `eager_reject` tester mode.
+  // ordering. The paper's embedding black box reports no such flag; Stage
+  // II reads it only to skip Definition-7 rejects on certified parts
+  // (DESIGN.md section 3).
   bool planar_certified = false;
 };
 

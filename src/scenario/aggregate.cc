@@ -57,7 +57,6 @@ std::vector<CellAggregate> aggregate_cells(const BatchResult& batch) {
     cell.n_max = std::max(cell.n_max, result.n);
     cell.m_min = std::min(cell.m_min, result.m);
     cell.m_max = std::max(cell.m_max, result.m);
-    cell.wall_seconds += result.wall_seconds;
     Values& v = values[it->second];
     v.rounds.push_back(result.rounds);
     v.messages.push_back(result.messages);
@@ -194,43 +193,6 @@ std::string render_aggregate_csv(const std::vector<CellAggregate>& cells) {
     out += ',' + json_render_uint(cell.messages.max);
     out += '\n';
   }
-  return out;
-}
-
-std::string render_timing_json(const Manifest& manifest,
-                               const BatchResult& batch,
-                               const std::vector<CellAggregate>& cells,
-                               const util::MetricsRegistry* metrics) {
-  std::string out = "{\n  \"schema\": \"cpt_batch_timing_v1\",\n  \"name\": ";
-  json_append_escaped(out, manifest.name);
-  out += ",\n  \"threads\": " + json_render_uint(batch.threads_used);
-  out += ",\n  \"jobs\": " + json_render_uint(batch.jobs.size());
-  out += ",\n  \"wall_seconds\": " + json_render_double(batch.wall_seconds);
-  // The cache counter lives here, not in the aggregate document: a rerun
-  // served partly from the result cache must render an aggregate
-  // byte-identical to an uninterrupted run's.
-  out += ",\n  \"cache_hit_jobs\": " + json_render_uint(batch.cache_hit_jobs);
-  out += ",\n  \"corpus\": {\"unique_instances\": " +
-         json_render_uint(batch.corpus.unique_instances);
-  out += ", \"disk_hits\": " + json_render_uint(batch.corpus.disk_hits);
-  out += ", \"generated\": " + json_render_uint(batch.corpus.generated);
-  out += ", \"skipped\": " + json_render_uint(batch.corpus.skipped);
-  out += ", \"corrupt_files\": " + json_render_uint(batch.corpus.corrupt_files);
-  out += "},\n  \"cells\": [";
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    out += c == 0 ? "\n" : ",\n";
-    out += "    {\"scenario\": ";
-    json_append_escaped(out, cells[c].scenario);
-    out += ", \"tester\": ";
-    json_append_escaped(out, cells[c].tester);
-    out += ", \"wall_seconds\": " + json_render_double(cells[c].wall_seconds);
-    out += "}";
-  }
-  out += "\n  ]";
-  if (metrics != nullptr && !metrics->empty()) {
-    out += ",\n  \"metrics\": " + metrics->render_object(2);
-  }
-  out += "\n}\n";
   return out;
 }
 

@@ -4,7 +4,7 @@
 // mode markers); within a cell the instance and trial indices enumerate
 // repetitions. Every aggregate field is a deterministic function of the
 // job list and the simulated results (verdicts, rounds, messages, graph
-// sizes) -- wall-clock lives in a separate timing report -- so the
+// sizes) -- wall clock lives in the --trace job spans -- so the
 // rendered aggregate JSON is bit-identical across batch --threads values
 // (pinned by scenario_batch_test.cc).
 //
@@ -50,9 +50,6 @@ struct CellAggregate {
   EdgeId m_min = 0, m_max = 0;
   QuantileSummary rounds;
   QuantileSummary messages;
-  // Summed job wall time. NOT rendered into the aggregate document (it is
-  // schedule-dependent); render_timing_json reports it.
-  double wall_seconds = 0;
 };
 
 // One pass over the batch's results. Cells come in first-seen order:
@@ -67,14 +64,5 @@ std::string render_aggregate_json(const Manifest& manifest,
 
 // One header line + one row per cell.
 std::string render_aggregate_csv(const std::vector<CellAggregate>& cells);
-
-// Wall-clock report (nondeterministic by nature; kept separate from the
-// aggregate document). When `metrics` is non-null its registry snapshot
-// is embedded under a "metrics" key (same body as the cpt_metrics_v1
-// document cpt_batch --metrics writes).
-std::string render_timing_json(const Manifest& manifest,
-                               const BatchResult& batch,
-                               const std::vector<CellAggregate>& cells,
-                               const util::MetricsRegistry* metrics = nullptr);
 
 }  // namespace cpt::scenario

@@ -457,10 +457,6 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   const double t0 = now_seconds();
   out.jobs = expand_manifest(manifest);
   util::TraceSession* const trace = options.trace;
-  if (options.progress != nullptr) {
-    options.progress->jobs_total.store(out.jobs.size(),
-                                       std::memory_order_relaxed);
-  }
 
   // Concurrent simulations: the resolved --threads value.
   const unsigned workers = resolve_batch_threads(options.threads);
@@ -588,11 +584,6 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
         } catch (const std::exception& e) {
           slot.error = e.what();
         }
-        if (options.progress != nullptr && slot.error.empty()) {
-          auto& counter = slot.from_disk ? options.progress->corpus_hits
-                                         : options.progress->corpus_generated;
-          counter.fetch_add(1, std::memory_order_relaxed);
-        }
         if (slot_track != nullptr) {
           if (slot.corrupt_file) slot_track->instant("corpus/corrupt");
           util::TraceArgs args;
@@ -699,9 +690,6 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
         cache->store(out.jobs[j], out.results[j]);
       }
       executed[j] = 1;
-      if (options.progress != nullptr) {
-        options.progress->jobs_done.fetch_add(1, std::memory_order_relaxed);
-      }
     }
   };
   run_execute_phase(batch_track, pool, execute);

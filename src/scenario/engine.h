@@ -78,17 +78,6 @@ struct JobResult {
   double wall_seconds = 0;  // nondeterministic; excluded from aggregates
 };
 
-// Live progress counters the batch engine bumps as it goes (relaxed
-// atomics; read-only consumers like cpt_batch's --progress heartbeat poll
-// them from another thread). Purely observational: nothing in the engine
-// reads them back, so they cannot perturb results or aggregates.
-struct ProgressCounters {
-  std::atomic<std::uint64_t> jobs_total{0};
-  std::atomic<std::uint64_t> jobs_done{0};      // executed, cached or failed
-  std::atomic<std::uint64_t> corpus_hits{0};    // instances served from disk
-  std::atomic<std::uint64_t> corpus_generated{0};
-};
-
 // Widest batch: BatchOptions::threads is clamped to it, and the CLIs
 // refuse a --threads above it.
 inline constexpr unsigned kMaxBatchThreads = 32;
@@ -120,8 +109,6 @@ struct BatchOptions {
   // tallies) go to the session registry under rt/ names. nullptr = no
   // tracing.
   util::TraceSession* trace = nullptr;
-  // Optional live progress counters (see ProgressCounters). nullptr = off.
-  ProgressCounters* progress = nullptr;
 };
 
 struct CorpusCounters {
@@ -149,8 +136,8 @@ struct BatchResult {
   // change of ROADMAP item 7(a).
   std::uint32_t total_retries = 0;
   // Served from the persistent result cache (BatchOptions::result_cache).
-  // Reported via the timing doc / CLI summary only: the aggregate
-  // document is byte-identical either way.
+  // Reported via the CLI summary and the batch/cache_hit_jobs metric only:
+  // the aggregate document is byte-identical either way.
   std::uint32_t cache_hit_jobs = 0;
   // Jobs that replayed another job's Stage I instead of simulating it
   // (see "Stage I sharing" above). Never part of the aggregate document.

@@ -143,7 +143,6 @@ bool parse_trace_text(const std::string& text, const std::string& path,
     e.kind = member_str(v, "kind");
     e.name = member_str(v, "name");
     e.depth = static_cast<std::uint32_t>(member_u64(v, "depth"));
-    e.value = member_u64(v, "value");
     if (const JsonValue* a = v.find("args")) e.args = *a;
     e.ts_ns = member_u64(v, "ts_ns");
     e.dur_ns = member_u64(v, "dur_ns");
@@ -172,7 +171,6 @@ std::string trace_summary(const TraceFile& t, bool include_wall) {
   };
   std::map<std::string, SpanRow> spans;
   std::map<std::string, std::uint64_t> instants;
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> counts;
   for (const TraceEventRec& e : t.events) {
     if (e.kind == "span") {
       SpanRow& row = spans[e.name];
@@ -190,10 +188,6 @@ std::string trace_summary(const TraceFile& t, bool include_wall) {
       }
     } else if (e.kind == "instant") {
       ++instants[e.name];
-    } else if (e.kind == "count") {
-      auto& c = counts[e.name];
-      ++c.first;
-      c.second += e.value;
     }
   }
   std::string out = "trace " + t.name + ": " +
@@ -215,13 +209,6 @@ std::string trace_summary(const TraceFile& t, bool include_wall) {
     out += "instants:\n";
     for (const auto& [name, n] : instants) {
       out += "  " + name + "  count=" + std::to_string(n) + '\n';
-    }
-  }
-  if (!counts.empty()) {
-    out += "counts:\n";
-    for (const auto& [name, c] : counts) {
-      out += "  " + name + "  count=" + std::to_string(c.first) +
-             "  sum=" + std::to_string(c.second) + '\n';
     }
   }
   return out;

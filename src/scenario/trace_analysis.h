@@ -30,10 +30,9 @@ struct TraceTrack {
 struct TraceEventRec {
   std::uint64_t track = 0;
   std::uint64_t seq = 0;
-  std::string kind;   // "span" | "instant" | "count"
+  std::string kind;   // "span" | "instant" (older traces: also "count")
   std::string name;
   std::uint32_t depth = 0;
-  std::uint64_t value = 0;  // count events
   JsonValue args;           // object; kNull when absent
   std::uint64_t ts_ns = 0;
   std::uint64_t dur_ns = 0;  // span events
@@ -52,10 +51,11 @@ struct TraceFile {
 bool load_trace_file(const std::string& path, TraceFile* out,
                      std::string* error);
 
-// Per-name span/instant/count rollup. With include_wall the span rows
-// carry total wall milliseconds; without it the output is a pure
-// function of the deterministic trace fields (golden-testable).
-// Spans also sum their numeric "rounds"/"messages" args when present.
+// Per-name span/instant rollup; other event kinds (the retired "count"
+// of older traces) are ignored. With include_wall the span rows carry
+// total wall milliseconds; without it the output is a pure function of
+// the deterministic trace fields (golden-testable). Spans also sum their
+// numeric "rounds"/"messages" args when present.
 std::string trace_summary(const TraceFile& t, bool include_wall);
 
 // Flame rollup: per span name, call count, total and self wall time

@@ -130,16 +130,6 @@ void TraceBuffer::instant(std::string name, TraceArgs args) {
   events_.push_back(std::move(e));
 }
 
-void TraceBuffer::count(std::string name, std::uint64_t value) {
-  TraceEvent e;
-  e.kind = TraceEvent::kCount;
-  e.name = std::move(name);
-  e.depth = static_cast<std::uint32_t>(open_.size());
-  e.value = value;
-  e.ts_ns = now_ns();
-  events_.push_back(std::move(e));
-}
-
 void MetricsRegistry::add_counter(const std::string& name,
                                   std::uint64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -155,11 +145,6 @@ void MetricsRegistry::record(const std::string& name,
                              std::uint64_t sample) {
   std::lock_guard<std::mutex> lock(mu_);
   hists_[name].push_back(sample);
-}
-
-bool MetricsRegistry::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.empty() && gauges_.empty() && hists_.empty();
 }
 
 namespace {
@@ -246,30 +231,23 @@ bool has_runtime(const std::map<std::string, std::uint64_t>& counters,
 
 }  // namespace
 
-std::string MetricsRegistry::render_object(int indent) const {
+std::string MetricsRegistry::render_json(const std::string& name) const {
+  std::string out = "{\n  \"schema\": \"cpt_metrics_v1\",\n  \"name\": ";
+  json_append_escaped(out, name);
+  out += ",\n  \"metrics\": {\n";
+  const std::size_t body = out.size();
+  const std::string pad = "  ";
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  std::string out = "{\n";
   append_sections(out, pad, /*runtime=*/false, counters_, gauges_,
                   hists_);
   if (has_runtime(counters_, gauges_, hists_)) {
-    const bool had_deterministic = out.size() > 2;
-    if (had_deterministic) out += ",\n";
+    if (out.size() > body) out += ",\n";  // after the deterministic part
     out += pad + "  \"runtime\": {\n";
     append_sections(out, pad + "  ", /*runtime=*/true, counters_,
                     gauges_, hists_);
     out += "\n" + pad + "  }";
   }
-  out += "\n" + pad + "}";
-  return out;
-}
-
-std::string MetricsRegistry::render_json(const std::string& name) const {
-  std::string out = "{\n  \"schema\": \"cpt_metrics_v1\",\n  \"name\": ";
-  json_append_escaped(out, name);
-  out += ",\n  \"metrics\": ";
-  out += render_object(2);
-  out += "\n}\n";
+  out += "\n" + pad + "}\n}\n";
   return out;
 }
 
@@ -306,18 +284,11 @@ std::string TraceSession::render_jsonl(const std::string& name) const {
     for (const TraceEvent& e : t->events()) {
       out += "{\"track\":" + json_render_uint(t->track_id());
       out += ",\"seq\":" + json_render_uint(seq++);
-      out += ",\"kind\":";
-      switch (e.kind) {
-        case TraceEvent::kSpan: out += "\"span\""; break;
-        case TraceEvent::kInstant: out += "\"instant\""; break;
-        case TraceEvent::kCount: out += "\"count\""; break;
-      }
+      out += e.kind == TraceEvent::kSpan ? ",\"kind\":\"span\""
+                                         : ",\"kind\":\"instant\"";
       out += ",\"name\":";
       json_append_escaped(out, e.name);
       out += ",\"depth\":" + json_render_uint(e.depth);
-      if (e.kind == TraceEvent::kCount) {
-        out += ",\"value\":" + json_render_uint(e.value);
-      }
       if (!e.args.empty()) {
         out += ",\"args\":";
         append_args_object(out, e.args);

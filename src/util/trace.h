@@ -1,11 +1,11 @@
 // Structured tracing + metrics registry.
 //
-// Three event kinds flow through a TraceBuffer: spans (named intervals
-// with nesting depth), instants (point events), and counts (named
-// samples). Every event may carry pre-rendered JSON args. A
-// TraceSession owns one buffer ("track") per logical lane — batch
-// driver, instance materialization slot, job — and renders them as a
-// `cpt_trace_v1` JSONL stream in deterministic (track id, seq) order.
+// Two event kinds flow through a TraceBuffer: spans (named intervals
+// with nesting depth) and instants (point events). Every event may carry
+// pre-rendered JSON args. A TraceSession owns one buffer ("track") per
+// logical lane — batch driver, instance materialization slot, job — and
+// renders them as a `cpt_trace_v1` JSONL stream in deterministic
+// (track id, seq) order.
 //
 // Determinism contract: `ts_ns` and `dur_ns` are the ONLY fields that
 // may differ between two runs of the same workload; every other byte
@@ -67,11 +67,10 @@ class TraceArgs {
 };
 
 struct TraceEvent {
-  enum Kind : std::uint8_t { kSpan, kInstant, kCount };
+  enum Kind : std::uint8_t { kSpan, kInstant };
   Kind kind = kInstant;
   std::uint32_t depth = 0;       // span nesting depth within the track
   std::string name;
-  std::uint64_t value = 0;       // kCount only
   TraceArgs args;
   std::uint64_t ts_ns = 0;       // relative to session epoch
   std::uint64_t dur_ns = 0;      // kSpan only
@@ -98,7 +97,6 @@ class TraceBuffer {
   void complete_span(std::string name, std::uint64_t start_rel_ns,
                      TraceArgs args = TraceArgs());
   void instant(std::string name, TraceArgs args = TraceArgs());
-  void count(std::string name, std::uint64_t value);
 
   // Session-relative monotonic timestamp.
   std::uint64_t now_ns() const { return trace_now_ns() - epoch_ns_; }
@@ -119,31 +117,6 @@ class TraceBuffer {
   std::vector<std::size_t> open_;  // indices of currently open spans
 };
 
-// RAII span. A null buffer makes every operation a no-op.
-class TraceSpan {
- public:
-  TraceSpan(TraceBuffer* buf, std::string name) : buf_(buf) {
-    if (buf_ != nullptr) {
-      index_ = buf_->begin_span(std::move(name));
-    }
-  }
-  ~TraceSpan() { end(); }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  // Close early, optionally attaching args.
-  void end(TraceArgs args = TraceArgs()) {
-    if (buf_ != nullptr) {
-      buf_->end_span(index_, std::move(args));
-      buf_ = nullptr;
-    }
-  }
-
- private:
-  TraceBuffer* buf_;
-  std::size_t index_ = 0;
-};
-
 // Named counters, gauges, and u64 histograms with nearest-rank
 // quantiles. Names with an `rt/` prefix are runtime-only (schedule
 // dependent) and render under a separate "runtime" section that
@@ -154,11 +127,8 @@ class MetricsRegistry {
   void set_gauge(const std::string& name, double value);
   void record(const std::string& name, std::uint64_t sample);
 
-  bool empty() const;
-  // The registry body (one JSON object: counters/gauges/histograms and
-  // a nested "runtime" section), indented by `indent` spaces.
-  std::string render_object(int indent) const;
-  // Full `cpt_metrics_v1` document.
+  // The `cpt_metrics_v1` document: the registry body (counters/gauges/
+  // histograms and a nested "runtime" section) under "metrics".
   std::string render_json(const std::string& name) const;
 
  private:

@@ -420,11 +420,25 @@ TEST(CliParsing, GenOutOfRangeIntegerIsNotClamped) {
   }
 }
 
+TEST(CliParsing, GenRejectsParamsItsScenarioDoesNotHave) {
+  // A misspelled key fails as it does in a manifest, instead of leaving
+  // the family's default in place and surviving only in the label.
+  const std::string dir = temp_dir();
+  const std::string err = dir + "/gen.err";
+  const std::string gen = std::string(CPT_BATCH_BIN) + " gen grid rows=3 ";
+  EXPECT_EQ(run_command(gen + "colz=3 > /dev/null 2> " + err), 1);
+  const std::string text = slurp(err);
+  EXPECT_NE(text.find("colz: unknown param for \"grid\" (accepted: rows,cols)"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(run_command(gen + "cols=3 > /dev/null"), 0);
+}
+
 TEST(CliParsing, JournalFlagsAreUnknown) {
   // A killed or failed run re-runs from its --cache directory; the journal
   // and retry flags that used to recover in other ways are gone, so they
-  // are usage errors now, and so are the retired streaming flag and every
-  // retired fault action and site.
+  // are usage errors now, and so are the retired streaming, timing and
+  // progress flags and every retired fault action and site.
   const std::string base = std::string(CPT_BATCH_BIN) + " run " +
                            std::string(CPT_MANIFEST_DIR) + "/ci_smoke.json" +
                            " --quiet 2>/dev/null";
@@ -432,7 +446,8 @@ TEST(CliParsing, JournalFlagsAreUnknown) {
        {"--journal=sweep.journal", "--resume", "--max-retries=2",
         "--fault-plan=throw@run_job:key=1",
         "--fault-plan=exit@corpus_load:key=1", "--stream=x.jsonl",
-        "--fault-plan=exit@stream_write:key=0"}) {
+        "--fault-plan=exit@stream_write:key=0", "--timing-out=t.json",
+        "--progress"}) {
     EXPECT_EQ(run_command(base + " " + flag), 2) << flag;
   }
 }
@@ -552,12 +567,12 @@ TEST(CrashSafe, ChecksumValidForgedCorpusFileIsRegenerated) {
   write_file(cpg, bytes);
 
   ASSERT_EQ(run_command(run + " --corpus=" + corpus + " --out=" + dir +
-                        "/forged.json --timing-out=" + dir +
-                        "/timing.json 2> " + dir + "/err.txt"),
+                        "/forged.json --metrics=" + dir +
+                        "/metrics.json 2> " + dir + "/err.txt"),
             0);
   EXPECT_NE(slurp(dir + "/err.txt").find("warning: corpus file"),
             std::string::npos);
-  EXPECT_NE(slurp(dir + "/timing.json").find("\"corrupt_files\": 1"),
+  EXPECT_NE(slurp(dir + "/metrics.json").find("\"corpus/corrupt_files\": 1"),
             std::string::npos);
   EXPECT_EQ(slurp(dir + "/forged.json"), slurp(dir + "/clean.json"));
 }

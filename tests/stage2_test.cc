@@ -74,19 +74,6 @@ TEST(Stage2, PlanarWithManyPartsAllCertified) {
   EXPECT_EQ(r.stats.parts_certified_planar, 8u);
 }
 
-TEST(Stage2, EagerModeRejectsOnEmbeddingFailure) {
-  Stage2Options o = opts();
-  o.eager_reject_embedding = true;
-  const Graph g = gen::complete_bipartite(3, 3);
-  congest::Network net(g);
-  congest::Simulator sim(net);
-  congest::RoundLedger ledger;
-  const PartForest pf = whole_graph_parts(g);
-  const Stage2Result r = run_stage2(sim, g, pf, o, ledger);
-  EXPECT_EQ(r.verdict, Verdict::kReject);
-  EXPECT_EQ(r.stats.parts_rejected_embedding, 1u);
-}
-
 TEST(Stage2, MixedPartsRejectOnlyTheBadOnes) {
   const std::vector<Graph> parts = {gen::grid(6, 6),
                                     gen::complete_bipartite(3, 3),

@@ -103,7 +103,6 @@ TEST(TraceSessionTest, RendersDeterministicJsonl) {
   const std::size_t inner = t->begin_span("inner");
   t->end_span(inner);
   t->end_span(outer, util::TraceArgs().add("rounds", std::uint64_t{9}));
-  t->count("bytes", 40);
 
   const std::string det = stripped(session.render_jsonl("demo"));
   const std::string expect =
@@ -114,9 +113,7 @@ TEST(TraceSessionTest, RendersDeterministicJsonl) {
       "{\"track\":3,\"seq\":1,\"kind\":\"instant\",\"name\":\"tick\","
       "\"depth\":1,\"args\":{\"n\":2}}\n"
       "{\"track\":3,\"seq\":2,\"kind\":\"span\",\"name\":\"inner\","
-      "\"depth\":1}\n"
-      "{\"track\":3,\"seq\":3,\"kind\":\"count\",\"name\":\"bytes\","
-      "\"depth\":0,\"value\":40}\n";
+      "\"depth\":1}\n";
   EXPECT_EQ(det, expect);
 
   // Same session, same track id: the buffer is reused, not duplicated.
@@ -125,14 +122,12 @@ TEST(TraceSessionTest, RendersDeterministicJsonl) {
 
 TEST(MetricsRegistryTest, SplitsRuntimeSectionAndComputesQuartiles) {
   util::MetricsRegistry m;
-  EXPECT_TRUE(m.empty());
   m.add_counter("batch/jobs", 3);
   m.add_counter("batch/jobs", 1);
   m.set_gauge("corpus/ratio", 0.5);
   m.add_counter("rt/sim/serial_rounds", 8);
   m.set_gauge("rt/batch/peak", 7);
   for (const std::uint64_t v : {4, 1, 3, 2}) m.record("rt/wake", v);
-  EXPECT_FALSE(m.empty());
 
   const std::string doc = m.render_json("t");
   // Deterministic section: plain names only.
@@ -174,13 +169,10 @@ TEST(TraceDisabledPathTest, NullBufferGuardAllocatesNothing) {
     // The instrumentation-site pattern: one branch, no work when off.
     if (t != nullptr) {
       t->instant("ev");
-      t->count("c", 1);
     }
     if (session != nullptr) {
       session->metrics().add_counter("x", 1);
     }
-    util::TraceSpan span(t, "s");
-    span.end();
   }
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before);
@@ -298,22 +290,24 @@ TEST(TraceAnalysisTest, RejectsInputsThatAreNotTraces) {
   }
 }
 
-TEST(ProgressCountersTest, CountsJobsAndCorpusActivity) {
-  Manifest m;
+// A trace written while the "count" event kind existed still loads, and
+// summary rolls up its spans and instants without the count lines.
+TEST(TraceAnalysisTest, SummaryIgnoresRetiredCountEvents) {
+  const std::string path = ::testing::TempDir() + "/old_count.jsonl";
+  ASSERT_TRUE(scenario::write_text_file(
+      path,
+      "{\"schema\":\"cpt_trace_v1\",\"name\":\"old\",\"tracks\":1}\n"
+      "{\"track\":0,\"label\":\"batch\"}\n"
+      "{\"track\":0,\"seq\":0,\"kind\":\"instant\",\"name\":\"tick\","
+      "\"depth\":0,\"ts_ns\":1}\n"
+      "{\"track\":0,\"seq\":1,\"kind\":\"count\",\"name\":\"bytes\","
+      "\"depth\":0,\"value\":40,\"ts_ns\":2}\n"));
+  TraceFile t;
   std::string error;
-  ASSERT_TRUE(scenario::load_manifest_file(CPT_MANIFEST_DIR "/ci_smoke.json",
-                                           &m, &error))
-      << error;
-  scenario::ProgressCounters progress;
-  BatchOptions o;
-  o.threads = 2;
-  o.progress = &progress;
-  const scenario::BatchResult r = scenario::run_batch(m, o);
-  ASSERT_EQ(r.failed_jobs, 0u);
-  EXPECT_EQ(progress.jobs_total.load(), r.jobs.size());
-  EXPECT_EQ(progress.jobs_done.load(), r.jobs.size());
-  EXPECT_EQ(progress.corpus_generated.load(), r.corpus.generated);
-  EXPECT_EQ(progress.corpus_hits.load(), r.corpus.disk_hits);
+  ASSERT_TRUE(scenario::load_trace_file(path, &t, &error)) << error;
+  EXPECT_EQ(t.events.size(), 2u);
+  EXPECT_EQ(scenario::trace_summary(t, false),
+            "trace old: 1 tracks, 2 events\ninstants:\n  tick  count=1\n");
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 // Batch front end for the scenario engine: expand manifests, run sweeps
 // with cross-simulation parallelism, emit the aggregate JSON/CSV schema.
+// A run reports through four outputs: the aggregate (--out/--csv), the
+// stdout summary, --trace and --metrics. Wall clock per job is in the
+// trace's "job" spans; the summary's first line carries the batch's.
 //
 //   cpt_batch list                          registry (families, perturbations,
 //                                           presets, testers)
@@ -23,7 +26,6 @@
 //       [--out=FILE]                        aggregate JSON (deterministic:
 //                                           bit-identical at every --threads)
 //       [--csv=FILE]                        aggregate CSV
-//       [--timing-out=FILE]                 wall-clock report (nondeterministic)
 //       [--fault-plan=SPEC]                 deterministic hard kill for
 //                                           resume tests:
 //                                           exit@run_job:key=K (see
@@ -39,10 +41,6 @@
 //                                           deterministic sections diff
 //                                           like aggregates, the
 //                                           "runtime" section does not)
-//       [--progress]                        ~1 Hz stderr heartbeat (jobs
-//                                           done/total, rate, ETA, corpus
-//                                           hits); stderr only,
-//                                           never perturbs aggregates
 //       [--quiet]                           suppress the summary table
 //   cpt_batch gen <scenario> [k=v ...]      write one instance as an edge
 //       [--base-seed=S] [--index=I]         list to stdout (graph/io.h format)
@@ -60,24 +58,19 @@
 //       resumes (failed jobs are not stored and run again)
 //  137  injected hard kill (--fault-plan; mimics SIGKILL)
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/io.h"
@@ -106,76 +99,6 @@ extern "C" void on_cancel_signal(int) {
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
-// --progress heartbeat: one stderr line per second with jobs done/total,
-// throughput, ETA and corpus hits, read from the engine's relaxed
-// ProgressCounters. Writes stderr only -- by construction it cannot touch
-// aggregates or the trace stream. On a tty the line redraws in place;
-// piped, it prints one line per tick.
-class ProgressMeter {
- public:
-  explicit ProgressMeter(const ProgressCounters* counters)
-      : counters_(counters),
-        tty_(isatty(fileno(stderr)) != 0),
-        start_(std::chrono::steady_clock::now()),
-        thread_([this] { loop(); }) {}
-
-  ~ProgressMeter() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    print(/*final=*/true);
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      cv_.wait_for(lock, std::chrono::seconds(1));
-      if (stop_) return;
-      lock.unlock();
-      print(/*final=*/false);
-      lock.lock();
-    }
-  }
-
-  void print(bool final) {
-    const auto relaxed = std::memory_order_relaxed;
-    const std::uint64_t total = counters_->jobs_total.load(relaxed);
-    const std::uint64_t done = counters_->jobs_done.load(relaxed);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    const double rate = elapsed > 0 ? static_cast<double>(done) / elapsed : 0;
-    char eta[32] = "--";
-    if (rate > 0 && total > done) {
-      std::snprintf(eta, sizeof eta, "%.0fs",
-                    static_cast<double>(total - done) / rate);
-    }
-    std::fprintf(stderr,
-                 "%s# progress: %" PRIu64 "/%" PRIu64 " jobs  %.1f/s  eta %s"
-                 "  corpus %" PRIu64 " hit / %" PRIu64 " gen%s",
-                 tty_ && !first_ ? "\r" : "", done, total, rate, eta,
-                 counters_->corpus_hits.load(relaxed),
-                 counters_->corpus_generated.load(relaxed),
-                 tty_ && !final ? "  " : "\n");
-    std::fflush(stderr);
-    first_ = false;
-  }
-
-  const ProgressCounters* counters_;
-  const bool tty_;
-  const std::chrono::steady_clock::time_point start_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool first_ = true;
-  std::thread thread_;
-};
-
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -183,9 +106,8 @@ int usage() {
                "  cpt_batch expand <manifest.json>\n"
                "  cpt_batch run <manifest.json> [--threads=N] [--corpus=DIR]"
                " [--cache=DIR]\n"
-               "                [--out=FILE] [--csv=FILE] [--timing-out=FILE]\n"
-               "                [--fault-plan=SPEC] [--trace=FILE]\n"
-               "                [--metrics=FILE] [--progress] [--quiet]\n"
+               "                [--out=FILE] [--csv=FILE] [--fault-plan=SPEC]\n"
+               "                [--trace=FILE] [--metrics=FILE] [--quiet]\n"
                "  cpt_batch gen <scenario> [key=value ...] [--base-seed=S]"
                " [--index=I]\n");
   return 2;
@@ -234,8 +156,8 @@ int cmd_expand(const std::string& path) {
 
 int cmd_run(const std::string& path, BatchOptions options,
             const std::string& out_path, const std::string& csv_path,
-            const std::string& timing_path, const std::string& trace_path,
-            const std::string& metrics_path, bool progress, bool quiet) {
+            const std::string& trace_path, const std::string& metrics_path,
+            bool quiet) {
   Manifest manifest;
   std::string error;
   if (!load_manifest_file(path, &manifest, &error)) {
@@ -255,17 +177,9 @@ int cmd_run(const std::string& path, BatchOptions options,
     session = std::make_unique<util::TraceSession>();
     options.trace = session.get();
   }
-  ProgressCounters progress_counters;
-  std::unique_ptr<ProgressMeter> meter;
-  if (progress) {
-    options.progress = &progress_counters;
-    meter = std::make_unique<ProgressMeter>(&progress_counters);
-  }
 
   const BatchResult batch = run_batch(manifest, options);
   const std::vector<CellAggregate> cells = aggregate_cells(batch);
-
-  meter.reset();  // joins the heartbeat thread; prints the final line
 
   if (!quiet) {
     std::printf("# %s: %zu jobs over %" PRIu64
@@ -305,14 +219,6 @@ int cmd_run(const std::string& path, BatchOptions options,
   if (!csv_path.empty() &&
       !write_text_file(csv_path, render_aggregate_csv(cells))) {
     std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-    return 1;
-  }
-  if (!timing_path.empty() &&
-      !write_text_file(
-          timing_path,
-          render_timing_json(manifest, batch, cells,
-                             session ? &session->metrics() : nullptr))) {
-    std::fprintf(stderr, "error: cannot write %s\n", timing_path.c_str());
     return 1;
   }
   // Trace/metrics flush happens before the cancelled check on purpose: the
@@ -449,6 +355,17 @@ int cmd_gen(const std::vector<std::string>& args, std::uint64_t base_seed,
       return 1;
     }
   }
+  // As in a manifest, a key the scenario does not accept is an error, not
+  // a silent default.
+  const char* const keys = scenario_param_keys(name);
+  for (const auto& [key, value] : params.entries()) {
+    if (!param_key_allowed(keys, key)) {
+      std::fprintf(stderr,
+                   "error: %s: unknown param for \"%s\" (accepted: %s)\n",
+                   key.c_str(), name.c_str(), keys);
+      return 1;
+    }
+  }
   const ScenarioInstance inst =
       resolve_scenario(name, params, base_seed, index);
   Graph g;
@@ -468,11 +385,11 @@ int cmd_gen(const std::vector<std::string>& args, std::uint64_t base_seed,
 
 int main(int argc, char** argv) {
   BatchOptions options;
-  std::string out_path, csv_path, timing_path;
+  std::string out_path, csv_path;
   std::string trace_path, metrics_path;
   std::string cache_dir;
   std::uint64_t base_seed = 1, index = 0;
-  bool quiet = false, progress = false;
+  bool quiet = false;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -490,14 +407,10 @@ int main(int argc, char** argv) {
       out_path = a + 6;
     } else if (std::strncmp(a, "--csv=", 6) == 0) {
       csv_path = a + 6;
-    } else if (std::strncmp(a, "--timing-out=", 13) == 0) {
-      timing_path = a + 13;
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       trace_path = a + 8;
     } else if (std::strncmp(a, "--metrics=", 10) == 0) {
       metrics_path = a + 10;
-    } else if (std::strcmp(a, "--progress") == 0) {
-      progress = true;
     } else if (std::strncmp(a, "--fault-plan=", 13) == 0) {
       FaultPlan plan;
       std::string plan_error;
@@ -537,8 +450,8 @@ int main(int argc, char** argv) {
       cache.emplace(cache_dir);
       options.result_cache = &*cache;
     }
-    return cmd_run(args[1], options, out_path, csv_path, timing_path,
-                   trace_path, metrics_path, progress, quiet);
+    return cmd_run(args[1], options, out_path, csv_path, trace_path,
+                   metrics_path, quiet);
   }
   if (cmd == "gen") {
     return cmd_gen({args.begin() + 1, args.end()}, base_seed, index);

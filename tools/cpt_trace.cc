@@ -1,7 +1,7 @@
 // cpt_trace: analyzer for the observability artifacts cpt_batch emits.
 //
 //   cpt_trace summary [--no-wall] TRACE.jsonl
-//       Per-name span/instant/count rollup. --no-wall drops the wall-
+//       Per-name span/instant rollup. --no-wall drops the wall-
 //       clock columns, leaving a pure function of the deterministic
 //       trace fields (what the golden test pins).
 //   cpt_trace flame TRACE.jsonl
