@@ -33,7 +33,7 @@ bool try_read_edge_list(std::istream& in, Graph* out, std::string* error) {
   std::uint64_t n = 0;
   std::uint64_t m = 0;
   if (!(header >> n >> m)) return fail("edge list: bad header");
-  if (n > 0xffffffffULL) return fail("edge list: node count exceeds 2^32");
+  if (n > kMaxEdgeListNodes) return fail("edge list: node count exceeds 2^24");
   GraphBuilder b(static_cast<NodeId>(n));
   for (std::uint64_t i = 0; i < m; ++i) {
     if (!next_line(in, line)) return fail("edge list: truncated");

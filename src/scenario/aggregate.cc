@@ -141,11 +141,6 @@ std::string render_aggregate_json(const Manifest& manifest,
     out += ",\n  \"timed_out_jobs\": " +
            json_render_uint(batch.timed_out_jobs);
   }
-  if (batch.cancelled) {
-    out += ",\n  \"partial\": true";
-    out += ",\n  \"completed_jobs\": " +
-           json_render_uint(batch.completed_jobs);
-  }
   out += ",\n  \"unique_instances\": " +
          json_render_uint(batch.corpus.unique_instances);
   out += ",\n  \"cells\": [";

@@ -15,9 +15,7 @@
 // Failed jobs (JobResult::failed) and timed-out jobs (JobResult::
 // timed_out, the max_rounds guard) contribute to no cell; callers surface
 // BatchResult::failed_jobs / timed_out_jobs (rendered as "failed_jobs" /
-// "timed_out_jobs" when nonzero). A cancelled batch renders "partial":
-// true plus "completed_jobs" so a truncated document can never pass for a
-// finished sweep; the jobs it never ran join no cell either.
+// "timed_out_jobs" when nonzero).
 #pragma once
 
 #include <cstdint>

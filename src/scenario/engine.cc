@@ -271,11 +271,10 @@ class ClaimUnits {
   ClaimUnits(const std::vector<Job>& jobs,
              const std::vector<std::uint32_t>& job_slot,
              const std::function<bool(std::uint32_t)>& served,
-             unsigned workers, const std::atomic<bool>* cancel)
+             unsigned workers)
       : unit_of_(jobs.size()),
         role_(jobs.size(), Role::kPlain),
-        owned_(workers),
-        cancel_(cancel) {
+        owned_(workers) {
     for (std::atomic<std::uint32_t>& o : owned_) o.store(kNone);
     std::optional<ShareKey> prev;
     for (std::uint32_t j = 0; j < jobs.size(); ++j) {
@@ -309,8 +308,7 @@ class ClaimUnits {
     }
   }
 
-  // The next job for worker w; false once nothing is left to claim (or the
-  // batch was cancelled while waiting for a leader).
+  // The next job for worker w; false once nothing is left to claim.
   bool claim(unsigned w, std::uint32_t* j) {
     std::atomic<std::uint32_t>& own = owned_[w];
     if (const std::uint32_t u = own.load(std::memory_order_relaxed);
@@ -342,14 +340,12 @@ class ClaimUnits {
           return true;
         }
       }
-      if (!leader_running ||
-          (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))) {
-        return false;
-      }
-      // Polls the cancel flag: signal handlers cannot notify.
+      if (!leader_running) return false;
+      // Every claimed leader reaches finish(), which publishes under mu_;
+      // `seen` was read under mu_ before the scan, so no publication is
+      // missed.
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(20),
-                   [&] { return publications_ != seen; });
+      cv_.wait(lock, [&] { return publications_ != seen; });
     }
   }
 
@@ -413,7 +409,6 @@ class ClaimUnits {
   // Per worker: the unit it claimed last, kNone once it helps. A unit
   // with unclaimed jobs is always some worker's.
   std::vector<std::atomic<std::uint32_t>> owned_;
-  const std::atomic<bool>* cancel_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::uint64_t publications_ = 0;  // guarded by mu_
@@ -435,19 +430,19 @@ bool materialize_instance(const CorpusStore& store,
   return false;
 }
 
-// Runs the execute-phase pool with a "batch/execute" span on the batch
-// track when tracing. During the pool run nothing else writes track 0
-// (workers write their own job tracks), so the span bracketing is safe.
+// Runs one batch phase on the pool, bracketed by a span `name` on the
+// batch track when tracing. During the pool run nothing else writes track
+// 0 (workers write their own tracks), so the bracketing is safe.
 template <typename Fn>
-void run_execute_phase(util::TraceBuffer* batch_track, WorkerPool& pool,
-                       Fn&& fn) {
+void run_phase(util::TraceBuffer* batch_track, const char* name,
+               util::TraceArgs args, WorkerPool& pool, Fn&& fn) {
   if (batch_track == nullptr) {
     pool.run(fn);
     return;
   }
   const std::uint64_t start = batch_track->now_ns();
   pool.run(fn);
-  batch_track->complete_span("batch/execute", start);
+  batch_track->complete_span(name, start, std::move(args));
 }
 
 }  // namespace
@@ -500,10 +495,6 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   const CorpusStore store(options.corpus_dir);
   WorkerPool pool(workers);
 
-  const auto cancelled = [&] {
-    return options.cancel != nullptr &&
-           options.cancel->load(std::memory_order_relaxed);
-  };
   // Phase 0: consult the persistent result cache. Lookups are per-job
   // file reads, parallel across the pool; the hit set is a pure function
   // of the cache directory's state and the job list, never the schedule.
@@ -518,7 +509,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
     cache_hit.assign(out.jobs.size(), 0);
     std::atomic<std::uint32_t> cursor{0};
     pool.run([&](unsigned) {
-      while (!cancelled()) {
+      for (;;) {
         const std::uint32_t j =
             cursor.fetch_add(1, std::memory_order_relaxed);
         if (j >= out.jobs.size()) return;
@@ -553,7 +544,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   {
     std::atomic<std::uint32_t> cursor{0};
     auto materialize = [&](unsigned) {
-      while (!cancelled()) {
+      for (;;) {
         const std::uint32_t i =
             cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= slots.size()) return;
@@ -602,17 +593,10 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
         }
       }
     };
-    if (batch_track != nullptr) {
-      const std::uint64_t mstart = batch_track->now_ns();
-      pool.run(materialize);
-      batch_track->complete_span(
-          "batch/materialize", mstart,
-          util::TraceArgs().add(
-              "unique_instances",
-              static_cast<std::uint64_t>(slots.size())));
-    } else {
-      pool.run(materialize);
-    }
+    run_phase(batch_track, "batch/materialize",
+              util::TraceArgs().add("unique_instances",
+                                    static_cast<std::uint64_t>(slots.size())),
+              pool, materialize);
   }
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (slot_needed[i] == 0) {
@@ -631,8 +615,7 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   // Phase 2: run the jobs. Claiming order is racy; result placement is by
   // job slot, so the result array is schedule-independent. Jobs are claimed
   // by unit so each unit simulates Stage I once (see ClaimUnits).
-  ClaimUnits claims(out.jobs, job_slot, cache_hit_job, workers,
-                    options.cancel);
+  ClaimUnits claims(out.jobs, job_slot, cache_hit_job, workers);
   // One job's outcome: the result cache (phase 0), a materialization
   // failure propagated to every dependent job, or an actual run.
   const auto produce = [&](std::uint32_t j, RunState* state) -> JobResult {
@@ -673,12 +656,9 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
   // tracing; flushed to an rt/ histogram after the pool joins.
   std::vector<std::uint64_t> busy_ns(workers, 0);
   out.results.resize(out.jobs.size());
-  // Per-index flag, written by the one worker that claimed the index and
-  // read only after the pool joins -- no atomics needed.
-  std::vector<char> executed(out.jobs.size(), 0);
   auto execute = [&](unsigned w) {
     std::uint32_t j = 0;
-    while (!cancelled() && claims.claim(w, &j)) {
+    while (claims.claim(w, &j)) {
       const std::uint64_t b0 = trace != nullptr ? util::trace_now_ns() : 0;
       out.results[j] = produce(j, &states[w]);
       claims.finish(j);
@@ -689,27 +669,16 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
       if (cache != nullptr && !cache_hit_job(j) && !out.results[j].failed) {
         cache->store(out.jobs[j], out.results[j]);
       }
-      executed[j] = 1;
     }
   };
-  run_execute_phase(batch_track, pool, execute);
+  run_phase(batch_track, "batch/execute", {}, pool, execute);
   if (trace != nullptr) {
     for (unsigned w = 0; w < workers; ++w) {
       trace->metrics().record("rt/batch/worker_busy_ns", busy_ns[w]);
     }
   }
   for (std::size_t j = 0; j < out.results.size(); ++j) {
-    JobResult& r = out.results[j];
-    if (executed[j] == 0) {
-      // Cancelled before this job ran: a default JobResult would count as
-      // an accept, so the slot is marked failed and joins no cell. Nothing
-      // failed, though, so failed_jobs leaves it out.
-      r.failed = true;
-      r.error = "cancelled before execution";
-      out.cancelled = true;
-      continue;
-    }
-    ++out.completed_jobs;
+    const JobResult& r = out.results[j];
     if (r.timed_out) {
       ++out.timed_out_jobs;
     } else if (r.failed) {
@@ -725,7 +694,6 @@ BatchResult run_batch(const Manifest& manifest, const BatchOptions& options) {
     // corpus state and the result cache -- never of the schedule.
     util::MetricsRegistry& m = trace->metrics();
     m.add_counter("batch/jobs", out.jobs.size());
-    m.add_counter("batch/completed_jobs", out.completed_jobs);
     m.add_counter("batch/failed_jobs", out.failed_jobs);
     m.add_counter("batch/timed_out_jobs", out.timed_out_jobs);
     m.add_counter("batch/cache_hit_jobs", out.cache_hit_jobs);

@@ -32,7 +32,6 @@
 // the same cache re-executes them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -88,12 +87,6 @@ struct BatchOptions {
   unsigned threads = 1;
   // Corpus directory ("" = in-memory dedup only).
   std::string corpus_dir;
-  // Cooperative cancellation (cpt_batch's SIGINT/SIGTERM path). When the
-  // pointee flips true, workers stop claiming jobs and in-flight jobs
-  // drain; BatchResult::cancelled reports the truncation. With a result
-  // cache, every result executed before the drain is already stored, so a
-  // rerun with the same cache resumes where this one stopped.
-  const std::atomic<bool>* cancel = nullptr;
   // Persistent result cache (scenario/result_cache.h). Consulted before
   // execution -- hits land in their job slots exactly like fresh results,
   // so aggregates stay byte-identical to uncached runs -- and populated as
@@ -127,8 +120,7 @@ struct BatchResult {
   std::vector<Job> jobs;
   std::vector<JobResult> results;  // slot i <-> jobs[i]
   CorpusCounters corpus;
-  // Jobs that ran and failed; excludes timed_out jobs and the jobs a
-  // cancelled batch never ran.
+  // Jobs that ran and failed; excludes timed_out jobs.
   std::uint32_t failed_jobs = 0;
   std::uint32_t timed_out_jobs = 0;  // round-budget violations
   // Always 0: no job is ever re-run. Kept only because
@@ -142,13 +134,10 @@ struct BatchResult {
   // Jobs that replayed another job's Stage I instead of simulating it
   // (see "Stage I sharing" above). Never part of the aggregate document.
   std::uint32_t stage1_replayed_jobs = 0;
-  // Cancellation (BatchOptions::cancel): true when the run stopped early.
-  // completed_jobs counts the jobs whose result is in, executed or served
-  // from the result cache; after a cancel they need not be a prefix of the
-  // job list. The slot of a job that never ran carries failed=true and the
-  // error "cancelled before execution", so it joins no aggregate cell, but
-  // it is not counted in failed_jobs. In a full run completed_jobs equals
-  // jobs.size().
+  // Never set: a batch always runs every job, and an interrupted process
+  // dies with it. Kept only because perfbench/src/run.cc reads cancelled
+  // and perfbench/src/layers.cc writes completed_jobs; they go with the
+  // benchmark change of ROADMAP item 7(a).
   bool cancelled = false;
   std::uint32_t completed_jobs = 0;
   double wall_seconds = 0;

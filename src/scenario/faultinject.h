@@ -19,7 +19,7 @@
 namespace cpt::scenario {
 
 // The status a fault dies with (128 + SIGKILL's 9, so harnesses treat it
-// as a hard kill, distinct from the resumable 75).
+// as a hard kill).
 inline constexpr int kFaultExitCode = 137;
 
 struct FaultPlan {

@@ -9,17 +9,32 @@ namespace cpt::scenario {
 
 namespace {
 
-std::uint64_t member_u64(const JsonValue& obj, std::string_view key,
-                         std::uint64_t fallback = 0) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_integer()) return fallback;
-  return static_cast<std::uint64_t>(v->as_int64());
-}
-
 std::string member_str(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_string()) return std::string();
   return v->as_string();
+}
+
+// Reads a non-negative integer member no larger than `max`; false when it
+// is missing, not an integer or out of range.
+bool read_uint(const JsonValue& obj, std::string_view key, std::uint64_t* out,
+               std::uint64_t max = UINT64_MAX) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_integer() || v->as_int64() < 0 ||
+      static_cast<std::uint64_t>(v->as_int64()) > max) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(v->as_int64());
+  return true;
+}
+
+// Reads a string member; false when it is missing or not a string.
+bool read_string(const JsonValue& obj, std::string_view key,
+                 std::string* out) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_string()) return false;
+  *out = v->as_string();
+  return true;
 }
 
 std::string format_ms(std::uint64_t ns) {
@@ -101,8 +116,11 @@ void split_lines(const std::string& text, std::vector<std::string>* out) {
 }
 
 // Parses a cpt_trace_v1 document: the header on line 1, then one JSON
-// object per line (blank lines after the header are skipped). `path`
-// only labels the error.
+// object per line (blank lines after the header are skipped). Every field
+// the writer emits must be present with its type: a track line needs
+// `track` and `label`; an event line needs `track`, `seq`, `kind`,
+// `name`, `depth` and `ts_ns`, and `dur_ns` on a span. `path` only labels
+// the error.
 bool parse_trace_text(const std::string& text, const std::string& path,
                       TraceFile* out, std::string* error) {
   std::vector<std::string> lines;
@@ -126,27 +144,32 @@ bool parse_trace_text(const std::string& text, const std::string& path,
       out->name = member_str(v, "name");
       continue;
     }
-    if (!parsed) {
-      *error = path + ":" + std::to_string(i + 1) + ": " + perr;
+    const auto fail = [&](const std::string& why) {
+      *error = path + ":" + std::to_string(i + 1) + ": " + why;
       return false;
-    }
+    };
+    if (!parsed) return fail(perr);
     if (v.find("label") != nullptr && v.find("seq") == nullptr) {
       TraceTrack t;
-      t.id = member_u64(v, "track");
-      t.label = member_str(v, "label");
+      if (!read_uint(v, "track", &t.id)) return fail("bad track");
+      if (!read_string(v, "label", &t.label)) return fail("bad label");
       out->tracks.push_back(std::move(t));
       continue;
     }
     TraceEventRec e;
-    e.track = member_u64(v, "track");
-    e.seq = member_u64(v, "seq");
-    e.kind = member_str(v, "kind");
-    e.name = member_str(v, "name");
-    e.depth = static_cast<std::uint32_t>(member_u64(v, "depth"));
+    std::uint64_t depth = 0;
+    if (!read_uint(v, "track", &e.track)) return fail("bad track");
+    if (!read_uint(v, "seq", &e.seq)) return fail("bad seq");
+    if (!read_string(v, "kind", &e.kind)) return fail("bad kind");
+    if (!read_string(v, "name", &e.name)) return fail("bad name");
+    if (!read_uint(v, "depth", &depth, UINT32_MAX)) return fail("bad depth");
+    e.depth = static_cast<std::uint32_t>(depth);
     if (const JsonValue* a = v.find("args")) e.args = *a;
-    e.ts_ns = member_u64(v, "ts_ns");
-    e.dur_ns = member_u64(v, "dur_ns");
-    e.has_dur = v.find("dur_ns") != nullptr;
+    if (!read_uint(v, "ts_ns", &e.ts_ns)) return fail("bad ts_ns");
+    e.has_dur = e.kind == "span" || v.find("dur_ns") != nullptr;
+    if (e.has_dur && !read_uint(v, "dur_ns", &e.dur_ns)) {
+      return fail("bad dur_ns");
+    }
     out->events.push_back(std::move(e));
   }
   return true;

@@ -47,7 +47,8 @@ struct TraceFile {
 
 // Parses a cpt_trace_v1 JSONL document, whose line 1 must be the header.
 // Returns false and fills *error (with a line number) on malformed input,
-// a missing header or a wrong schema tag.
+// a missing header, a wrong schema tag, or a track or event line whose
+// field is missing or of the wrong type ("<path>:<line>: bad <field>").
 bool load_trace_file(const std::string& path, TraceFile* out,
                      std::string* error);
 

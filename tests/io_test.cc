@@ -81,7 +81,9 @@ TEST(GraphIo, RejectsEachMalformedListWithItsReason) {
       {"", "edge list: missing header"},
       {"# only a comment\n\n", "edge list: missing header"},
       {"three 3\n", "edge list: bad header"},
-      {"4294967296 0\n", "edge list: node count exceeds 2^32"},
+      {"4294967296 0\n", "edge list: node count exceeds 2^24"},
+      {"4294967295 0\n", "edge list: node count exceeds 2^24"},
+      {"16777217 0\n", "edge list: node count exceeds 2^24"},
       {"3 2\n0 1\n", "edge list: truncated"},
       {"3 1\n0 x\n", "edge list: bad edge row"},
       {"2 1\n0 5\n", "edge list: endpoint out of range"},

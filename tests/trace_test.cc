@@ -288,6 +288,43 @@ TEST(TraceAnalysisTest, RejectsInputsThatAreNotTraces) {
     EXPECT_FALSE(scenario::trace_diff_files(bad, bad, &report)) << bad;
     EXPECT_NE(report.find(bad), std::string::npos) << report;
   }
+
+  // An event line whose field is missing or of the wrong type is refused
+  // by name, instead of loading as 0 or as a wrapped huge number.
+  const struct {
+    const char* file;
+    const char* event;
+    const char* field;
+  } bad_fields[] = {
+      {"neg_dur.jsonl",
+       R"({"track":0,"seq":0,"kind":"span","name":"s","depth":0,)"
+       R"("ts_ns":1,"dur_ns":-5})",
+       "dur_ns"},
+      {"neg_track.jsonl",
+       R"({"track":-1,"seq":0,"kind":"instant","name":"i","depth":0,)"
+       R"("ts_ns":1})",
+       "track"},
+      {"frac_depth.jsonl",
+       R"({"track":0,"seq":0,"kind":"instant","name":"i","depth":1.5,)"
+       R"("ts_ns":1})",
+       "depth"},
+      {"no_ts.jsonl",
+       R"({"track":0,"seq":0,"kind":"instant","name":"i","depth":0})",
+       "ts_ns"},
+      {"num_name.jsonl",
+       R"({"track":0,"seq":0,"kind":"instant","name":7,"depth":0,)"
+       R"("ts_ns":1})",
+       "name"},
+  };
+  for (const auto& c : bad_fields) {
+    const std::string bad =
+        write(c.file, minimal_trace + std::string(c.event) + "\n");
+    const std::string why = bad + ":3: bad " + c.field;
+    EXPECT_FALSE(scenario::load_trace_file(bad, &t, &error)) << bad;
+    EXPECT_EQ(error, why);
+    EXPECT_FALSE(scenario::trace_diff_files(bad, valid, &report)) << bad;
+    EXPECT_EQ(report, why);
+  }
 }
 
 // A trace written while the "count" event kind existed still loads, and

@@ -52,18 +52,15 @@
 //       aggregate covers only the jobs that ran; a failure is final for
 //       the run, is never stored in --cache, and re-runs on the next run)
 //    2  usage error
-//   75  resumable interruption (EX_TEMPFAIL): SIGINT/SIGTERM drained the
-//       in-flight jobs and flushed the partial aggregate; with --cache=DIR
-//       every result so far is stored, so re-running the same command
-//       resumes (failed jobs are not stored and run again)
 //  137  injected hard kill (--fault-plan; mimics SIGKILL)
+// SIGINT and SIGTERM keep their default action, so an interrupted run dies
+// like a killed one: it writes no output file, and re-running the same
+// command with the same --cache resumes it.
 #include <sys/stat.h>
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,17 +84,6 @@ using namespace cpt;
 using namespace cpt::scenario;
 
 namespace {
-
-// EX_TEMPFAIL: the run was interrupted; with --cache it resumes on rerun.
-constexpr int kExitResumable = 75;
-
-std::atomic<bool> g_cancel{false};
-
-extern "C" void on_cancel_signal(int) {
-  // Relaxed store on a lock-free atomic: async-signal-safe. The engine's
-  // claim wait polls this flag (a handler cannot notify a condvar).
-  g_cancel.store(true, std::memory_order_relaxed);
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -165,13 +151,6 @@ int cmd_run(const std::string& path, BatchOptions options,
     return 1;
   }
 
-  // SIGINT/SIGTERM drain in-flight jobs, flush the partial aggregate, and
-  // exit kExitResumable. Installed only for `run`: the other subcommands
-  // have nothing to flush.
-  std::signal(SIGINT, on_cancel_signal);
-  std::signal(SIGTERM, on_cancel_signal);
-  options.cancel = &g_cancel;
-
   std::unique_ptr<util::TraceSession> session;
   if (!trace_path.empty() || !metrics_path.empty()) {
     session = std::make_unique<util::TraceSession>();
@@ -221,9 +200,6 @@ int cmd_run(const std::string& path, BatchOptions options,
     std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
     return 1;
   }
-  // Trace/metrics flush happens before the cancelled check on purpose: the
-  // SIGINT/SIGTERM drain path (exit 75) keeps the snapshot alongside the
-  // partial aggregate, so interrupted runs stay diagnosable.
   if (session != nullptr && !trace_path.empty() &&
       !write_text_file(trace_path, session->render_jsonl(manifest.name))) {
     std::fprintf(stderr, "error: cannot write %s\n", trace_path.c_str());
@@ -234,23 +210,6 @@ int cmd_run(const std::string& path, BatchOptions options,
                        session->metrics().render_json(manifest.name))) {
     std::fprintf(stderr, "error: cannot write %s\n", metrics_path.c_str());
     return 1;
-  }
-  if (batch.cancelled) {
-    if (options.result_cache != nullptr) {
-      std::fprintf(stderr,
-                   "interrupted: %u of %zu jobs completed; the partial "
-                   "aggregate is flushed and the results so far are stored "
-                   "in --cache=%s -- re-run the same command to resume\n",
-                   batch.completed_jobs, batch.jobs.size(),
-                   options.result_cache->dir().c_str());
-    } else {
-      std::fprintf(stderr,
-                   "interrupted: %u of %zu jobs completed; the partial "
-                   "aggregate is flushed -- run with --cache=DIR so that a "
-                   "rerun resumes instead of starting over\n",
-                   batch.completed_jobs, batch.jobs.size());
-    }
-    return kExitResumable;
   }
   if (batch.failed_jobs > 0) {
     std::fprintf(stderr,
